@@ -27,8 +27,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except Exception as exc:  # solver abort
         print(f"solver abort: {exc}", file=sys.stderr)
         return 1
-    outdir = harness.resolve_output_dir(config, args.output)
-    summary = harness.write_outputs(traj, config, outdir)
+    try:
+        outdir = harness.resolve_output_dir(config, args.output)
+        summary = harness.write_outputs(traj, config, outdir)
+    except (OSError, ValueError) as exc:
+        print(f"output failed after the solve: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {outdir} (max defect {summary['max_defect']:.3e}, "
           f"final E {summary['final']['total']:.6g})")
     return 0

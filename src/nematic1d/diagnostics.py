@@ -146,25 +146,23 @@ def make_ledger(state: FlowState, c: LeslieSet, d: DerivedViscosities,
 
 def energy_budget(times: np.ndarray,
                   ledgers: Sequence[EnergyLedger]) -> tuple[np.ndarray, float]:
-    """Budget defect series E(t_m) - E(0) + sum_{k<=m} D(t_k) dt and its max.
+    """Budget defect series E(t_m) - E(0) + sum_{k<=m} D(t_k) (t_k - t_{k-1})
+    and its max.
 
-    Output times must be uniformly spaced; the sum runs over k >= 1
-    (right-endpoint rule, matching the implicit Euler stepping).
+    Each D(t_k) is weighted by the interval that ends at t_k (right-endpoint
+    rule, matching the implicit Euler stepping), so output times need not be
+    uniform: an off-cadence final snapshot weighs its shorter interval.
     """
     times = np.asarray(times, dtype=float)
     if times.size != len(ledgers):
         raise ValueError("times and ledgers length mismatch")
     if times.size < 2:
         return np.zeros(times.size), 0.0
-    dts = np.diff(times)
-    if np.max(np.abs(dts - dts[0])) > 1e-9 * max(abs(times[-1]), 1.0):
-        raise ValueError("energy budget requires uniform output times")
-    dt = float(dts[0])
     e = np.array([led.total for led in ledgers])
     dvals = np.array([led.dissipation for led in ledgers])
     defect = np.empty(times.size)
     defect[0] = 0.0
-    defect[1:] = e[1:] - e[0] + np.cumsum(dvals[1:]) * dt
+    defect[1:] = e[1:] - e[0] + np.cumsum(dvals[1:] * np.diff(times))
     return defect, float(np.max(np.abs(defect)))
 
 

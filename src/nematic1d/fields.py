@@ -7,6 +7,7 @@ coupling, and the director-equation residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -37,9 +38,12 @@ class Grid1D:
     def num_nodes(self) -> int:
         return self.num_cells + 1
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.num_nodes)
+        """Node coordinates, computed once and shared read-only."""
+        x = np.linspace(0.0, 1.0, self.num_nodes)
+        x.flags.writeable = False
+        return x
 
     @property
     def x_mid(self) -> np.ndarray:

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
+from scipy.fft import dct, dst
 from scipy.interpolate import PchipInterpolator
 from scipy.linalg import solve_banded
 
@@ -34,33 +36,57 @@ class TimeStepUnderflow(RuntimeError):
 # =============================================================================
 
 class SineBasis:
-    """Tabulated sin(j pi x) basis on a grid.
+    """sin(j pi x) basis, j = 1..K, on the nodes x_i = i/N of a grid.
 
     The basis is orthogonal, not orthonormal: integral of phi_j^2 over (0,1)
     is 1/2, so projections carry a factor 2.
+
+    No tables are held: on these nodes, sums against sin(j pi x_i) over the
+    interior nodes are a DST-I of length N-1, and trapezoid sums against
+    cos(m pi x_i) over all nodes are dx/2 times a DCT-I of length N+1 (the
+    trapezoid end weights are exactly the DCT-I end halving).  Modes j >= N
+    alias on the grid, so K < N.
     """
 
     def __init__(self, num_modes: int, grid: Grid1D):
         if num_modes < 1:
             raise ValueError("need at least one mode")
+        if num_modes >= grid.num_cells:
+            raise ValueError(
+                f"modes must be < grid.cells: {num_modes} modes alias on "
+                f"{grid.num_cells} cells")
         self.num_modes = num_modes
         self.grid = grid
-        j = np.arange(1, num_modes + 1)[:, None]
-        x = grid.x[None, :]
-        self.phi = np.sin(j * np.pi * x)                  # (K, nodes)
-        self.phi[:, 0] = 0.0
-        self.phi[:, -1] = 0.0   # exact endpoint zeros despite sin(j*pi) round-off
-        self.dphi = (j * np.pi) * np.cos(j * np.pi * x)   # (K, nodes)
+        self.wavenumbers = np.pi * np.arange(1, num_modes + 1)   # j pi
+
+    def sine_moments(self, f: np.ndarray) -> np.ndarray:
+        """Trapezoid sums of f * phi_j, j = 1..K, along the last axis."""
+        # norm="forward" scales by 1/(2N) = dx/2
+        moments = dst(f[..., 1:-1], type=1, norm="forward")
+        return moments[..., :self.num_modes]
+
+    def cosine_moments(self, f: np.ndarray) -> np.ndarray:
+        """Trapezoid sums of f * cos(m pi x), m = 0..N, along the last axis."""
+        return dct(f, type=1, norm="forward")   # scaled by 1/(2N) = dx/2
 
     def project(self, f: np.ndarray) -> np.ndarray:
         """Mode coefficients 2 * integral of f * phi_j."""
-        return 2.0 * np.trapezoid(self.phi * f[None, :], dx=self.grid.dx, axis=1)
+        return 2.0 * self.sine_moments(f)
 
     def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
-        return coeffs @ self.phi
+        """sum_j c_j phi_j at the nodes, along the last axis; exact zeros at
+        both walls."""
+        out = np.zeros(coeffs.shape[:-1] + (self.grid.num_nodes,))
+        interior = out[..., 1:-1]   # zero-padded to the DST-I length N-1
+        interior[..., :self.num_modes] = coeffs
+        interior[...] = 0.5 * dst(interior, type=1)
+        return out
 
     def reconstruct_derivative(self, coeffs: np.ndarray) -> np.ndarray:
-        return coeffs @ self.dphi
+        """sum_j c_j phi_j' at the nodes, along the last axis."""
+        scaled = np.zeros(coeffs.shape[:-1] + (self.grid.num_nodes,))
+        scaled[..., 1:self.num_modes + 1] = coeffs * self.wavenumbers
+        return 0.5 * dct(scaled, type=1)
 
 
 @dataclass
@@ -220,6 +246,62 @@ def advance_director(state: FlowState, d: DerivedViscosities, dt: float,
 # Velocity-mode update
 # =============================================================================
 
+def _toeplitz_hankel(moments: np.ndarray,
+                     num_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Strided views T[..., j, k] = C_|j-k| and H[..., j, k] = C_(j+k),
+    j, k = 1..K, of cosine moments C_0..C_N on the last axis.  Indices past
+    N fold back through C_m = C_(2N-m)."""
+    K = num_modes
+    N = moments.shape[-1] - 1
+    # C_(K-1), ..., C_1, then C_0, ..., C_2K: 3K entries
+    ext = np.concatenate([moments[..., K - 1:0:-1], moments[..., :2 * K + 1],
+                          moments[..., N - 1:2 * N - 2 * K - 1:-1]], axis=-1)
+    # windows[..., r, s] = ext[..., r + s] for r <= 2K, s <= K - 1
+    step = ext.strides[-1]
+    windows = as_strided(ext, ext.shape[:-1] + (2 * K + 1, K),
+                         ext.strides[:-1] + (step, step), writeable=False)
+    return windows[..., K - 1::-1, :], windows[..., K + 1:, :]
+
+
+def galerkin_system(state: FlowState, c: LeslieSet, dt: float, *,
+                    grid: Grid1D, basis: SineBasis, rho_new: np.ndarray,
+                    n_new: np.ndarray, ndot_new: np.ndarray,
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trapezoid-rule Galerkin mass matrix (K, K), the four stiffness blocks
+    (4, K, K) of A(n) in the order 11, 12, 21, 22, and the right-hand sides
+    (2, K) of the u and v mode equations.
+
+    The matrices come from the cosine moments C_m of the coefficient fields
+    by the product-to-sum identities
+
+        M_jk = (C_|j-k| - C_(j+k)) / 2            for rho,
+        S_jk = jk pi^2 (C_|j-k| + C_(j+k)) / 2    for each entry of A(n),
+
+    exact on the grid, at O(N log N + K^2) for all of them together.
+    """
+    a11, a12, a21, a22 = matrix_entries(c, n_new)
+    b1, b2 = director_rate_flux(c, n_new, ndot_new)
+    elastic_state = FlowState(state.time, rho_new, state.u, state.v, n_new)
+    elastic = elastic_coupling(elastic_state, grid)
+    p_old = pressure(state.rho, c.gamma_ad)
+    rho_u = state.rho * state.u
+
+    cos_moments = basis.cosine_moments(np.array([
+        rho_new, a11, a12, a21, a22,
+        rho_u * state.u + p_old - b1, rho_u * state.v - b2]))
+    sin_moments = basis.sine_moments(np.array([
+        rho_u + dt * elastic, state.rho * state.v]))
+
+    K = basis.num_modes
+    toeplitz, hankel = _toeplitz_hankel(cos_moments[:5], K)
+    mass = 0.5 * (toeplitz[0] - hankel[0])
+    stiffness = np.add(toeplitz[1:], hankel[1:])
+    stiffness *= np.outer(basis.wavenumbers, 0.5 * basis.wavenumbers)
+    # integrals against phi_j' are j pi times the cosine moments
+    rhs = sin_moments + dt * basis.wavenumbers * cos_moments[5:, 1:K + 1]
+    return mass, stiffness, rhs
+
+
 def advance_velocity_modes(state: FlowState, spec: SpectralVelocity,
                            c: LeslieSet, dt: float, *, grid: Grid1D,
                            basis: SineBasis, rho_new: np.ndarray,
@@ -228,46 +310,23 @@ def advance_velocity_modes(state: FlowState, spec: SpectralVelocity,
     """Advance the mode coefficients of (u, v) by one step of the weak form.
 
     The second-order coefficient matrix A(n) is treated implicitly (mass and
-    stiffness assembled by trapezoid quadrature on the grid); transport and
-    pressure are explicit at the old time, while the elastic source and the
-    director-rate flux use the freshly advanced director.
+    stiffness from `galerkin_system`); transport and pressure are explicit
+    at the old time, while the elastic source and the director-rate flux use
+    the freshly advanced director.
     """
     if np.min(rho_new) <= 0.0:
         raise ValueError("mass matrix requires strictly positive density")
-    dx = grid.dx
     K = basis.num_modes
-    w = np.full(grid.num_nodes, dx)
-    w[0] = w[-1] = 0.5 * dx   # trapezoid weights
-
-    phi_w = basis.phi * w[None, :]
-    dphi_w = basis.dphi * w[None, :]
-
-    mass = phi_w * rho_new[None, :] @ basis.phi.T
-
-    a11, a12, a21, a22 = matrix_entries(c, n_new)
-    s11 = dphi_w * a11[None, :] @ basis.dphi.T
-    s12 = dphi_w * a12[None, :] @ basis.dphi.T
-    s21 = dphi_w * a21[None, :] @ basis.dphi.T
-    s22 = dphi_w * a22[None, :] @ basis.dphi.T
-
-    b1, b2 = director_rate_flux(c, n_new, ndot_new)
-    elastic_state = FlowState(state.time, rho_new, state.u, state.v, n_new)
-    elastic = elastic_coupling(elastic_state, grid)
-
-    p_old = pressure(state.rho, c.gamma_ad)
-    r_u = (phi_w @ (state.rho * state.u)
-           + dt * (dphi_w @ (state.rho * state.u * state.u)
-                   + dphi_w @ p_old
-                   + phi_w @ elastic
-                   - dphi_w @ b1))
-    r_v = (phi_w @ (state.rho * state.v)
-           + dt * (dphi_w @ (state.rho * state.u * state.v)
-                   - dphi_w @ b2))
-
-    system = np.block([[mass + dt * s11, dt * s12],
-                       [dt * s21, mass + dt * s22]])
+    mass, stiffness, rhs = galerkin_system(
+        state, c, dt, grid=grid, basis=basis, rho_new=rho_new, n_new=n_new,
+        ndot_new=ndot_new)
+    system = np.empty((2 * K, 2 * K))
+    blocks = system.reshape(2, K, 2, K).swapaxes(1, 2)   # blocks[a, b]: K x K
+    np.multiply(dt, stiffness.reshape(2, 2, K, K), out=blocks)
+    blocks[0, 0] += mass
+    blocks[1, 1] += mass
     try:
-        sol = np.linalg.solve(system, np.concatenate([r_u, r_v]))
+        sol = np.linalg.solve(system, rhs.ravel())
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"velocity mode solve failed: {exc}") from exc
     return SpectralVelocity(K, sol[:K], sol[K:])
@@ -282,15 +341,12 @@ class SolverConfig:
     dt: float
     picard_tol: float = 1e-10
     picard_max: int = 50
-    quadrature: str = "trapezoid"
     denominator_guard: float = 1.0
     dt_min: float = 1e-12
 
     def __post_init__(self):
         if self.dt <= 0.0 or self.picard_tol <= 0.0:
             raise ValueError("dt and picard_tol must be positive")
-        if self.quadrature != "trapezoid":
-            raise ValueError("only trapezoid quadrature is implemented")
 
 
 @dataclass
@@ -320,24 +376,29 @@ def _attempt_step(state: FlowState, spec: SpectralVelocity, grid: Grid1D,
                   config: SolverConfig,
                   basis: SineBasis) -> Optional[tuple[FlowState, SpectralVelocity, int]]:
     """One Picard-coupled step at fixed dt; None when Picard stalls."""
+    # step-invariant: the particle labels, the mass, and where the
+    # mass-coordinate gradient u_x / rho is defined
+    ld_start = LagrangianDensity.at_step_start(state.rho, grid)
     total_mass = float(np.trapezoid(state.rho, dx=grid.dx))
+    occupied = state.rho > 0.0
+    rho_safe = np.where(occupied, state.rho, 1.0)
 
     spec_it = spec.copy()
     rho_it = state.rho.copy()
     n_it = state.n.copy()
 
     for iteration in range(1, config.picard_max + 1):
-        u_field = basis.reconstruct(spec_it.c)
-        v_field = basis.reconstruct(spec_it.d)
-        u_x = basis.reconstruct_derivative(spec_it.c)
-        v_x = basis.reconstruct_derivative(spec_it.d)
+        modes = np.array([spec_it.c, spec_it.d])
+        u_field, v_field = basis.reconstruct(modes)
+        u_x, v_x = basis.reconstruct_derivative(modes)
 
-        # (i) density along particle paths, then conservative remap
-        ld = LagrangianDensity.at_step_start(state.rho, grid)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u_mass_grad = np.where(state.rho > 0.0, u_x / state.rho, 0.0)
-        rho_particles = advance_density(ld, dt * u_mass_grad,
-                                        guard=config.denominator_guard)
+        # (i) density along particle paths, then conservative remap; every
+        # iterate integrates from the step start, and advance_density
+        # rebinds (never mutates) the accumulator of its shallow copy
+        ld = replace(ld_start)
+        rho_particles = advance_density(
+            ld, dt * np.where(occupied, u_x / rho_safe, 0.0),
+            guard=config.denominator_guard)
         positions = grid.x + dt * u_field
         positions[0], positions[-1] = 0.0, 1.0
         rho_new = remap_density_to_grid(rho_particles, positions, ld.labels,
@@ -361,11 +422,11 @@ def _attempt_step(state: FlowState, spec: SpectralVelocity, grid: Grid1D,
                     float(np.max(np.abs(spec_new.d - spec_it.d))))
         rho_it, n_it, spec_it = rho_new, n_new, spec_new
         if delta < config.picard_tol:
-            u_final = basis.reconstruct(spec_it.c)
+            u_final, v_final = basis.reconstruct(
+                np.array([spec_it.c, spec_it.d]))
             n_x_fin = gradient(n_it, grid.dx, neumann_ends=True)
             ndot_fin = (n_it - state.n) / dt + u_final * n_x_fin
-            new_state = FlowState(state.time + dt, rho_it,
-                                  u_final, basis.reconstruct(spec_it.d),
+            new_state = FlowState(state.time + dt, rho_it, u_final, v_final,
                                   n_it, ndot=ndot_fin)
             return new_state, spec_it, iteration
     return None

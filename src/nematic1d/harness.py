@@ -58,6 +58,9 @@ class RunConfig:
             raise ValueError("grid.cells must be >= 8")
         if self.modes < 1:
             raise ValueError("modes must be >= 1")
+        if self.modes >= self.grid_cells:
+            raise ValueError("modes must be < grid.cells: higher sine modes "
+                             "alias on the grid")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.t_end < 0.0:

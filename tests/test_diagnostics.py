@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -105,13 +107,16 @@ def test_energy_budget_static(base_set, base_derived):
     assert np.all(defect == defect)
 
 
-def test_energy_budget_requires_uniform_times(base_set, base_derived):
+def test_energy_budget_weights_each_interval(base_set, base_derived):
+    # an off-cadence last output time weighs D by its shorter interval:
+    # defect_m = E_m - E_0 + sum_{k<=m} D_k (t_k - t_{k-1})
     grid = Grid1D(32)
-    state = make_state(grid)
-    ledgers = [make_ledger(state, base_set, base_derived, grid)
-               for _ in range(3)]
-    with pytest.raises(ValueError, match="uniform"):
-        energy_budget(np.array([0.0, 0.1, 0.35]), ledgers)
+    led = make_ledger(make_state(grid), base_set, base_derived, grid)
+    ledgers = [replace(led, total=e, dissipation=dv)
+               for e, dv in ((1.0, 5.0), (0.9, 2.0), (0.7, 0.6))]
+    defect, max_defect = energy_budget(np.array([0.0, 0.1, 0.35]), ledgers)
+    assert defect == pytest.approx([0.0, 0.1, 0.05], abs=1e-15)
+    assert max_defect == pytest.approx(0.1, abs=1e-15)
 
 
 def test_high_integrability_constants(base_set, base_derived):

@@ -34,6 +34,14 @@ def bracket_oracle(c, u_x, v_x, n, nd):
     return f1, f2
 
 
+def test_grid_nodes_cached_read_only():
+    grid = Grid1D(16)
+    assert grid.x is grid.x
+    assert np.array_equal(grid.x, np.linspace(0.0, 1.0, 17))
+    with pytest.raises(ValueError):
+        grid.x[1] = 0.5
+
+
 # -----------------------------------------------------------------------------
 # pressure
 # -----------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from nematic1d.coefficients import matrix_entries, random_valid_set
 from nematic1d.diagnostics import energy_budget
-from nematic1d.fields import FlowState, Grid1D, director_residual, gradient
+from nematic1d.fields import (FlowState, Grid1D, director_rate_flux,
+                              director_residual, elastic_coupling, gradient,
+                              pressure)
 from nematic1d.galerkin import (DenominatorTooSmall, LagrangianDensity,
                                 SineBasis, SolverConfig, advance_density,
-                                advance_director, project_initial_velocity,
+                                advance_director, galerkin_system,
+                                project_initial_velocity,
                                 remap_density_to_grid, run, step)
 
 
@@ -62,6 +66,87 @@ def test_spectral_consistency_doubling_modes():
         errs.append(np.sqrt(np.trapezoid((recon - u0) ** 2, dx=grid.dx)))
     assert errs[0] / errs[1] > 4.0
     assert errs[1] / errs[2] > 4.0
+
+
+def test_basis_rejects_aliased_modes():
+    grid = Grid1D(8)
+    SineBasis(7, grid)
+    for modes in (8, 12):
+        with pytest.raises(ValueError, match="modes must be < grid.cells"):
+            SineBasis(modes, grid)
+
+
+# -----------------------------------------------------------------------------
+# transform assembly against dense trapezoid quadrature
+# -----------------------------------------------------------------------------
+
+def _dense_reference(state, c, dt, grid, K, rho_new, n_new, ndot_new):
+    """The Galerkin system by explicit K x (N+1) basis tables and trapezoid
+    weights: mass, the four stiffness blocks, and the u and v right-hand
+    sides."""
+    j = np.arange(1, K + 1)[:, None]
+    x = grid.x[None, :]
+    phi = np.sin(j * np.pi * x)
+    phi[:, 0] = phi[:, -1] = 0.0
+    dphi = (j * np.pi) * np.cos(j * np.pi * x)
+    w = np.full(grid.num_nodes, grid.dx)
+    w[0] = w[-1] = 0.5 * grid.dx
+    phi_w, dphi_w = phi * w, dphi * w
+
+    mass = phi_w * rho_new @ phi.T
+    stiffness = [dphi_w * a @ dphi.T for a in matrix_entries(c, n_new)]
+    b1, b2 = director_rate_flux(c, n_new, ndot_new)
+    elastic = elastic_coupling(
+        FlowState(state.time, rho_new, state.u, state.v, n_new), grid)
+    p_old = pressure(state.rho, c.gamma_ad)
+    rho, u, v = state.rho, state.u, state.v
+    r_u = (phi_w @ (rho * u)
+           + dt * (dphi_w @ (rho * u * u) + dphi_w @ p_old
+                   + phi_w @ elastic - dphi_w @ b1))
+    r_v = phi_w @ (rho * v) + dt * (dphi_w @ (rho * u * v) - dphi_w @ b2)
+    return mass, stiffness, (r_u, r_v), phi, dphi
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("cells, modes", [(8, 7), (16, 15), (128, 16),
+                                          (256, 32), (1024, 128)])
+def test_transform_assembly_matches_dense_quadrature(cells, modes):
+    # (8, 7) and (16, 15) reach moments C_(j+k) past N, which fold back
+    rng = np.random.default_rng(cells + modes)
+    grid = Grid1D(cells)
+    basis = SineBasis(modes, grid)
+    m = grid.num_nodes
+    c = random_valid_set(rng)
+    u, v = rng.normal(size=m), rng.normal(size=m)
+    u[[0, -1]] = v[[0, -1]] = 0.0
+    state = make_state(grid, rho=rng.uniform(0.2, 2.0, m), u=u, v=v,
+                       n=rng.uniform(0.0, np.pi, m))
+    rho_new = rng.uniform(0.2, 2.0, m)
+    n_new = rng.uniform(0.0, np.pi, m)
+    ndot_new = rng.normal(size=m)
+    dt = 1e-3
+
+    mass, stiffness, rhs = galerkin_system(
+        state, c, dt, grid=grid, basis=basis, rho_new=rho_new, n_new=n_new,
+        ndot_new=ndot_new)
+    ref_mass, ref_stiffness, ref_rhs, phi, dphi = _dense_reference(
+        state, c, dt, grid, modes, rho_new, n_new, ndot_new)
+
+    assert _rel(mass, ref_mass) <= 1e-12
+    for block, ref in zip(stiffness, ref_stiffness):
+        assert _rel(block, ref) <= 1e-12
+    for got, ref in zip(rhs, ref_rhs):
+        assert _rel(got, ref) <= 1e-12
+
+    f = rng.normal(size=m)
+    coeffs = rng.normal(size=modes)
+    assert _rel(basis.project(f),
+                2.0 * np.trapezoid(phi * f, dx=grid.dx, axis=1)) <= 1e-12
+    assert _rel(basis.reconstruct(coeffs), coeffs @ phi) <= 1e-12
+    assert _rel(basis.reconstruct_derivative(coeffs), coeffs @ dphi) <= 1e-12
 
 
 # -----------------------------------------------------------------------------

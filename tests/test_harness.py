@@ -95,6 +95,11 @@ def test_config_validation():
         shear_config(scheme="spectral")
     with pytest.raises(ValueError):
         shear_config(initial_preset="bogus")
+    # sine modes j >= grid.cells alias on the grid nodes
+    shear_config(grid_cells=8, modes=7)
+    for modes in (8, 12):
+        with pytest.raises(ValueError, match="modes must be < grid.cells"):
+            shear_config(grid_cells=8, modes=modes)
 
 
 def test_invalid_coefficients_named():
@@ -370,6 +375,20 @@ def test_cli_run_and_validate(tmp_path):
     assert cli_main(["run", "--config", str(conf)]) == 0
     assert (tmp_path / "out" / "summary.json").exists()
     assert cli_main(["validate-coefficients", "--config", str(conf)]) == 0
+
+
+@pytest.mark.parametrize("cadence", ["t_end = 0.0105",
+                                     "output.snapshot_every = 3"],
+                         ids=["partial_last_step", "every_third_step"])
+def test_cli_run_off_cadence_final_snapshot(tmp_path, cadence):
+    # the last output time falls off the snapshot cadence (a partial last
+    # step, or 10 steps at every 3rd), so output times are not uniform
+    conf = tmp_path / "run.conf"
+    conf.write_text(TEXT_CONFIG + f"\n{cadence}\n"
+                    + f"output.dir = {tmp_path / 'out'}\n")
+    assert cli_main(["run", "--config", str(conf)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert np.isfinite(summary["max_defect"])
 
 
 def test_cli_invalid_coefficients_exit_code(tmp_path, capsys):
