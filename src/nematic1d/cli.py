@@ -17,8 +17,24 @@ from .coefficients import (InvalidCoefficients, derive_viscosities,
 from .derivation import run_identity_suite
 
 
+def _load_config(path: str) -> harness.RunConfig | None:
+    """Parse a config file, or print why it was rejected and return None."""
+    try:
+        return harness.parse_config(path)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = harness.parse_config(args.config)
+    config = _load_config(args.config)
+    if config is None:
+        return 2
+    try:  # before the solve, so a missing directory wastes no work
+        outdir = harness.resolve_output_dir(config, args.output)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     try:
         traj = harness.run_simulation(config)
     except InvalidCoefficients as exc:
@@ -28,7 +44,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"solver abort: {exc}", file=sys.stderr)
         return 1
     try:
-        outdir = harness.resolve_output_dir(config, args.output)
         summary = harness.write_outputs(traj, config, outdir)
     except (OSError, ValueError) as exc:
         print(f"output failed after the solve: {exc}", file=sys.stderr)
@@ -39,11 +54,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = harness.parse_config(args.config)
-    deltas = [float(tok) for tok in args.deltas.split(",")]
-    outdir = harness.resolve_output_dir(config, args.output)
+    config = _load_config(args.config)
+    if config is None:
+        return 2
+    try:  # before the solve, so a missing directory wastes no work
+        outdir = harness.resolve_output_dir(config, args.output)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     try:
-        report = harness.run_sweep(config, deltas, workers=args.workers,
+        report = harness.run_sweep(config, args.deltas, workers=args.workers,
                                    outdir=outdir)
     except InvalidCoefficients as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -63,6 +83,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for name, order in report.observed_orders.items():
         print(f"  order[{name}] = {order:.3f}")
     return 0
+
+
+def _delta_list(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",")]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -100,7 +124,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    config = harness.parse_config(args.config)
+    config = _load_config(args.config)
+    if config is None:
+        return 2
     report = validate(config.coefficients)
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
@@ -123,7 +149,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="mollification-parameter sweep")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--deltas", default="0.1,0.05,0.025,0.0125",
+    p_sweep.add_argument("--deltas", type=_delta_list,
+                         default="0.1,0.05,0.025,0.0125",
                          help="comma-separated, strictly decreasing")
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--output", default=None)

@@ -12,7 +12,6 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.fft import dct, dst
-from scipy.interpolate import PchipInterpolator
 from scipy.linalg import solve_banded
 
 from . import diagnostics
@@ -162,6 +161,33 @@ def advance_density(ld: LagrangianDensity, uX_increment: np.ndarray,
     return ld.rho0 / (1.0 + window)
 
 
+def _pchip_derivative(x: np.ndarray, y: np.ndarray,
+                      xq: np.ndarray) -> np.ndarray:
+    """Derivative at `xq` of the monotone cubic Hermite interpolant of
+    (x, y) with Fritsch-Carlson slopes (SIAM J. Numer. Anal. 1980); x is
+    strictly increasing with at least three knots."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    sg = np.sign(m)
+    # interior: weighted harmonic mean of the adjacent secants where they
+    # share a nonzero sign, zero where they change sign or either vanishes
+    ok = (sg[1:] == sg[:-1]) & (sg[1:] != 0.0)
+    hl, hr, ml, mr = h[:-1][ok], h[1:][ok], m[:-1][ok], m[1:][ok]
+    w1, w2 = 2.0 * hr + hl, hr + 2.0 * hl
+    d = np.zeros_like(y)
+    d[1:-1][ok] = 1.0 / ((w1 / ml + w2 / mr) / (w1 + w2))
+    # ends: one-sided three-point slope, zeroed or clamped to keep the shape
+    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+    e = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    clamp = (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0))
+    d[[0, -1]] = np.where(np.sign(e) != np.sign(m0), 0.0,
+                          np.where(clamp, 3.0 * m0, e))
+    k = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
+    t = (d[k] + d[k + 1] - 2.0 * m[k]) / h[k]
+    s = xq - x[k]
+    return d[k] + s * (2.0 * ((m[k] - d[k]) / h[k] - t) + 3.0 * (t / h[k]) * s)
+
+
 def remap_density_to_grid(rho_particles: np.ndarray, positions: np.ndarray,
                           labels: np.ndarray, total_mass: float,
                           grid: Grid1D) -> np.ndarray:
@@ -174,8 +200,7 @@ def remap_density_to_grid(rho_particles: np.ndarray, positions: np.ndarray,
     """
     if np.any(np.diff(positions) <= 0.0):
         raise DenominatorTooSmall("particle map lost monotonicity")
-    mass_fn = PchipInterpolator(positions, labels)
-    rho = total_mass * mass_fn.derivative()(grid.x)
+    rho = total_mass * _pchip_derivative(positions, labels, grid.x)
     # the wall particles are pinned to the wall nodes, so their closed-form
     # densities are exact there; the interpolant's one-sided endpoint rule
     # can clamp to zero spuriously when the wall density is small

@@ -383,12 +383,11 @@ def write_outputs(traj: galerkin.Trajectory, config: RunConfig,
 
     x = traj.grid.x
     for idx, snap in enumerate(traj.snapshots):
-        rows = ["x,rho,u,v,n"]
-        for i in range(x.size):
-            rows.append(",".join(f"{val:.17g}" for val in
-                                 (x[i], snap.rho[i], snap.u[i], snap.v[i],
-                                  snap.n[i])))
-        (outdir / f"fields_{idx:04d}.csv").write_text("\n".join(rows) + "\n")
+        table = np.column_stack((x, snap.rho, snap.u, snap.v, snap.n))
+        text = "x,rho,u,v,n\n" + "".join(
+            "%.17g,%.17g,%.17g,%.17g,%.17g\n" % tuple(row)
+            for row in table.tolist())
+        (outdir / f"fields_{idx:04d}.csv").write_text(text)
 
     defect, max_defect = diagnostics.energy_budget(traj.times, traj.ledgers)
     totals = np.array([led.total for led in traj.ledgers])

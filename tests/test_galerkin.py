@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from nematic1d.coefficients import matrix_entries, random_valid_set
 from nematic1d.diagnostics import energy_budget
@@ -7,9 +8,9 @@ from nematic1d.fields import (FlowState, Grid1D, director_rate_flux,
                               director_residual, elastic_coupling, gradient,
                               pressure)
 from nematic1d.galerkin import (DenominatorTooSmall, LagrangianDensity,
-                                SineBasis, SolverConfig, advance_density,
-                                advance_director, galerkin_system,
-                                project_initial_velocity,
+                                SineBasis, SolverConfig, _pchip_derivative,
+                                advance_density, advance_director,
+                                galerkin_system, project_initial_velocity,
                                 remap_density_to_grid, run, step)
 
 
@@ -222,6 +223,47 @@ def test_density_formula_vs_fd_continuity_oracle():
     # gap roughly 25x
     ratio = _lagrangian_vs_upwind_gap(64, 0.01) / _lagrangian_vs_upwind_gap(64, 2e-3)
     assert 15.0 < ratio < 35.0
+
+
+def _pchip_case(name):
+    """Knots and values for one PCHIP comparison, plus the end slopes the
+    case must hit (None where any branch will do)."""
+    rng = np.random.default_rng(7)
+    if name == "random_knots":
+        x = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 127)), [1.0]))
+        return x, np.cumsum(rng.standard_normal(x.size)), None
+    if name == "vacuum_labels":
+        # cumulative mass of the vacuum_patch density on perturbed positions:
+        # exactly flat labels across the vacuum
+        grid = Grid1D(128)
+        rho = np.where((grid.x >= 0.4) & (grid.x <= 0.6), 0.0, 1.0)
+        labels = LagrangianDensity.at_step_start(rho, grid).labels
+        x = grid.x + 0.3 * grid.dx * np.sin(7.0 * np.pi * grid.x)
+        return x, labels, None
+    x = np.linspace(0.0, 1.0, 6)
+    if name == "ends_zeroed":
+        # three-point end slope (3m0 - m1)/2 < 0 < m0
+        return x, np.array([0.0, 1.0, 6.0, 7.0, 12.0, 13.0]), (0.0, 0.0)
+    # ends_clamped: m1 = -5 m0, the three-point slope 4 m0 exceeds 3 m0
+    return x, np.array([0.0, 1.0, -4.0, -2.0, -7.0, -6.0]), (15.0, 15.0)
+
+
+@pytest.mark.parametrize("case", ["random_knots", "vacuum_labels",
+                                  "ends_zeroed", "ends_clamped"])
+def test_pchip_derivative_matches_scipy(case):
+    x, y, ends = _pchip_case(case)
+    # queries between knots, on every knot, and at both walls
+    xq = np.concatenate((np.linspace(x[0], x[-1], 257), x))
+    ref = PchipInterpolator(x, y).derivative()(xq)
+    with np.errstate(all="raise"):  # flat secants must not be divided by
+        got = _pchip_derivative(x, y, xq)
+    np.testing.assert_allclose(got, ref, rtol=1e-13,
+                               atol=1e-13 * np.max(np.abs(ref)))
+    if ends is not None:
+        assert (ref[0], ref[-1]) == pytest.approx(ends, abs=1e-12)
+    if case == "vacuum_labels":
+        assert np.count_nonzero(np.diff(y) == 0.0) >= 20
+        assert np.count_nonzero(got == 0.0) >= 20
 
 
 def test_remap_conserves_mass_exactly(rng):

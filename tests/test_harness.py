@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nematic1d
+import nematic1d.harness as harness_module
 from nematic1d.cli import main as cli_main
 from nematic1d.coefficients import InvalidCoefficients, example_set
 from nematic1d.fields import Grid1D, gradient
@@ -262,6 +268,36 @@ def test_run_outputs_and_determinism(tmp_path):
     assert (out_a / last).read_bytes() == (out_b / last).read_bytes()
 
 
+FIELDS_0000 = """x,rho,u,v,n
+0,1,0,0,0.5
+0.125,1.0416666666666667,0.10000000000000001,0,0.5
+0.25,1.0833333333333333,-0,1e-300,0.5
+0.375,1.125,0,0,123456789.12345679
+0.5,1.1666666666666667,0,0,-0.66666666666666663
+0.625,1.2083333333333333,0,0,0.5
+0.75,1.25,0,0,0.5
+0.875,1.2916666666666667,0,0,0.5
+1,1.3333333333333333,0,0,0.5
+"""
+
+
+def test_field_file_exact_text(tmp_path):
+    # 17 significant digits, negative zero, subnormal-range and large values
+    cfg = shear_config(grid_cells=8, modes=2, t_end=0.0,
+                       initial_preset="static")
+    traj = run_simulation(cfg)
+    snap = traj.snapshots[0]
+    snap.rho[:] = 1.0 + traj.grid.x / 3.0
+    snap.u[:] = 0.0
+    snap.v[:] = 0.0
+    snap.n[:] = 0.5
+    snap.u[1], snap.u[2] = 0.1, -0.0
+    snap.v[2] = 1e-300
+    snap.n[3], snap.n[4] = 123456789.123456789, -2.0 / 3.0
+    write_outputs(traj, cfg, tmp_path)
+    assert (tmp_path / "fields_0000.csv").read_text() == FIELDS_0000
+
+
 def test_density_bound_monitor():
     cfg = shear_config(t_end=0.005)
     traj = run_simulation(cfg)
@@ -401,6 +437,65 @@ def test_cli_invalid_coefficients_exit_code(tmp_path, capsys):
     assert rc == 2
     assert "alpha4_positive" in captured.err
     assert cli_main(["validate-coefficients", "--config", str(conf)]) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "sweep",
+                                     "validate-coefficients"])
+@pytest.mark.parametrize("bad_line", ["grid.cells = 8\nmodes = 12",
+                                      "grid.cells = many",
+                                      "not a key value line"],
+                         ids=["aliased_modes", "non_numeric", "no_equals"])
+def test_cli_rejected_config_exits_2(tmp_path, capsys, command, bad_line):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(TEXT_CONFIG.replace("grid.cells = 64\nmodes = 8",
+                                        bad_line)
+                    + f"\noutput.dir = {tmp_path / 'out'}\n")
+    assert cli_main([command, "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_sweep_rejects_malformed_deltas(tmp_path, capsys):
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(TEXT_CONFIG + f"\noutput.dir = {tmp_path / 'out'}\n")
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(["sweep", "--config", str(conf), "--deltas", "0.1,abc"])
+    assert excinfo.value.code == 2
+    assert "--deltas" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_missing_config_file_exits_2(tmp_path, capsys):
+    assert cli_main(["run", "--config", str(tmp_path / "absent.conf")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_missing_output_dir_fails_before_solve(tmp_path, capsys,
+                                                   monkeypatch, command):
+    def never(*args, **kwargs):
+        raise AssertionError("solved without an output directory")
+
+    monkeypatch.setattr(harness_module, "run_simulation", never)
+    monkeypatch.setattr(harness_module, "run_sweep", never)
+    monkeypatch.delenv("NEMATIC1D_OUT", raising=False)
+    conf = tmp_path / "run.conf"
+    conf.write_text(TEXT_CONFIG)
+    assert cli_main([command, "--config", str(conf)]) == 1
+    assert "no output directory configured" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_interpolate():
+    # the density remap carries its own PCHIP derivative; loading
+    # scipy.interpolate would add about 0.2 s to every CLI start
+    src = str(Path(nematic1d.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, nematic1d.cli; print('scipy.interpolate' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_cli_verify_passes_and_canary_fails():
