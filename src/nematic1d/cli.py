@@ -89,6 +89,13 @@ def _delta_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",")]
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     rows = run_identity_suite(seed=args.seed, samples=args.samples,
                               num_sets=args.sets, canary=args.canary)
@@ -158,8 +165,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p_verify = sub.add_parser("verify", help="run the identity suite")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--samples", type=int, default=10_000)
-    p_verify.add_argument("--sets", type=int, default=20)
+    p_verify.add_argument("--samples", type=_positive_int, default=10_000)
+    p_verify.add_argument("--sets", type=_positive_int, default=20)
     p_verify.add_argument("--canary", action="store_true",
                           help=argparse.SUPPRESS)
     p_verify.set_defaults(func=_cmd_verify)

@@ -27,26 +27,34 @@ RICHARDSON_BASE_STEP = 1e-3
 
 @dataclass(frozen=True)
 class KinematicSample:
-    """Free local variables standing for field values and derivatives at a
-    point; no consistency is assumed between them."""
+    """Free local variables (floats, or same-shape arrays over many points)
+    standing for field values and derivatives; no consistency is assumed."""
     n: float
     n_x: float = 0.0
     n_xx: float = 0.0
     u_x: float = 0.0
-    u_xx: float = 0.0
     v_x: float = 0.0
-    v_xx: float = 0.0
     ndot: float = 0.0
-    ndot_x: float = 0.0
 
 
 @dataclass(frozen=True)
 class StressSample:
-    """Assembled pointwise quantities: the stress matrix, the kinematic
-    transport vector g, and the constraint-multiplier vector."""
+    """Assembled pointwise quantities: the stress matrix sigma (..., 2, 2), the
+    transport vector g (..., 2) and the constraint multiplier lambda_n (..., 2)."""
     sigma: np.ndarray
     g: np.ndarray
     lambda_n: np.ndarray
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Outer product of the trailing 2-vectors, broadcast over the rest."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of the trailing 2-vectors through matmul, which rounds as
+    `a @ b` does for one pair: array samples match point-by-point bitwise."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0][()]  # 0-d -> scalar
 
 
 def assemble_stress(s: KinematicSample, c: LeslieSet) -> StressSample:
@@ -54,31 +62,35 @@ def assemble_stress(s: KinematicSample, c: LeslieSet) -> StressSample:
 
     D and omega are the symmetric/antisymmetric parts of the velocity
     gradient for fields depending on x alone; N is the director rate
-    relative to the rotating frame.
+    relative to the rotating frame.  Broadcasts over array samples.
     """
-    cs, sn = np.cos(s.n), np.sin(s.n)
-    nvec = np.array([cs, sn])
-    D = np.array([[s.u_x, 0.5 * s.v_x], [0.5 * s.v_x, 0.0]])
-    N = (s.ndot - 0.5 * s.v_x) * np.array([-sn, cs])
-    Dn = D @ nvec
-    nDn = nvec @ Dn
+    n, n_x, u_x, v_x, ndot = np.broadcast_arrays(
+        *(np.asarray(f, dtype=float) for f in (s.n, s.n_x, s.u_x, s.v_x, s.ndot)))
+    cs, sn = np.cos(n), np.sin(n)
+    nvec = np.stack([cs, sn], axis=-1)
+    D = np.stack([np.stack([u_x, 0.5 * v_x], axis=-1),
+                  np.stack([0.5 * v_x, np.zeros_like(v_x)], axis=-1)], axis=-2)
+    N = (ndot - 0.5 * v_x)[..., None] * np.stack([-sn, cs], axis=-1)
+    Dn = (D @ nvec[..., None])[..., 0]
+    nDn = _dot(nvec, Dn)[..., None, None]
+    trD = np.trace(D, axis1=-2, axis2=-1)[..., None, None]
     I2 = np.eye(2)
     a0, a1, a2, a3, a4, a5, a6, a7, a8 = c.alphas()
 
     sigma = (a0 * nDn * I2
-             + a1 * nDn * np.outer(nvec, nvec)
-             + a2 * np.outer(N, nvec)
-             + a3 * np.outer(nvec, N)
+             + a1 * nDn * _outer(nvec, nvec)
+             + a2 * _outer(N, nvec)
+             + a3 * _outer(nvec, N)
              + a4 * D
-             + a5 * np.outer(Dn, nvec)
-             + a6 * np.outer(nvec, Dn)
-             + a7 * np.trace(D) * I2
-             + a8 * np.trace(D) * np.outer(nvec, nvec))
+             + a5 * _outer(Dn, nvec)
+             + a6 * _outer(nvec, Dn)
+             + a7 * trD * I2
+             + a8 * trD * _outer(nvec, nvec))
 
     g1 = a3 - a2
     g2 = a6 - a5
-    g = g1 * N + g2 * Dn - g2 * nDn * nvec
-    lambda_n = s.n_x * s.n_x * nvec
+    g = g1 * N + g2 * Dn - g2 * nDn[..., 0] * nvec
+    lambda_n = (n_x * n_x)[..., None] * nvec
     return StressSample(sigma=sigma, g=g, lambda_n=lambda_n)
 
 
@@ -113,11 +125,8 @@ class TrigProfile:
             n_x=-self.an * wn * np.sin(wn * x),
             n_xx=-self.an * wn * wn * np.cos(wn * x),
             u_x=self.au * wu * np.cos(wu * x),
-            u_xx=-self.au * wu * wu * np.sin(wu * x),
             v_x=self.av * wv * np.cos(wv * x),
-            v_xx=-self.av * wv * wv * np.sin(wv * x),
             ndot=self.ad * np.cos(wd * x),
-            ndot_x=-self.ad * wd * np.sin(wd * x),
         )
 
 
@@ -170,14 +179,8 @@ def check_divergence_identity(c: LeslieSet, profile: TrigProfile,
     x = grid.x
 
     def stress_col(xx):
-        xx = np.atleast_1d(xx)
-        col = np.empty((2, xx.size))
-        for i, xi in enumerate(xx):
-            s = profile.sample(xi)
-            sigma = assemble_stress(s, c).sigma
-            col[0, i] = sigma[0, 0]
-            col[1, i] = sigma[1, 0]
-        return col
+        sigma = assemble_stress(profile.sample(xx), c).sigma
+        return np.stack([sigma[..., 0, 0], sigma[..., 1, 0]])
 
     def bracket(xx):
         s = profile.sample(xx)
@@ -191,37 +194,35 @@ def check_divergence_identity(c: LeslieSet, profile: TrigProfile,
     return float(np.max(np.abs(lhs - rhs)) / scale)
 
 
-def check_director_identity(s: KinematicSample, c: LeslieSet) -> float:
+def check_director_identity(s: KinematicSample, c: LeslieSet):
     """Project the vector director equation onto the tangent direction and
     subtract the scalar double-angle form; returns the difference.
 
     The normal projection vanishes identically because the constraint
     multiplier absorbs the |n_x|^2 curvature term exactly.
     """
-    assembled = assemble_stress(s, c)
+    g = assemble_stress(s, c).g
     cs, sn = np.cos(s.n), np.sin(s.n)
     # vector residual g - Delta(n-vector) - lambda*n, whose curvature parts
     # cancel, leaving g minus the tangential diffusion
-    tangential = assembled.g @ np.array([-sn, cs]) - s.n_xx
+    tangential = _dot(g, np.stack([-sn, cs], axis=-1)) - s.n_xx
     g1 = c.gamma1
     g2 = c.gamma2
     scalar = (g1 * s.ndot - 0.5 * g2 * s.u_x * np.sin(2.0 * s.n)
               - 0.5 * (g1 - g2 * np.cos(2.0 * s.n)) * s.v_x - s.n_xx)
-    return float(tangential - scalar)
+    return tangential - scalar
 
 
-def director_normal_component(s: KinematicSample, c: LeslieSet) -> float:
+def director_normal_component(s: KinematicSample, c: LeslieSet):
     """Normal-direction component of the vector director equation residual."""
-    assembled = assemble_stress(s, c)
-    cs, sn = np.cos(s.n), np.sin(s.n)
-    return float(assembled.g @ np.array([cs, sn]))
+    g = assemble_stress(s, c).g
+    return _dot(g, np.stack([np.cos(s.n), np.sin(s.n)], axis=-1))
 
 
-def check_energy_identity(a: float, b: float, m: float, n: float,
-                          c: LeslieSet) -> float:
+def check_energy_identity(a, b, m, n, c: LeslieSet):
     """Difference between the direct dissipation quadratic form and its
-    completed-squares expansion, at one sample (a, b, m, n) standing for
-    (u_x, v_x, ndot, n).
+    completed-squares expansion, at samples (a, b, m, n) standing for
+    (u_x, v_x, ndot, n); floats or same-shape arrays.
 
     The expansion carries the longitudinal-viscosity term with coefficient
     (alpha4 + alpha7); fuzzing confirms that normalization (a doubled
@@ -245,7 +246,7 @@ def check_energy_identity(a: float, b: float, m: float, n: float,
            + (a0 + a1 + a5 + a6 + a8)
            * ((a * np.cos(n) + 0.5 * b * np.sin(n)) ** 2
               - 0.25 * b * b * np.sin(n) ** 2))
-    return float(lhs - rhs)
+    return lhs - rhs
 
 
 # =============================================================================
@@ -288,15 +289,14 @@ def run_identity_suite(seed: int = 0, samples: int = 10_000,
 
     worst = 0.0
     per_set = max(1, samples // len(sets))
+    # columns n, n_x, n_xx, u_x, v_x, ndot; row-major, so the draws come out
+    # in the same order as one scalar draw per variable per sample
+    lo = np.array([-np.pi, -2.0, -20.0, -3.0, -3.0, -3.0])
     for cs in sets:
-        for _ in range(per_set):
-            s = KinematicSample(
-                n=rng.uniform(-np.pi, np.pi),
-                n_x=rng.uniform(-2, 2), n_xx=rng.uniform(-20, 20),
-                u_x=rng.uniform(-3, 3), v_x=rng.uniform(-3, 3),
-                ndot=rng.uniform(-3, 3))
-            worst = max(worst, abs(check_director_identity(s, cs)))
-            worst = max(worst, abs(director_normal_component(s, cs)))
+        n, n_x, n_xx, u_x, v_x, ndot = rng.uniform(lo, -lo, (per_set, 6)).T
+        s = KinematicSample(n=n, n_x=n_x, n_xx=n_xx, u_x=u_x, v_x=v_x, ndot=ndot)
+        worst = max(worst, float(np.max(np.abs(check_director_identity(s, cs)))),
+                    float(np.max(np.abs(director_normal_component(s, cs)))))
     rows.append(SuiteRow("director: vector projection vs scalar form", worst, 1e-12))
 
     worst = 0.0
@@ -306,9 +306,8 @@ def run_identity_suite(seed: int = 0, samples: int = 10_000,
         m = rng.uniform(-3, 3, per_set)
         nn = rng.uniform(-np.pi, np.pi, per_set)
         scale = 1.0 + np.max(a * a + b * b + m * m)
-        res = np.array([check_energy_identity(a[i], b[i], m[i], nn[i], cs)
-                        for i in range(per_set)])
-        worst = max(worst, float(np.max(np.abs(res)) / scale))
+        res = np.abs(check_energy_identity(a, b, m, nn, cs))
+        worst = max(worst, float(np.max(res) / scale))
     rows.append(SuiteRow("energy: direct vs completed squares (scaled)", worst, 1e-11))
 
     worst = 0.0

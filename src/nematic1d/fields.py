@@ -45,11 +45,6 @@ class Grid1D:
         x.flags.writeable = False
         return x
 
-    @property
-    def x_mid(self) -> np.ndarray:
-        """Cell-interface (midpoint) coordinates."""
-        return (np.arange(self.num_cells) + 0.5) * self.dx
-
 
 @dataclass
 class FlowState:

@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import diagnostics, fdsolver, galerkin
-from .coefficients import (InvalidCoefficients, LeslieSet, derive_viscosities,
-                           validate)
+from .coefficients import LeslieSet, derive_viscosities, require_valid
+from .coefficients import validate  # noqa: F401  (perfbench/tracer.py wraps harness.validate)
 from .fields import FlowState, Grid1D, gradient
 
 OUTPUT_ROOT_ENV = "NEMATIC1D_OUT"
@@ -328,10 +328,7 @@ def build_initial_state(config: RunConfig, grid: Grid1D) -> FlowState:
 
 def run_simulation(config: RunConfig) -> galerkin.Trajectory:
     """Validate, build initial data, and integrate with the chosen scheme."""
-    report = validate(config.coefficients)
-    if not report.is_valid:
-        names = ", ".join(c.name for c in report.failed())
-        raise InvalidCoefficients(f"coefficient set fails: {names}")
+    require_valid(config.coefficients)
     derived = derive_viscosities(config.coefficients)
     grid = Grid1D(config.grid_cells)
     state = build_initial_state(config, grid)
@@ -569,6 +566,8 @@ def run_sweep(config: RunConfig, deltas: Sequence[float],
         raise ValueError("all deltas must be positive")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
+    # an inadmissible set is a config error, not a member failure
+    require_valid(config.coefficients)
 
     payload = [(config.to_dict(), d,
                 None if outdir is None else str(outdir / f"delta_{d:g}"))

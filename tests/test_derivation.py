@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from nematic1d.coefficients import LeslieSet, random_valid_set
-from nematic1d.derivation import (KinematicSample, TrigProfile,
+from nematic1d.coefficients import (LeslieSet, example_set,
+                                    inverse_matrix_entries, matrix_entries,
+                                    quadratic_form, quadratic_form_expanded,
+                                    random_valid_set)
+from nematic1d.derivation import (KinematicSample, TrigProfile, _richardson_dx,
                                   assemble_stress, check_director_identity,
                                   check_divergence_identity,
                                   check_energy_identity,
                                   director_normal_component, random_profile,
                                   run_identity_suite, standard_profiles)
-from nematic1d.fields import Grid1D
+from nematic1d.fields import Grid1D, flux_bracket
 
 
 def test_stress_vanishes_without_rates(base_set):
@@ -40,6 +43,33 @@ def test_lagrange_multiplier_vector():
     out = assemble_stress(s, LeslieSet(alpha2=-1, alpha3=1, alpha4=1))
     expect = 1.5**2 * np.array([np.cos(0.4), np.sin(0.4)])
     assert np.max(np.abs(out.lambda_n - expect)) < 1e-14
+
+
+def test_assemble_stress_broadcasts(rng):
+    c = random_valid_set(rng)
+    assert min(abs(c.alpha0), abs(c.alpha7), abs(c.alpha8)) > 1e-3
+    fields = ("n", "n_x", "n_xx", "u_x", "v_x", "ndot")
+    draws = {f: rng.uniform(-3, 3, (3, 4)) for f in fields}
+    out = assemble_stress(KinematicSample(**draws), c)
+    assert out.sigma.shape == (3, 4, 2, 2)
+    assert out.g.shape == out.lambda_n.shape == (3, 4, 2)
+    for idx in np.ndindex(3, 4):
+        point = assemble_stress(
+            KinematicSample(**{f: draws[f][idx] for f in fields}), c)
+        assert point.sigma.shape == (2, 2)
+        assert point.g.shape == point.lambda_n.shape == (2,)
+        for name in ("sigma", "g", "lambda_n"):
+            ref = getattr(point, name)
+            got = getattr(out, name)[idx]
+            assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+    # fields left at their float defaults broadcast against the arrays
+    partial = assemble_stress(KinematicSample(n=draws["n"], ndot=draws["ndot"]), c)
+    assert partial.sigma.shape == (3, 4, 2, 2)
+    # a point sample still yields plain scalars from the identity checks
+    point = KinematicSample(**{f: float(draws[f][0, 0]) for f in fields})
+    assert isinstance(check_director_identity(point, c), float)
+    assert isinstance(director_normal_component(point, c), float)
+    assert isinstance(check_energy_identity(0.1, 0.2, 0.3, 0.4, c), float)
 
 
 # -----------------------------------------------------------------------------
@@ -170,6 +200,99 @@ def test_reduced_form_lower_bound(rng):
 def test_identity_suite_passes():
     rows = run_identity_suite(seed=3, samples=1500, num_sets=5, grid_cells=24)
     assert all(r.passed for r in rows)
+
+
+def _point_by_point_suite(seed, samples, num_sets, grid_cells):
+    """run_identity_suite written one point at a time: one assemble_stress
+    call per node and one KinematicSample per drawn sample, with the draws
+    in the order the suite consumes them."""
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(grid_cells)
+    sets = [example_set()] + [random_valid_set(rng) for _ in range(num_sets - 1)]
+    rows = []
+
+    worst = 0.0
+    for c in sets:
+        for p in standard_profiles():
+            def stress_col(xx):
+                col = np.empty((2, xx.size))
+                for i, xi in enumerate(xx):
+                    sigma = assemble_stress(p.sample(xi), c).sigma
+                    col[0, i], col[1, i] = sigma[0, 0], sigma[1, 0]
+                return col
+
+            def bracket(xx):
+                s = p.sample(xx)
+                return np.stack(flux_bracket(c, s.u_x, s.v_x, s.n, s.ndot))
+
+            lhs = _richardson_dx(stress_col, grid.x)
+            rhs = _richardson_dx(bracket, grid.x)
+            scale = max(np.max(np.abs(rhs)), 1.0)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs)) / scale))
+    rows.append(("divergence: stress column vs flux bracket", worst, 1e-8))
+
+    worst = 0.0
+    per_set = max(1, samples // len(sets))
+    for c in sets:
+        for _ in range(per_set):
+            s = KinematicSample(n=rng.uniform(-np.pi, np.pi),
+                                n_x=rng.uniform(-2, 2),
+                                n_xx=rng.uniform(-20, 20),
+                                u_x=rng.uniform(-3, 3),
+                                v_x=rng.uniform(-3, 3),
+                                ndot=rng.uniform(-3, 3))
+            worst = max(worst, abs(check_director_identity(s, c)),
+                        abs(director_normal_component(s, c)))
+    rows.append(("director: vector projection vs scalar form", worst, 1e-12))
+
+    worst = 0.0
+    for c in sets:
+        a, b, m = (rng.uniform(-3, 3, per_set) for _ in range(3))
+        nn = rng.uniform(-np.pi, np.pi, per_set)
+        scale = 1.0 + np.max(a * a + b * b + m * m)
+        res = [abs(check_energy_identity(a[i], b[i], m[i], nn[i], c))
+               for i in range(per_set)]
+        worst = max(worst, max(res) / scale)
+    rows.append(("energy: direct vs completed squares (scaled)", worst, 1e-11))
+
+    worst = 0.0
+    for c in sets:
+        nn = rng.uniform(-np.pi, np.pi, per_set)
+        y1 = rng.uniform(-3, 3, per_set)
+        y2 = rng.uniform(-3, 3, per_set)
+        direct = quadratic_form(c, nn, y1, y2)
+        expanded = quadratic_form_expanded(c, nn, y1, y2)
+        worst = max(worst, float(np.max(np.abs(direct - expanded))
+                                 / (1.0 + np.max(np.abs(direct)))))
+    rows.append(("quadratic form: entries vs expansion (scaled)", worst, 1e-12))
+
+    worst = 0.0
+    inv11_min = np.inf
+    for c in sets:
+        nn = rng.uniform(-np.pi, np.pi, 64)
+        a11, a12, a21, a22 = matrix_entries(c, nn)
+        i11, i12, i21, i22 = inverse_matrix_entries(c, nn)
+        worst = max(worst, np.max(np.abs(i11 * a11 + i12 * a21 - 1.0)),
+                    np.max(np.abs(i11 * a12 + i12 * a22)),
+                    np.max(np.abs(i21 * a11 + i22 * a21)),
+                    np.max(np.abs(i21 * a12 + i22 * a22 - 1.0)))
+        inv11_min = min(inv11_min, float(np.min(i11)))
+    rows.append(("inverse: A^-1 A = I", float(worst), 1e-12))
+    rows.append(("inverse: (A^-1)_11 > 0 (negated min)", -inv11_min, 0.0))
+    return rows
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_identity_suite_matches_point_by_point_reference(seed):
+    args = dict(samples=300, num_sets=4, grid_cells=16)
+    rows = run_identity_suite(seed=seed, **args)
+    ref = _point_by_point_suite(seed, **args)
+    assert len(rows) == len(ref) == 6
+    for row, (name, residual, threshold) in zip(rows, ref):
+        assert row.name == name
+        assert row.threshold == threshold
+        assert row.passed == (residual <= threshold)
+        assert abs(row.max_residual - residual) <= 1e-13
 
 
 def test_identity_suite_canary_fails():

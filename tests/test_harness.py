@@ -1,3 +1,6 @@
+import importlib
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -484,6 +487,44 @@ def test_cli_missing_output_dir_fails_before_solve(tmp_path, capsys,
     conf.write_text(TEXT_CONFIG)
     assert cli_main([command, "--config", str(conf)]) == 1
     assert "no output directory configured" in capsys.readouterr().err
+
+
+def test_cli_sweep_inadmissible_set_exits_2(tmp_path, capsys):
+    # no coefficient lines: the all-zero default set is inadmissible
+    body = "\n".join(line for line in TEXT_CONFIG.splitlines()
+                     if not line.startswith("coefficients."))
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(body.replace("grid.cells = 64", "grid.cells = 16")
+                    .replace("initial.preset = shear",
+                             "initial.preset = rough_density")
+                    + f"\noutput.dir = {tmp_path / 'out'}\n")
+    assert cli_main(["sweep", "--config", str(conf)]) == 2
+    assert capsys.readouterr().err.startswith("error: coefficient set fails: ")
+    assert not (tmp_path / "out" / "sweep.json").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--sets", "0"), ("--sets", "-3"),
+                                        ("--samples", "0"),
+                                        ("--samples", "-5")])
+def test_cli_verify_rejects_non_positive_counts(capsys, flag, value):
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(["verify", flag, value])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "positive" in err
+
+
+def test_benchmark_tracer_targets_resolve():
+    # the traced benchmark run wraps these names by lookup; one that a
+    # module stops binding makes every traced operation fail
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, attr, _ in tracer.SPANS + tracer.COUNTS:
+        target = importlib.import_module(f"nematic1d.{module_name}")
+        for part in attr.split("."):
+            target = inspect.getattr_static(target, part)
 
 
 def test_cli_import_leaves_out_scipy_interpolate():
