@@ -2,26 +2,24 @@
 Lagrangian solver, an independent finite-difference oracle, and diagnostics
 that turn the model's a-priori bounds into runtime checks."""
 
-from .coefficients import (DerivedViscosities, DissipationMatrix,
-                           InvalidCoefficients, LeslieSet, ValidationReport,
-                           derive_viscosities, dissipation_matrix, example_set,
-                           inverse_dissipation_matrix, random_valid_set,
-                           validate)
-from .fields import (FlowState, FluxPair, Grid1D, director_residual,
-                     elastic_coupling, leslie_fluxes, pressure)
-from .galerkin import (SolverConfig, SpectralVelocity, Trajectory,
-                       project_initial_velocity)
+from .coefficients import (DerivedViscosities, InvalidCoefficients, LeslieSet,
+                           ValidationReport, derive_viscosities,
+                           director_source, dissipation_parts, example_set,
+                           random_valid_set, validate)
+from .diagnostics import Trajectory
+from .fields import (FlowState, Grid1D, director_residual, elastic_coupling,
+                     pressure)
+from .galerkin import SolverConfig, SpectralVelocity, project_initial_velocity
 from .harness import RunConfig, mollify_initial_data, parse_config, run_simulation
 
 __all__ = [
-    "DerivedViscosities", "DissipationMatrix", "InvalidCoefficients",
-    "LeslieSet", "ValidationReport", "derive_viscosities",
-    "dissipation_matrix", "example_set", "inverse_dissipation_matrix",
-    "random_valid_set", "validate",
-    "FlowState", "FluxPair", "Grid1D", "director_residual",
-    "elastic_coupling", "leslie_fluxes", "pressure",
-    "SolverConfig", "SpectralVelocity", "Trajectory",
-    "project_initial_velocity",
+    "DerivedViscosities", "InvalidCoefficients", "LeslieSet",
+    "ValidationReport", "derive_viscosities", "director_source",
+    "dissipation_parts", "example_set", "random_valid_set", "validate",
+    "Trajectory",
+    "FlowState", "Grid1D", "director_residual", "elastic_coupling",
+    "pressure",
+    "SolverConfig", "SpectralVelocity", "project_initial_velocity",
     "RunConfig", "mollify_initial_data", "parse_config", "run_simulation",
 ]
 

@@ -14,7 +14,7 @@ import numpy as np
 from . import harness
 from .coefficients import (InvalidCoefficients, derive_viscosities,
                            example_set, matrix_entries, validate)
-from .derivation import run_identity_suite
+from .derivation import run_identity_suite, samples_per_set
 
 
 def _load_config(path: str) -> harness.RunConfig | None:
@@ -57,13 +57,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     if config is None:
         return 2
+    try:
+        deltas = harness.check_deltas(args.deltas)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:  # before the solve, so a missing directory wastes no work
         outdir = harness.resolve_output_dir(config, args.output)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        report = harness.run_sweep(config, args.deltas, workers=args.workers,
+        report = harness.run_sweep(config, deltas, workers=args.workers,
                                    outdir=outdir)
     except InvalidCoefficients as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -126,6 +131,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         status = "pass" if passed else "FAIL"
         print(f"{name:<{width}s}  {status}  max_residual={residual:.3e}"
               f"  threshold={threshold:.1e}")
+    per_set = samples_per_set(args.samples, args.sets)
+    print(f"fuzz samples: {per_set * args.sets} "
+          f"({per_set} per set x {args.sets} sets)")
     print("verification:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -165,7 +173,9 @@ def main(argv: list[str] | None = None) -> int:
 
     p_verify = sub.add_parser("verify", help="run the identity suite")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--samples", type=_positive_int, default=10_000)
+    p_verify.add_argument("--samples", type=_positive_int, default=10_000,
+                          help="fuzz samples per identity, rounded down to "
+                               "a multiple of --sets (at least one per set)")
     p_verify.add_argument("--sets", type=_positive_int, default=20)
     p_verify.add_argument("--canary", action="store_true",
                           help=argparse.SUPPRESS)

@@ -1,5 +1,7 @@
-"""Leslie viscosity coefficients, their admissibility checks, and the 2x2
-angle-dependent dissipation matrix A(n) with certified ellipticity bounds.
+"""Leslie viscosity coefficients, their admissibility checks, the 2x2
+angle-dependent dissipation matrix A(n) with certified ellipticity bounds,
+and the two pointwise formulas every solver and check shares: the scalar
+director source and the five-part dissipation.
 
 The nine coefficients alpha0..alpha8 enter the anisotropic stress of a nematic
 in shear; admissibility is the Parodi relation plus seven inequality groups
@@ -159,20 +161,8 @@ def require_valid(c: LeslieSet) -> None:
 
 
 # =============================================================================
-# Dissipation matrix A(n)
+# Dissipation matrix A(n), director source, dissipation densities
 # =============================================================================
-
-@dataclass(frozen=True)
-class DissipationMatrix:
-    """Entries of the 2x2 second-order coefficient matrix at one director angle."""
-    a11: float
-    a12: float
-    a21: float
-    a22: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a21, self.a22]])
-
 
 def matrix_entries(c: LeslieSet, n):
     """Vectorized entries (a11, a12, a21, a22) of A(n); `n` may be an array.
@@ -193,13 +183,6 @@ def matrix_entries(c: LeslieSet, n):
     return a11, a12, a21, a22
 
 
-def dissipation_matrix(c: LeslieSet, n: float) -> DissipationMatrix:
-    """A(n) at a single director angle for a valid coefficient set."""
-    require_valid(c)
-    a11, a12, a21, a22 = matrix_entries(c, float(n))
-    return DissipationMatrix(float(a11), float(a12), float(a21), float(a22))
-
-
 def inverse_matrix_entries(c: LeslieSet, n, det_floor: float = 1e-14):
     """Vectorized entries of A(n)^-1 by the closed-form 2x2 inverse."""
     a11, a12, a21, a22 = matrix_entries(c, n)
@@ -210,42 +193,45 @@ def inverse_matrix_entries(c: LeslieSet, n, det_floor: float = 1e-14):
     return a22 / det, -a12 / det, -a21 / det, a11 / det
 
 
-def inverse_dissipation_matrix(c: LeslieSet, n: float) -> DissipationMatrix:
-    """A(n)^-1 at one angle.  The (1,1) entry is the one that pairs with the
-    pressure in the effective-viscous-flux argument and must stay positive."""
-    require_valid(c)
-    i11, i12, i21, i22 = inverse_matrix_entries(c, float(n))
-    return DissipationMatrix(float(i11), float(i12), float(i21), float(i22))
-
-
 def quadratic_form(c: LeslieSet, n, y1, y2):
     """y^T A(n) y evaluated entry-wise (broadcasts over arrays)."""
     a11, a12, a21, a22 = matrix_entries(c, n)
     return a11 * y1 * y1 + (a12 + a21) * y1 * y2 + a22 * y2 * y2
 
 
-def quadratic_form_expanded(c: LeslieSet, n, y1, y2):
-    """The explicit sum-of-squares expansion of y^T A(n) y.
+def director_source(g1: float, g2: float, n, u_x, v_x):
+    """The velocity-gradient source of the scalar director equation,
 
-    Valid for Parodi-compatible sets; equals quadratic_form to round-off.
-    The pieces mirror the five dissipation components, with the director-rate
-    square replaced by its gradient-only remainder.
+        (gamma2/2) u_x sin 2n + ((gamma1 - gamma2 cos 2n)/2) v_x,
+
+    so that gamma1 ndot = n_xx + director_source.  Broadcasts over arrays."""
+    two_n = 2.0 * n
+    return 0.5 * g2 * u_x * np.sin(two_n) + 0.5 * (g1 - g2 * np.cos(two_n)) * v_x
+
+
+def dissipation_parts(c: LeslieSet, n, u_x, v_x, ndot):
+    """The five completed-squares dissipation densities, in order:
+    director-rate square, longitudinal gradient, transverse gradient,
+    mixed-rotation square, anisotropy remainder.  Broadcasts over arrays.
+
+    For a Parodi-compatible set they sum to the direct form
+    gamma1 ndot^2 - 2 ndot director_source + y^T A(n) y, y = (u_x, v_x);
+    at ndot = 0 the sum is y^T A(n) y.  The remainder alone may go negative.
     """
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = c.alphas()
-    g1 = a3 - a2
-    g2 = a6 - a5
-    c2n = np.cos(2.0 * np.asarray(n, dtype=float))
-    s2n = np.sin(2.0 * np.asarray(n, dtype=float))
-    cs_ = np.cos(n)
-    sn_ = np.sin(n)
+    a0, a1, _, _, a4, a5, a6, a7, a8 = c.alphas()
+    g1, g2 = c.gamma1, c.gamma2
+    c2n, s2n = np.cos(2.0 * n), np.sin(2.0 * n)
     q = a1 + g2 * g2 / g1
-    sq1 = 0.25 / g1 * (g2 * y1 * s2n + (g1 - g2 * c2n) * y2) ** 2
-    return (sq1
-            + (0.25 * (-q) + (a4 + a7)) * y1 * y1
-            + 0.25 * (2 * a4 + a5 + a6 - g2 * g2 / g1) * y2 * y2
-            + 0.25 * q * (y1 * c2n + y2 * s2n) ** 2
-            + (a0 + a1 + a5 + a6 + a8)
-            * ((y1 * cs_ + 0.5 * y2 * sn_) ** 2 - 0.25 * y2 * y2 * sn_ * sn_))
+    src = director_source(g1, g2, n, u_x, v_x)
+    return (
+        (np.sqrt(g1) * ndot - src / np.sqrt(g1)) ** 2,
+        (0.25 * (-q) + (a4 + a7)) * u_x * u_x,
+        0.25 * (2 * a4 + a5 + a6 - g2 * g2 / g1) * v_x * v_x,
+        0.25 * q * (u_x * c2n + v_x * s2n) ** 2,
+        (a0 + a1 + a5 + a6 + a8)
+        * ((u_x * np.cos(n) + 0.5 * v_x * np.sin(n)) ** 2
+           - 0.25 * v_x * v_x * np.sin(n) ** 2),
+    )
 
 
 # =============================================================================

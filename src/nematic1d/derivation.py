@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import (LeslieSet, example_set, quadratic_form,
-                           quadratic_form_expanded, random_valid_set,
-                           inverse_matrix_entries, matrix_entries)
+from .coefficients import (LeslieSet, director_source, dissipation_parts,
+                           example_set, inverse_matrix_entries, matrix_entries,
+                           quadratic_form, random_valid_set)
 from .fields import Grid1D, flux_bracket
 
 # Richardson extrapolation of the x-derivative: three central-difference
@@ -141,16 +141,6 @@ def standard_profiles() -> list[TrigProfile]:
     ]
 
 
-def random_profile(rng: np.random.Generator) -> TrigProfile:
-    return TrigProfile(
-        au=rng.uniform(-1.5, 1.5), ku=int(rng.integers(1, 4)),
-        av=rng.uniform(-1.5, 1.5), kv=int(rng.integers(1, 4)),
-        an=rng.uniform(-1.2, 1.2), kn=int(rng.integers(1, 4)),
-        n0=rng.uniform(-np.pi, np.pi), ad=rng.uniform(-1.0, 1.0),
-        kd=int(rng.integers(1, 4)),
-    )
-
-
 # =============================================================================
 # Identity checks
 # =============================================================================
@@ -206,10 +196,8 @@ def check_director_identity(s: KinematicSample, c: LeslieSet):
     # vector residual g - Delta(n-vector) - lambda*n, whose curvature parts
     # cancel, leaving g minus the tangential diffusion
     tangential = _dot(g, np.stack([-sn, cs], axis=-1)) - s.n_xx
-    g1 = c.gamma1
-    g2 = c.gamma2
-    scalar = (g1 * s.ndot - 0.5 * g2 * s.u_x * np.sin(2.0 * s.n)
-              - 0.5 * (g1 - g2 * np.cos(2.0 * s.n)) * s.v_x - s.n_xx)
+    scalar = (c.gamma1 * s.ndot
+              - director_source(c.gamma1, c.gamma2, s.n, s.u_x, s.v_x) - s.n_xx)
     return tangential - scalar
 
 
@@ -220,9 +208,10 @@ def director_normal_component(s: KinematicSample, c: LeslieSet):
 
 
 def check_energy_identity(a, b, m, n, c: LeslieSet):
-    """Difference between the direct dissipation quadratic form and its
-    completed-squares expansion, at samples (a, b, m, n) standing for
-    (u_x, v_x, ndot, n); floats or same-shape arrays.
+    """Difference between the direct dissipation quadratic form and the sum
+    of the five completed-squares parts (`dissipation_parts`), at samples
+    (a, b, m, n) standing for (u_x, v_x, ndot, n); floats or same-shape
+    arrays.
 
     The expansion carries the longitudinal-viscosity term with coefficient
     (alpha4 + alpha7); fuzzing confirms that normalization (a doubled
@@ -234,18 +223,7 @@ def check_energy_identity(a, b, m, n, c: LeslieSet):
     c2n = np.cos(2.0 * n)
     lhs = (g1 * m * m - g2 * a * m * s2n - (g1 - g2 * c2n) * b * m
            + quadratic_form(c, n, a, b))
-
-    a0, a1, _, _, a4, a5, a6, a7, a8 = c.alphas()
-    q = a1 + g2 * g2 / g1
-    sq = (np.sqrt(g1) * m
-          - (g2 * a * s2n + (g1 - g2 * c2n) * b) / (2.0 * np.sqrt(g1))) ** 2
-    rhs = (sq
-           + (0.25 * (-q) + (a4 + a7)) * a * a
-           + 0.25 * (2 * a4 + a5 + a6 - g2 * g2 / g1) * b * b
-           + 0.25 * q * (a * c2n + b * s2n) ** 2
-           + (a0 + a1 + a5 + a6 + a8)
-           * ((a * np.cos(n) + 0.5 * b * np.sin(n)) ** 2
-              - 0.25 * b * b * np.sin(n) ** 2))
+    rhs = sum(dissipation_parts(c, n, a, b, m))
     return lhs - rhs
 
 
@@ -262,6 +240,12 @@ class SuiteRow:
     @property
     def passed(self) -> bool:
         return self.max_residual <= self.threshold
+
+
+def samples_per_set(samples: int, num_sets: int) -> int:
+    """Samples fuzzed per coefficient set: `samples` shared out evenly,
+    rounded down, and at least one."""
+    return max(1, samples // num_sets)
 
 
 def run_identity_suite(seed: int = 0, samples: int = 10_000,
@@ -288,7 +272,7 @@ def run_identity_suite(seed: int = 0, samples: int = 10_000,
     rows.append(SuiteRow("divergence: stress column vs flux bracket", worst, 1e-8))
 
     worst = 0.0
-    per_set = max(1, samples // len(sets))
+    per_set = samples_per_set(samples, len(sets))
     # columns n, n_x, n_xx, u_x, v_x, ndot; row-major, so the draws come out
     # in the same order as one scalar draw per variable per sample
     lo = np.array([-np.pi, -2.0, -20.0, -3.0, -3.0, -3.0])
@@ -316,7 +300,7 @@ def run_identity_suite(seed: int = 0, samples: int = 10_000,
         y1 = rng.uniform(-3, 3, per_set)
         y2 = rng.uniform(-3, 3, per_set)
         direct = quadratic_form(cs, nn, y1, y2)
-        expanded = quadratic_form_expanded(cs, nn, y1, y2)
+        expanded = sum(dissipation_parts(cs, nn, y1, y2, 0.0))
         scale = 1.0 + np.max(np.abs(direct))
         worst = max(worst, float(np.max(np.abs(direct - expanded)) / scale))
     rows.append(SuiteRow("quadratic form: entries vs expansion (scaled)", worst, 1e-12))

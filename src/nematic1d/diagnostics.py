@@ -1,7 +1,8 @@
 """Every monitored quantity the a-priori estimates bound: energy with its
 three parts, the five-term dissipation, mass, the space-time L^{2*gamma}
 density norm, director norms, the effective viscous flux, and the rho*log(rho)
-entropy functional, plus the discrete energy budget.
+entropy functional, plus the discrete energy budget and the run driver that
+both schemes step through, which picks the output times the budget weighs.
 
 All quadrature is composite trapezoid on the grid nodes, consistent with the
 second-order stencils used elsewhere.
@@ -9,13 +10,14 @@ second-order stencils used elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .coefficients import (DerivedViscosities, LeslieSet,
-                           inverse_matrix_entries, quadratic_form)
+from .coefficients import (DerivedViscosities, LeslieSet, dissipation_parts,
+                           inverse_matrix_entries, quadratic_form,
+                           require_valid)
 from .fields import FlowState, Grid1D, gradient, pressure, second_derivative
 
 
@@ -80,33 +82,16 @@ def dissipation(state: FlowState, c: LeslieSet, d: DerivedViscosities,
     raises.
     """
     ndot = state.require_ndot()
-    dx = grid.dx
-    u_x = gradient(state.u, dx)
-    v_x = gradient(state.v, dx)
-    n = state.n
-    s2n, c2n = np.sin(2.0 * n), np.cos(2.0 * n)
-    g1, g2 = d.gamma1, d.gamma2
-
-    a0, a1, _, _, a4, a5, a6, a7, a8 = c.alphas()
-    q = a1 + g2 * g2 / g1
-
-    sq = (np.sqrt(g1) * ndot
-          - (g2 * u_x * s2n + (g1 - g2 * c2n) * v_x) / (2.0 * np.sqrt(g1))) ** 2
-    parts = (
-        integrate(sq, grid),
-        integrate((0.25 * (-q) + (a4 + a7)) * u_x * u_x, grid),
-        0.25 * (2 * a4 + a5 + a6 - g2 * g2 / g1) * integrate(v_x * v_x, grid),
-        0.25 * q * integrate((u_x * c2n + v_x * s2n) ** 2, grid),
-        (a0 + a1 + a5 + a6 + a8) * integrate(
-            (u_x * np.cos(n) + 0.5 * v_x * np.sin(n)) ** 2
-            - 0.25 * v_x * v_x * np.sin(n) ** 2, grid),
-    )
+    u_x = gradient(state.u, grid.dx)
+    v_x = gradient(state.v, grid.dx)
+    parts = tuple(integrate(p, grid)
+                  for p in dissipation_parts(c, state.n, u_x, v_x, ndot))
     total = float(sum(parts))
     scale = 1.0 + sum(abs(p) for p in parts)
     if total < -1e-10 * scale:
         raise ValueError(f"negative dissipation {total:.3e}; "
                          "coefficient set admissibility is suspect")
-    return total, tuple(float(p) for p in parts)
+    return total, parts
 
 
 def dissipation_direct(state: FlowState, c: LeslieSet, d: DerivedViscosities,
@@ -142,6 +127,52 @@ def make_ledger(state: FlowState, c: LeslieSet, d: DerivedViscosities,
     if not all(np.isfinite(v) for v in vals):
         raise ValueError(f"non-finite ledger entry at t={state.time:g}")
     return led
+
+
+@dataclass
+class Trajectory:
+    """Snapshots at the requested cadence plus the per-snapshot ledger."""
+    grid: Grid1D
+    times: np.ndarray
+    snapshots: list[FlowState]
+    ledgers: list[EnergyLedger]
+    mass_scale: float
+    metadata: dict = field(default_factory=dict)
+
+
+def run_schedule(initial: FlowState,
+                 advance: Callable[[FlowState, float], FlowState],
+                 c: LeslieSet, d: DerivedViscosities, grid: Grid1D, dt: float,
+                 t_end: float, snapshot_every: int = 1) -> Trajectory:
+    """Step a scheme from its set-up initial state to t_end, ledgering every
+    snapshot_every-th scheduled step and the final state.
+
+    Scheduled step k ends at min(k dt, t_end); `advance(state, dt_k)` is
+    called with dt_k = min(dt, time left to that target) until it gets
+    there, so a step shortened by a dt halving is refilled and output times
+    stay on the cadence.  The caller fills the trajectory's metadata.
+    """
+    require_valid(c)
+    state = initial
+    times = [0.0]
+    snapshots = [state.copy()]
+    ledgers = [make_ledger(state, c, d, grid)]
+
+    num_steps = int(round(t_end / dt)) if t_end > 0 else 0
+    if t_end > 0 and abs(num_steps * dt - t_end) > 1e-9 * max(t_end, 1.0):
+        num_steps = int(np.ceil(t_end / dt))
+
+    for k in range(1, num_steps + 1):
+        target = min(k * dt, t_end)
+        while state.time < target - 1e-13:
+            state = advance(state, min(dt, target - state.time))
+        if k % snapshot_every == 0 or state.time >= t_end - 1e-13:
+            times.append(state.time)
+            snapshots.append(state.copy())
+            ledgers.append(make_ledger(state, c, d, grid))
+
+    return Trajectory(grid=grid, times=np.asarray(times), snapshots=snapshots,
+                      ledgers=ledgers, mass_scale=integrate(initial.rho, grid))
 
 
 def energy_budget(times: np.ndarray,

@@ -12,11 +12,10 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import diagnostics
-from .coefficients import (DerivedViscosities, LeslieSet, matrix_entries,
-                           require_valid)
+from .coefficients import DerivedViscosities, LeslieSet, matrix_entries
 from .fields import (FlowState, Grid1D, check_state, director_rate_flux,
                      elastic_coupling, gradient, pressure)
-from .galerkin import Trajectory, _initial_ndot, advance_director
+from .galerkin import _initial_ndot, advance_director
 
 
 class CFLViolation(RuntimeError):
@@ -173,30 +172,15 @@ def step_fd(state: FlowState, grid: Grid1D, c: LeslieSet,
 def run_fd(initial: FlowState, grid: Grid1D, c: LeslieSet,
            d: DerivedViscosities, dt: float, t_end: float,
            cfg: OracleConfig = OracleConfig(),
-           snapshot_every: int = 1) -> Trajectory:
+           snapshot_every: int = 1) -> diagnostics.Trajectory:
     """Integrate with the oracle scheme at fixed dt, ledgering snapshots."""
-    require_valid(c)
     state = initial.copy()
     check_state(state, grid)
     if state.ndot is None:
         state.ndot = _initial_ndot(state, d, grid)
-    mass0 = float(np.trapezoid(state.rho, dx=grid.dx))
-    times = [0.0]
-    snapshots = [state.copy()]
-    ledgers = [diagnostics.make_ledger(state, c, d, grid)]
-
-    num_steps = int(round(t_end / dt)) if t_end > 0 else 0
-    if t_end > 0 and abs(num_steps * dt - t_end) > 1e-9 * max(t_end, 1.0):
-        num_steps = int(np.ceil(t_end / dt))
-    for k in range(1, num_steps + 1):
-        step_dt = min(dt, t_end - state.time)
-        state = step_fd(state, grid, c, d, step_dt, cfg)
-        if k % snapshot_every == 0 or state.time >= t_end - 1e-13:
-            times.append(state.time)
-            snapshots.append(state.copy())
-            ledgers.append(diagnostics.make_ledger(state, c, d, grid))
-
-    return Trajectory(grid=grid, times=np.asarray(times), snapshots=snapshots,
-                      ledgers=ledgers, mass_scale=mass0,
-                      metadata={"scheme": "fd", "dt": dt,
-                                "cfl": cfg.cfl, "limiter": cfg.limiter})
+    traj = diagnostics.run_schedule(
+        state, lambda s, step_dt: step_fd(s, grid, c, d, step_dt, cfg),
+        c, d, grid, dt, t_end, snapshot_every)
+    traj.metadata = {"scheme": "fd", "dt": dt,
+                     "cfl": cfg.cfl, "limiter": cfg.limiter}
+    return traj

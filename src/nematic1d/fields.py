@@ -12,8 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from .coefficients import (DerivedViscosities, LeslieSet, matrix_entries,
-                           require_valid)
+from .coefficients import (DerivedViscosities, LeslieSet, director_source,
+                           matrix_entries)
 
 
 class MissingDirectorRate(ValueError):
@@ -91,14 +91,6 @@ def check_state(state: FlowState, grid: Grid1D, atol: float = 1e-12) -> None:
             raise ValueError(f"{name} does not vanish at the endpoints")
 
 
-@dataclass(frozen=True)
-class FluxPair:
-    """Viscous flux brackets at cell interfaces; the momentum right-hand
-    sides are their x-derivatives."""
-    f1: np.ndarray
-    f2: np.ndarray
-
-
 # =============================================================================
 # Finite-difference stencils
 # =============================================================================
@@ -162,39 +154,6 @@ def flux_bracket(c: LeslieSet, u_x, v_x, n, ndot):
     return a11 * u_x + a12 * v_x + b1, a21 * u_x + a22 * v_x + b2
 
 
-def leslie_fluxes(state: FlowState, c: LeslieSet,
-                  d: DerivedViscosities, grid: Grid1D) -> FluxPair:
-    """Evaluate the flux brackets at the cell interfaces.
-
-    Velocity gradients are compact centered differences across each
-    interface; angle and rate are interface averages.
-    """
-    ndot = state.require_ndot()
-    require_valid(c)
-    dx = grid.dx
-    u_x = np.diff(state.u) / dx
-    v_x = np.diff(state.v) / dx
-    n_mid = 0.5 * (state.n[:-1] + state.n[1:])
-    nd_mid = 0.5 * (ndot[:-1] + ndot[1:])
-    f1, f2 = flux_bracket(c, u_x, v_x, n_mid, nd_mid)
-    return FluxPair(f1=f1, f2=f2)
-
-
-def flux_divergence(fp: FluxPair, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
-    """Divergence of the interface fluxes at the nodes: the viscous
-    right-hand sides of the two momentum equations.  Endpoint values are
-    copied from the neighbors and only used diagnostically."""
-    dx = grid.dx
-    out = []
-    for f in (fp.f1, fp.f2):
-        j = np.empty(grid.num_nodes)
-        j[1:-1] = (f[1:] - f[:-1]) / dx
-        j[0] = j[1]
-        j[-1] = j[-2]
-        out.append(j)
-    return out[0], out[1]
-
-
 def elastic_coupling(state: FlowState, grid: Grid1D) -> np.ndarray:
     """The elastic source -n_xx n_x that enters the first momentum equation."""
     n_x = gradient(state.n, grid.dx, neumann_ends=True)
@@ -204,17 +163,11 @@ def elastic_coupling(state: FlowState, grid: Grid1D) -> np.ndarray:
 
 def director_residual(state: FlowState, d: DerivedViscosities,
                       grid: Grid1D) -> np.ndarray:
-    """Residual of the scalar director equation,
-
-        gamma1 ndot - (gamma2/2) u_x sin 2n - ((gamma1 - gamma2 cos 2n)/2) v_x - n_xx,
-
-    which a consistent state satisfies to scheme accuracy."""
+    """Residual gamma1 ndot - director_source - n_xx of the scalar director
+    equation, which a consistent state satisfies to scheme accuracy."""
     ndot = state.require_ndot()
     u_x = gradient(state.u, grid.dx)
     v_x = gradient(state.v, grid.dx)
     n_xx = second_derivative(state.n, grid.dx, neumann_ends=True)
-    two_n = 2.0 * state.n
     return (d.gamma1 * ndot
-            - 0.5 * d.gamma2 * u_x * np.sin(two_n)
-            - 0.5 * (d.gamma1 - d.gamma2 * np.cos(two_n)) * v_x
-            - n_xx)
+            - director_source(d.gamma1, d.gamma2, state.n, u_x, v_x) - n_xx)

@@ -6,7 +6,7 @@ iteration that halves dt on non-convergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -15,8 +15,8 @@ from scipy.fft import dct, dst
 from scipy.linalg import solve_banded
 
 from . import diagnostics
-from .coefficients import (DerivedViscosities, LeslieSet, matrix_entries,
-                           require_valid)
+from .coefficients import (DerivedViscosities, LeslieSet, director_source,
+                           matrix_entries)
 from .fields import (FlowState, Grid1D, check_state, director_rate_flux,
                      elastic_coupling, gradient, pressure, second_derivative)
 
@@ -28,6 +28,14 @@ class DenominatorTooSmall(RuntimeError):
 
 class TimeStepUnderflow(RuntimeError):
     """dt was halved below the floor without reaching Picard convergence."""
+
+
+# Picard iterations per attempt before dt is halved; the density window
+# bound |rho0 int u_X ds| <= DENOMINATOR_GUARD/2 that keeps the two-sided
+# density bounds; the dt floor below which halving raises TimeStepUnderflow.
+PICARD_MAX = 50
+DENOMINATOR_GUARD = 1.0
+DT_MIN = 1e-12
 
 
 # =============================================================================
@@ -138,8 +146,8 @@ class LagrangianDensity:
                    labels=cum / total)
 
 
-def advance_density(ld: LagrangianDensity, uX_increment: np.ndarray,
-                    guard: float = 1.0) -> np.ndarray:
+def advance_density(ld: LagrangianDensity,
+                    uX_increment: np.ndarray) -> np.ndarray:
     """Closed-form density along particle paths.
 
     Adds the supplied mass-coordinate velocity-gradient increment to the
@@ -148,15 +156,15 @@ def advance_density(ld: LagrangianDensity, uX_increment: np.ndarray,
         rho = rho0 / (1 + rho0 * accumulated_uX)
 
     at the particle labels.  The step window must keep
-    |rho0 * accumulated_uX| <= guard/2, the regime in which the two-sided
-    density bounds hold; outside it the caller halves dt.
+    |rho0 * accumulated_uX| <= DENOMINATOR_GUARD/2, the regime in which the
+    two-sided density bounds hold; outside it the caller halves dt.
     """
     acc = ld.accumulated_uX + uX_increment
     window = ld.rho0 * acc
-    if np.max(np.abs(window)) > 0.5 * guard:
+    if np.max(np.abs(window)) > 0.5 * DENOMINATOR_GUARD:
         raise DenominatorTooSmall(
             f"density window |rho0 int u_X| = {np.max(np.abs(window)):.3e} "
-            f"> {0.5 * guard:.3e}")
+            f"> {0.5 * DENOMINATOR_GUARD:.3e}")
     ld.accumulated_uX = acc
     return ld.rho0 / (1.0 + window)
 
@@ -242,8 +250,7 @@ def advance_director(state: FlowState, d: DerivedViscosities, dt: float,
         v_x = gradient(state.v, dx)
     if n_lag is None:
         n_lag = state.n
-    two_n = 2.0 * n_lag
-    src = 0.5 * g2 * u_x * np.sin(two_n) + 0.5 * (g1 - g2 * np.cos(two_n)) * v_x
+    src = director_source(g1, g2, n_lag, u_x, v_x)
 
     idx2 = 1.0 / (dx * dx)
     adv = g1 * state.u / (2.0 * dx)
@@ -358,16 +365,13 @@ def advance_velocity_modes(state: FlowState, spec: SpectralVelocity,
 
 
 # =============================================================================
-# Coupled step and run driver
+# Coupled step and run
 # =============================================================================
 
 @dataclass
 class SolverConfig:
     dt: float
     picard_tol: float = 1e-10
-    picard_max: int = 50
-    denominator_guard: float = 1.0
-    dt_min: float = 1e-12
 
     def __post_init__(self):
         if self.dt <= 0.0 or self.picard_tol <= 0.0:
@@ -391,9 +395,8 @@ def _initial_ndot(state: FlowState, d: DerivedViscosities,
     if v_x is None:
         v_x = gradient(state.v, grid.dx)
     n_xx = second_derivative(state.n, grid.dx, neumann_ends=True)
-    two_n = 2.0 * state.n
-    return (n_xx + 0.5 * d.gamma2 * u_x * np.sin(two_n)
-            + 0.5 * (d.gamma1 - d.gamma2 * np.cos(two_n)) * v_x) / d.gamma1
+    src = director_source(d.gamma1, d.gamma2, state.n, u_x, v_x)
+    return (n_xx + src) / d.gamma1
 
 
 def _attempt_step(state: FlowState, spec: SpectralVelocity, grid: Grid1D,
@@ -412,7 +415,7 @@ def _attempt_step(state: FlowState, spec: SpectralVelocity, grid: Grid1D,
     rho_it = state.rho.copy()
     n_it = state.n.copy()
 
-    for iteration in range(1, config.picard_max + 1):
+    for iteration in range(1, PICARD_MAX + 1):
         modes = np.array([spec_it.c, spec_it.d])
         u_field, v_field = basis.reconstruct(modes)
         u_x, v_x = basis.reconstruct_derivative(modes)
@@ -422,8 +425,7 @@ def _attempt_step(state: FlowState, spec: SpectralVelocity, grid: Grid1D,
         # rebinds (never mutates) the accumulator of its shallow copy
         ld = replace(ld_start)
         rho_particles = advance_density(
-            ld, dt * np.where(occupied, u_x / rho_safe, 0.0),
-            guard=config.denominator_guard)
+            ld, dt * np.where(occupied, u_x / rho_safe, 0.0))
         positions = grid.x + dt * u_field
         positions[0], positions[-1] = 0.0, 1.0
         rho_new = remap_density_to_grid(rho_particles, positions, ld.labels,
@@ -449,8 +451,7 @@ def _attempt_step(state: FlowState, spec: SpectralVelocity, grid: Grid1D,
         if delta < config.picard_tol:
             u_final, v_final = basis.reconstruct(
                 np.array([spec_it.c, spec_it.d]))
-            n_x_fin = gradient(n_it, grid.dx, neumann_ends=True)
-            ndot_fin = (n_it - state.n) / dt + u_final * n_x_fin
+            ndot_fin = (n_it - state.n) / dt + u_final * n_x_new
             new_state = FlowState(state.time + dt, rho_it, u_final, v_final,
                                   n_it, ndot=ndot_fin)
             return new_state, spec_it, iteration
@@ -470,7 +471,7 @@ def step(state: FlowState, spec: SpectralVelocity, grid: Grid1D,
         basis = SineBasis(spec.num_modes, grid)
     dt = config.dt
     halvings = 0
-    while dt >= config.dt_min:
+    while dt >= DT_MIN:
         try:
             result = _attempt_step(state, spec, grid, c, d, dt, config, basis)
         except DenominatorTooSmall:
@@ -486,28 +487,16 @@ def step(state: FlowState, spec: SpectralVelocity, grid: Grid1D,
         f"max |modes|={max(np.max(np.abs(spec.c)), np.max(np.abs(spec.d))):.3e}")
 
 
-@dataclass
-class Trajectory:
-    """Snapshots at the requested cadence plus the per-snapshot ledger."""
-    grid: Grid1D
-    times: np.ndarray
-    snapshots: list[FlowState]
-    ledgers: list[diagnostics.EnergyLedger]
-    mass_scale: float
-    metadata: dict = field(default_factory=dict)
-
-
 def run(initial: FlowState, num_modes: int, grid: Grid1D, c: LeslieSet,
         d: DerivedViscosities, config: SolverConfig, t_end: float,
-        snapshot_every: int = 1) -> Trajectory:
+        snapshot_every: int = 1) -> diagnostics.Trajectory:
     """Integrate from the initial state to t_end, recording every
     snapshot_every-th scheduled step.
 
     Deterministic for a given configuration; the scheduled step size is
-    config.dt, with internal halvings refilling each scheduled window so
-    output times stay on the uniform cadence.
+    config.dt, and `diagnostics.run_schedule` refills each scheduled window
+    after internal halvings so output times stay on the uniform cadence.
     """
-    require_valid(c)
     basis = SineBasis(num_modes, grid)
     state = initial.copy()
     check_state(state, grid)
@@ -520,37 +509,20 @@ def run(initial: FlowState, num_modes: int, grid: Grid1D, c: LeslieSet,
                                    u_x=basis.reconstruct_derivative(spec.c),
                                    v_x=basis.reconstruct_derivative(spec.d))
 
-    mass0 = float(np.trapezoid(state.rho, dx=grid.dx))
-    times = [0.0]
-    snapshots = [state.copy()]
-    ledgers = [diagnostics.make_ledger(state, c, d, grid)]
     picard_counts: list[int] = []
     total_halvings = 0
 
-    num_steps = int(round(t_end / config.dt)) if t_end > 0 else 0
-    if t_end > 0 and abs(num_steps * config.dt - t_end) > 1e-9 * max(t_end, 1.0):
-        num_steps = int(np.ceil(t_end / config.dt))
+    def advance(state: FlowState, dt: float) -> FlowState:
+        nonlocal spec, total_halvings
+        state, spec, stats = step(state, spec, grid, c, d,
+                                  replace(config, dt=dt), basis=basis)
+        picard_counts.append(stats.picard_iterations)
+        total_halvings += stats.halvings
+        return state
 
-    for k in range(1, num_steps + 1):
-        target = min(k * config.dt, t_end)
-        while state.time < target - 1e-13:
-            remaining = target - state.time
-            cfg = replace(config, dt=min(config.dt, remaining))
-            state, spec, stats = step(state, spec, grid, c, d, cfg, basis=basis)
-            picard_counts.append(stats.picard_iterations)
-            total_halvings += stats.halvings
-        if k % snapshot_every == 0 or state.time >= t_end - 1e-13:
-            times.append(state.time)
-            snapshots.append(state.copy())
-            ledgers.append(diagnostics.make_ledger(state, c, d, grid))
-
-    return Trajectory(
-        grid=grid, times=np.asarray(times), snapshots=snapshots,
-        ledgers=ledgers, mass_scale=mass0,
-        metadata={
-            "scheme": "galerkin",
-            "num_modes": num_modes,
-            "dt": config.dt,
-            "picard_iterations": picard_counts,
-            "dt_halvings": total_halvings,
-        })
+    traj = diagnostics.run_schedule(state, advance, c, d, grid, config.dt,
+                                    t_end, snapshot_every)
+    traj.metadata = {"scheme": "galerkin", "num_modes": num_modes,
+                     "dt": config.dt, "picard_iterations": picard_counts,
+                     "dt_halvings": total_halvings}
+    return traj

@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import diagnostics, fdsolver, galerkin
-from .coefficients import LeslieSet, derive_viscosities, require_valid
+from .coefficients import (DerivedViscosities, LeslieSet, derive_viscosities,
+                           require_valid)
 from .coefficients import validate  # noqa: F401  (perfbench/tracer.py wraps harness.validate)
 from .fields import FlowState, Grid1D, gradient
 
@@ -326,12 +327,16 @@ def build_initial_state(config: RunConfig, grid: Grid1D) -> FlowState:
 # Running and persistence
 # =============================================================================
 
-def run_simulation(config: RunConfig) -> galerkin.Trajectory:
+def run_simulation(config: RunConfig) -> diagnostics.Trajectory:
     """Validate, build initial data, and integrate with the chosen scheme."""
-    require_valid(config.coefficients)
     derived = derive_viscosities(config.coefficients)
     grid = Grid1D(config.grid_cells)
-    state = build_initial_state(config, grid)
+    return _integrate(config, build_initial_state(config, grid), grid, derived)
+
+
+def _integrate(config: RunConfig, state: FlowState, grid: Grid1D,
+               derived: DerivedViscosities) -> diagnostics.Trajectory:
+    """Run the configured scheme from a built initial state."""
     if config.scheme == "galerkin":
         solver_cfg = galerkin.SolverConfig(dt=config.dt,
                                            picard_tol=config.picard_tol)
@@ -344,7 +349,8 @@ def run_simulation(config: RunConfig) -> galerkin.Trajectory:
                            config.snapshot_every)
 
 
-def density_bound_flags(traj: galerkin.Trajectory, factor: float = 10.0) -> int:
+def density_bound_flags(traj: diagnostics.Trajectory,
+                        factor: float = 10.0) -> int:
     """Count snapshots whose density leaves the exponential-in-time envelope
     implied by the initial bounds, widened by `factor`."""
     rho0 = traj.snapshots[0].rho
@@ -371,7 +377,7 @@ def resolve_output_dir(config: RunConfig, override: Optional[str] = None) -> Pat
     return path
 
 
-def write_outputs(traj: galerkin.Trajectory, config: RunConfig,
+def write_outputs(traj: diagnostics.Trajectory, config: RunConfig,
                   outdir: Path) -> dict:
     """Write energy.csv, per-snapshot field files, and summary.json."""
     lines = [diagnostics.EnergyLedger.CSV_HEADER]
@@ -496,20 +502,8 @@ def _sweep_member(args: tuple) -> SweepMember:
     grid = Grid1D(config.grid_cells)
     raw = build_raw_initial_data(config, grid)
     state = mollify_initial_data(raw, delta, grid)
-    derived = derive_viscosities(config.coefficients)
-
-    if config.scheme == "galerkin":
-        solver_cfg = galerkin.SolverConfig(dt=config.dt,
-                                           picard_tol=config.picard_tol)
-        traj = galerkin.run(state, config.modes, grid, config.coefficients,
-                            derived, solver_cfg, config.t_end,
-                            config.snapshot_every)
-    else:
-        traj = fdsolver.run_fd(state, grid, config.coefficients, derived,
-                               config.dt, config.t_end,
-                               fdsolver.OracleConfig(cfl=config.cfl,
-                                                     limiter=config.limiter),
-                               config.snapshot_every)
+    traj = _integrate(config, state, grid,
+                      derive_viscosities(config.coefficients))
 
     window = np.sin(np.pi * grid.x) ** 2
     pairs = []
@@ -553,6 +547,17 @@ def _observed_order(deltas: Sequence[float], errors: Sequence[float]) -> float:
     return float(slope)
 
 
+def check_deltas(deltas: Sequence[float]) -> list[float]:
+    """The smoothing radii as floats; raises ValueError unless they are
+    positive and strictly decreasing."""
+    deltas = [float(d) for d in deltas]
+    if any(d <= 0.0 for d in deltas):
+        raise ValueError("all deltas must be positive")
+    if any(b >= a for a, b in zip(deltas, deltas[1:])):
+        raise ValueError("deltas must be strictly decreasing")
+    return deltas
+
+
 def run_sweep(config: RunConfig, deltas: Sequence[float],
               workers: int = 1, outdir: Optional[Path] = None) -> SweepReport:
     """Mollify the shared raw data at each delta, run the solver, and
@@ -561,11 +566,7 @@ def run_sweep(config: RunConfig, deltas: Sequence[float],
     Trends are reported, never silently asserted: a non-decreasing Cauchy
     series marks its status 'inconclusive'.
     """
-    deltas = [float(d) for d in deltas]
-    if any(d <= 0.0 for d in deltas):
-        raise ValueError("all deltas must be positive")
-    if any(b >= a for a, b in zip(deltas, deltas[1:])):
-        raise ValueError("deltas must be strictly decreasing")
+    deltas = check_deltas(deltas)
     # an inadmissible set is a config error, not a member failure
     require_valid(config.coefficients)
 

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from nematic1d.coefficients import (LeslieSet, example_set,
-                                    inverse_matrix_entries, matrix_entries,
-                                    quadratic_form, quadratic_form_expanded,
+from nematic1d.coefficients import (LeslieSet, dissipation_parts,
+                                    example_set, inverse_matrix_entries,
+                                    matrix_entries, quadratic_form,
                                     random_valid_set)
 from nematic1d.derivation import (KinematicSample, TrigProfile, _richardson_dx,
                                   assemble_stress, check_director_identity,
                                   check_divergence_identity,
                                   check_energy_identity,
-                                  director_normal_component, random_profile,
+                                  director_normal_component,
                                   run_identity_suite, standard_profiles)
 from nematic1d.fields import Grid1D, flux_bracket
 
@@ -86,6 +86,16 @@ def test_divergence_identity_named_profile(base_set):
     profile = TrigProfile(au=1.0, ku=1, av=1.0, kv=2, an=1.0, kn=1, ad=0.5)
     err = check_divergence_identity(base_set, profile, Grid1D(32))
     assert err < 1e-8
+
+
+def random_profile(rng):
+    return TrigProfile(
+        au=rng.uniform(-1.5, 1.5), ku=int(rng.integers(1, 4)),
+        av=rng.uniform(-1.5, 1.5), kv=int(rng.integers(1, 4)),
+        an=rng.uniform(-1.2, 1.2), kn=int(rng.integers(1, 4)),
+        n0=rng.uniform(-np.pi, np.pi), ad=rng.uniform(-1.0, 1.0),
+        kd=int(rng.integers(1, 4)),
+    )
 
 
 def test_divergence_identity_random_sets(rng):
@@ -261,7 +271,7 @@ def _point_by_point_suite(seed, samples, num_sets, grid_cells):
         y1 = rng.uniform(-3, 3, per_set)
         y2 = rng.uniform(-3, 3, per_set)
         direct = quadratic_form(c, nn, y1, y2)
-        expanded = quadratic_form_expanded(c, nn, y1, y2)
+        expanded = sum(dissipation_parts(c, nn, y1, y2, 0.0))
         worst = max(worst, float(np.max(np.abs(direct - expanded))
                                  / (1.0 + np.max(np.abs(direct)))))
     rows.append(("quadratic form: entries vs expansion (scaled)", worst, 1e-12))

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from nematic1d.coefficients import random_valid_set
-from nematic1d.fields import (FlowState, Grid1D, MissingDirectorRate,
-                              director_rate_flux, director_residual,
-                              elastic_coupling, flux_bracket, gradient,
-                              leslie_fluxes, pressure, second_derivative)
+from nematic1d.fields import (FlowState, Grid1D, director_rate_flux,
+                              director_residual, elastic_coupling,
+                              flux_bracket, gradient, pressure,
+                              second_derivative)
 
 
 def make_state(grid, rho=None, u=None, v=None, n=None, ndot=None):
@@ -89,10 +89,19 @@ def test_derivatives_second_order(neumann):
 
 
 # -----------------------------------------------------------------------------
-# leslie_fluxes
+# flux brackets at cell interfaces
 # -----------------------------------------------------------------------------
 
-def test_fluxes_example_set_reduce(base_set, base_derived):
+def interface_brackets(state, c, grid):
+    """flux_bracket at the cell interfaces: compact differences of u and v,
+    interface averages of n and ndot."""
+    return flux_bracket(c, np.diff(state.u) / grid.dx,
+                        np.diff(state.v) / grid.dx,
+                        0.5 * (state.n[:-1] + state.n[1:]),
+                        0.5 * (state.ndot[:-1] + state.ndot[1:]))
+
+
+def test_fluxes_example_set_reduce(base_set):
     # A = I and alpha2 + alpha3 = 0: f1 = u_x, f2 = -ndot + v_x
     grid = Grid1D(64)
     x = grid.x
@@ -101,46 +110,21 @@ def test_fluxes_example_set_reduce(base_set, base_derived):
                        v=0.5 * np.sin(2 * np.pi * x),
                        n=0.3 + 0.2 * np.cos(np.pi * x),
                        ndot=0.7 * np.cos(np.pi * x))
-    fp = leslie_fluxes(state, base_set, base_derived, grid)
+    f1, f2 = interface_brackets(state, base_set, grid)
     u_x = np.diff(state.u) / grid.dx
     v_x = np.diff(state.v) / grid.dx
     nd_mid = 0.5 * (state.ndot[:-1] + state.ndot[1:])
-    assert np.max(np.abs(fp.f1 - u_x)) < 1e-13
-    assert np.max(np.abs(fp.f2 - (v_x - nd_mid))) < 1e-13
+    assert np.max(np.abs(f1 - u_x)) < 1e-13
+    assert np.max(np.abs(f2 - (v_x - nd_mid))) < 1e-13
 
 
-def test_fluxes_vanish_at_rest(base_set, base_derived):
+def test_fluxes_vanish_at_rest(base_set):
     grid = Grid1D(32)
     state = make_state(grid, n=np.full(grid.num_nodes, 0.8),
                        ndot=np.zeros(grid.num_nodes))
-    fp = leslie_fluxes(state, base_set, base_derived, grid)
-    assert np.max(np.abs(fp.f1)) == 0.0
-    assert np.max(np.abs(fp.f2)) == 0.0
-
-
-def test_fluxes_require_ndot(base_set, base_derived):
-    grid = Grid1D(32)
-    state = make_state(grid)
-    with pytest.raises(MissingDirectorRate):
-        leslie_fluxes(state, base_set, base_derived, grid)
-
-
-def test_flux_divergence_recovers_momentum_rhs(base_set, base_derived):
-    # example set: f1 = u_x, so its divergence is u_xx up to stencil order
-    from nematic1d.fields import flux_divergence
-    errs = []
-    for cells in (128, 256):
-        grid = Grid1D(cells)
-        x = grid.x
-        state = make_state(grid, u=np.sin(np.pi * x),
-                           n=np.full(grid.num_nodes, 0.4),
-                           ndot=np.zeros(grid.num_nodes))
-        fp = leslie_fluxes(state, base_set, base_derived, grid)
-        j1, j2 = flux_divergence(fp, grid)
-        want = -np.pi**2 * np.sin(np.pi * x)
-        errs.append(np.max(np.abs(j1[1:-1] - want[1:-1])))
-        assert np.max(np.abs(j2)) < 1e-12
-    assert errs[0] / errs[1] > 3.5
+    f1, f2 = interface_brackets(state, base_set, grid)
+    assert np.max(np.abs(f1)) == 0.0
+    assert np.max(np.abs(f2)) == 0.0
 
 
 def test_check_state_rejects_bad_fields():

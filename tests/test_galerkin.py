@@ -425,6 +425,17 @@ def test_run_zero_horizon_returns_initial(base_set, base_derived):
     assert np.max(np.abs(traj.snapshots[0].rho - 1.0)) == 0.0
 
 
+def test_run_rejects_velocity_not_vanishing_at_wall(base_set, base_derived):
+    # the caller's state is checked before the sine projection, which would
+    # otherwise pin u to zero at the walls and hide the bad boundary data
+    grid = Grid1D(64)
+    state = make_state(grid, u=0.1 + np.sin(np.pi * grid.x),
+                       n=np.full(grid.num_nodes, 0.3))
+    with pytest.raises(ValueError, match="u does not vanish"):
+        run(state, 8, grid, base_set, base_derived, SolverConfig(dt=1e-3),
+            t_end=1e-3)
+
+
 def test_static_run_constant_ledger(base_set, base_derived):
     grid = Grid1D(64)
     state = make_state(grid, n=np.full(grid.num_nodes, 0.4))

@@ -416,18 +416,28 @@ def test_cli_run_and_validate(tmp_path):
     assert cli_main(["validate-coefficients", "--config", str(conf)]) == 0
 
 
-@pytest.mark.parametrize("cadence", ["t_end = 0.0105",
-                                     "output.snapshot_every = 3"],
-                         ids=["partial_last_step", "every_third_step"])
-def test_cli_run_off_cadence_final_snapshot(tmp_path, cadence):
+@pytest.mark.parametrize("scheme,cadence", [
+    pytest.param(scheme, cadence, id=name + suffix)
+    for scheme, suffix in (("galerkin", ""), ("fd", "-fd"))
+    for name, cadence in (("partial_last_step", "t_end = 0.0105"),
+                          ("every_third_step", "output.snapshot_every = 3"))])
+def test_cli_run_off_cadence_final_snapshot(tmp_path, scheme, cadence):
     # the last output time falls off the snapshot cadence (a partial last
-    # step, or 10 steps at every 3rd), so output times are not uniform
+    # step, or 10 steps at every 3rd), so output times are not uniform;
+    # both schemes step through the same schedule
     conf = tmp_path / "run.conf"
-    conf.write_text(TEXT_CONFIG + f"\n{cadence}\n"
-                    + f"output.dir = {tmp_path / 'out'}\n")
+    conf.write_text(TEXT_CONFIG.replace("scheme = galerkin", f"scheme = {scheme}")
+                    + f"\n{cadence}\n" + f"output.dir = {tmp_path / 'out'}\n")
     assert cli_main(["run", "--config", str(conf)]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["metadata"]["scheme"] == scheme
     assert np.isfinite(summary["max_defect"])
+    partial = "t_end" in cadence
+    assert summary["final"]["time"] == pytest.approx(0.0105 if partial else 0.01,
+                                                     abs=1e-13)
+    # t = 0 plus 11 steps, or t = 0, steps 3, 6, 9 and the final step 10
+    snapshots = 12 if partial else 5
+    assert len(list((tmp_path / "out").glob("fields_*.csv"))) == snapshots
 
 
 def test_cli_invalid_coefficients_exit_code(tmp_path, capsys):
@@ -466,6 +476,17 @@ def test_cli_sweep_rejects_malformed_deltas(tmp_path, capsys):
         cli_main(["sweep", "--config", str(conf), "--deltas", "0.1,abc"])
     assert excinfo.value.code == 2
     assert "--deltas" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("deltas", ["0.05,0.1", "0.1,-0.05"],
+                         ids=["increasing", "non_positive"])
+def test_cli_sweep_rejects_bad_delta_order(tmp_path, capsys, deltas):
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(TEXT_CONFIG + f"\noutput.dir = {tmp_path / 'out'}\n")
+    assert cli_main(["sweep", "--config", str(conf), "--deltas", deltas]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -512,6 +533,14 @@ def test_cli_verify_rejects_non_positive_counts(capsys, flag, value):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert flag in err and "positive" in err
+
+
+def test_cli_verify_reports_fuzzed_count(capsys):
+    # 5 samples over 20 sets: one sample per set, 20 in all
+    assert cli_main(["verify", "--samples", "5", "--sets", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "fuzz samples: 20 (1 per set x 20 sets)" in lines
+    assert lines[-1] == "verification: PASS"
 
 
 def test_benchmark_tracer_targets_resolve():
