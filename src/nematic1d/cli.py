@@ -111,8 +111,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     identity_dev = max(np.max(np.abs(a11 - 1.0)), np.max(np.abs(a12)),
                        np.max(np.abs(a21)), np.max(np.abs(a22 - 1.0)))
     hard_checks = [
-        ("example set: gamma1 == 2", abs(derived.gamma1 - 2.0), 1e-14),
-        ("example set: gamma2 == 0", abs(derived.gamma2), 1e-14),
+        ("example set: gamma1 == 2", abs(base.gamma1 - 2.0), 1e-14),
+        ("example set: gamma2 == 0", abs(base.gamma2), 1e-14),
         ("example set: A(n) == I", float(identity_dev), 1e-14),
         ("example set: lambda == 1", abs(derived.lambda_lo - 1.0), 1e-12),
     ]

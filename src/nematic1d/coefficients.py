@@ -26,6 +26,9 @@ PARODI_RTOL = 1e-12
 # over one period [0, pi]).
 _N_SAMPLES = 1025
 
+# |det A(n)| below this means an inadmissible set slipped through.
+DET_FLOOR = 1e-14
+
 
 class InvalidCoefficients(ValueError):
     """Raised when an operation requires a valid coefficient set."""
@@ -183,13 +186,13 @@ def matrix_entries(c: LeslieSet, n):
     return a11, a12, a21, a22
 
 
-def inverse_matrix_entries(c: LeslieSet, n, det_floor: float = 1e-14):
+def inverse_matrix_entries(c: LeslieSet, n):
     """Vectorized entries of A(n)^-1 by the closed-form 2x2 inverse."""
     a11, a12, a21, a22 = matrix_entries(c, n)
     det = a11 * a22 - a12 * a21
-    if np.min(np.abs(det)) < det_floor:
+    if np.min(np.abs(det)) < DET_FLOOR:
         raise NearSingularMatrix(
-            f"det A(n) = {np.min(np.abs(det)):.3e} below guard {det_floor:.0e}")
+            f"det A(n) = {np.min(np.abs(det)):.3e} below guard {DET_FLOOR:.0e}")
     return a22 / det, -a12 / det, -a21 / det, a11 / det
 
 
@@ -235,12 +238,12 @@ def dissipation_parts(c: LeslieSet, n, u_x, v_x, ndot):
 
 
 # =============================================================================
-# Derived viscosities and ellipticity bounds
+# Ellipticity bounds
 # =============================================================================
 
 @dataclass(frozen=True)
 class DerivedViscosities:
-    """gamma1/gamma2 and a certified two-sided eigenvalue range for sym A(n).
+    """A certified two-sided eigenvalue range for sym A(n).
 
     lambda_closed_form is the closed-form candidate bound
 
@@ -254,8 +257,6 @@ class DerivedViscosities:
     with a Lipschitz safety margin, floored at the provable bound.
     """
 
-    gamma1: float
-    gamma2: float
     lambda_lo: float
     lambda_hi: float
     lambda_closed_form: float
@@ -288,14 +289,13 @@ def _sym_eig_range(c: LeslieSet) -> tuple[float, float, float]:
 
 
 def derive_viscosities(c: LeslieSet) -> DerivedViscosities:
-    """Compute gamma1, gamma2 and the ellipticity range of A(n).
+    """Compute the ellipticity range of A(n).
 
     Rejects inadmissible sets, naming the broken constraint.
     """
     require_valid(c)
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = c.alphas()
-    g1 = a3 - a2
-    g2 = a6 - a5
+    a0, a1, _, _, a4, a5, a6, a7, a8 = c.alphas()
+    g1, g2 = c.gamma1, c.gamma2
     q = a1 + g2 * g2 / g1
     branch1 = (a4 + a7) - 0.25 * q
     branch2 = (2 * a4 + a5 + a6 - g2 * g2 / g1) - (a0 + a1 + a5 + a6 + a8)
@@ -305,8 +305,7 @@ def derive_viscosities(c: LeslieSet) -> DerivedViscosities:
     emin_cert, emax_cert, cap = _sym_eig_range(c)
     lam_lo = min(closed_form, max(emin_cert, provable))
     lam_hi = min(emax_cert, cap)
-    return DerivedViscosities(gamma1=g1, gamma2=g2,
-                              lambda_lo=float(lam_lo), lambda_hi=float(lam_hi),
+    return DerivedViscosities(lambda_lo=float(lam_lo), lambda_hi=float(lam_hi),
                               lambda_closed_form=float(closed_form))
 
 

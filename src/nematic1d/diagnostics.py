@@ -15,9 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coefficients import (DerivedViscosities, LeslieSet, dissipation_parts,
-                           inverse_matrix_entries, quadratic_form,
-                           require_valid)
+from .coefficients import (LeslieSet, dissipation_parts,
+                           inverse_matrix_entries, quadratic_form)
 from .fields import FlowState, Grid1D, gradient, pressure, second_derivative
 
 
@@ -72,7 +71,7 @@ def energy(state: FlowState, grid: Grid1D,
     return kinetic, internal, elastic
 
 
-def dissipation(state: FlowState, c: LeslieSet, d: DerivedViscosities,
+def dissipation(state: FlowState, c: LeslieSet,
                 grid: Grid1D) -> tuple[float, tuple[float, ...]]:
     """Total dissipation and its five components.
 
@@ -94,24 +93,23 @@ def dissipation(state: FlowState, c: LeslieSet, d: DerivedViscosities,
     return total, parts
 
 
-def dissipation_direct(state: FlowState, c: LeslieSet, d: DerivedViscosities,
+def dissipation_direct(state: FlowState, c: LeslieSet,
                        grid: Grid1D) -> float:
     """The same dissipation via the direct quadratic form (cross-check)."""
     ndot = state.require_ndot()
     u_x = gradient(state.u, grid.dx)
     v_x = gradient(state.v, grid.dx)
     s2n, c2n = np.sin(2.0 * state.n), np.cos(2.0 * state.n)
-    g1, g2 = d.gamma1, d.gamma2
+    g1, g2 = c.gamma1, c.gamma2
     integrand = (g1 * ndot * ndot - g2 * u_x * ndot * s2n
                  - (g1 - g2 * c2n) * v_x * ndot
                  + quadratic_form(c, state.n, u_x, v_x))
     return integrate(integrand, grid)
 
 
-def make_ledger(state: FlowState, c: LeslieSet, d: DerivedViscosities,
-                grid: Grid1D) -> EnergyLedger:
+def make_ledger(state: FlowState, c: LeslieSet, grid: Grid1D) -> EnergyLedger:
     kin, internal, elastic = energy(state, grid, c.gamma_ad)
-    total, parts = dissipation(state, c, d, grid)
+    total, parts = dissipation(state, c, grid)
     led = EnergyLedger(
         time=state.time,
         kinetic=kin, internal=internal, elastic=elastic,
@@ -142,21 +140,20 @@ class Trajectory:
 
 def run_schedule(initial: FlowState,
                  advance: Callable[[FlowState, float], FlowState],
-                 c: LeslieSet, d: DerivedViscosities, grid: Grid1D, dt: float,
-                 t_end: float, snapshot_every: int = 1) -> Trajectory:
+                 c: LeslieSet, grid: Grid1D, dt: float, t_end: float,
+                 snapshot_every: int = 1) -> Trajectory:
     """Step a scheme from its set-up initial state to t_end, ledgering every
     snapshot_every-th scheduled step and the final state.
 
     Scheduled step k ends at min(k dt, t_end); `advance(state, dt_k)` is
     called with dt_k = min(dt, time left to that target) until it gets
     there, so a step shortened by a dt halving is refilled and output times
-    stay on the cadence.  The caller fills the trajectory's metadata.
+    stay on the cadence.  The caller validates c and fills the metadata.
     """
-    require_valid(c)
     state = initial
     times = [0.0]
     snapshots = [state.copy()]
-    ledgers = [make_ledger(state, c, d, grid)]
+    ledgers = [make_ledger(state, c, grid)]
 
     num_steps = int(round(t_end / dt)) if t_end > 0 else 0
     if t_end > 0 and abs(num_steps * dt - t_end) > 1e-9 * max(t_end, 1.0):
@@ -169,7 +166,7 @@ def run_schedule(initial: FlowState,
         if k % snapshot_every == 0 or state.time >= t_end - 1e-13:
             times.append(state.time)
             snapshots.append(state.copy())
-            ledgers.append(make_ledger(state, c, d, grid))
+            ledgers.append(make_ledger(state, c, grid))
 
     return Trajectory(grid=grid, times=np.asarray(times), snapshots=snapshots,
                       ledgers=ledgers, mass_scale=integrate(initial.rho, grid))

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import diagnostics
-from .coefficients import DerivedViscosities, LeslieSet, matrix_entries
+from .coefficients import LeslieSet, matrix_entries, require_valid
 from .fields import (FlowState, Grid1D, check_state, director_rate_flux,
                      elastic_coupling, gradient, pressure)
 from .galerkin import _initial_ndot, advance_director
@@ -93,8 +93,7 @@ def _viscous_tridiag_solve(rho_new: np.ndarray, coeff_face: np.ndarray,
     return q
 
 
-def step_fd(state: FlowState, grid: Grid1D, c: LeslieSet,
-            d: DerivedViscosities, dt: float,
+def step_fd(state: FlowState, grid: Grid1D, c: LeslieSet, dt: float,
             cfg: OracleConfig = OracleConfig()) -> FlowState:
     """One conservative upwind / semi-implicit step.
 
@@ -124,7 +123,7 @@ def step_fd(state: FlowState, grid: Grid1D, c: LeslieSet,
     rho_new = np.maximum(rho_new, 0.0)
 
     # --- director (shared implicit step) ------------------------------------
-    n_new = advance_director(state, d, dt, grid)
+    n_new = advance_director(state, c, dt, grid)
     n_x_new = gradient(n_new, dx, neumann_ends=True)
     ndot_prov = (n_new - state.n) / dt + state.u * n_x_new
 
@@ -169,18 +168,18 @@ def step_fd(state: FlowState, grid: Grid1D, c: LeslieSet,
                      ndot=ndot_new)
 
 
-def run_fd(initial: FlowState, grid: Grid1D, c: LeslieSet,
-           d: DerivedViscosities, dt: float, t_end: float,
-           cfg: OracleConfig = OracleConfig(),
+def run_fd(initial: FlowState, grid: Grid1D, c: LeslieSet, dt: float,
+           t_end: float, cfg: OracleConfig = OracleConfig(),
            snapshot_every: int = 1) -> diagnostics.Trajectory:
     """Integrate with the oracle scheme at fixed dt, ledgering snapshots."""
+    require_valid(c)
     state = initial.copy()
     check_state(state, grid)
     if state.ndot is None:
-        state.ndot = _initial_ndot(state, d, grid)
+        state.ndot = _initial_ndot(state, c, grid)
     traj = diagnostics.run_schedule(
-        state, lambda s, step_dt: step_fd(s, grid, c, d, step_dt, cfg),
-        c, d, grid, dt, t_end, snapshot_every)
+        state, lambda s, step_dt: step_fd(s, grid, c, step_dt, cfg),
+        c, grid, dt, t_end, snapshot_every)
     traj.metadata = {"scheme": "fd", "dt": dt,
                      "cfl": cfg.cfl, "limiter": cfg.limiter}
     return traj

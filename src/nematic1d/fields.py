@@ -12,8 +12,10 @@ from typing import Optional
 
 import numpy as np
 
-from .coefficients import (DerivedViscosities, LeslieSet, director_source,
-                           matrix_entries)
+from .coefficients import LeslieSet, director_source, matrix_entries
+
+# Round-off allowance for the density sign and the no-slip wall values.
+STATE_ATOL = 1e-12
 
 
 class MissingDirectorRate(ValueError):
@@ -74,7 +76,7 @@ class FlowState:
         return self.ndot
 
 
-def check_state(state: FlowState, grid: Grid1D, atol: float = 1e-12) -> None:
+def check_state(state: FlowState, grid: Grid1D) -> None:
     """Raise if the state violates its boundary/positivity invariants."""
     m = grid.num_nodes
     for name in ("rho", "u", "v", "n"):
@@ -83,11 +85,11 @@ def check_state(state: FlowState, grid: Grid1D, atol: float = 1e-12) -> None:
             raise ValueError(f"{name} has shape {arr.shape}, expected ({m},)")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} contains non-finite values")
-    if np.min(state.rho) < -atol:
+    if np.min(state.rho) < -STATE_ATOL:
         raise ValueError(f"negative density: min rho = {np.min(state.rho):.3e}")
     for name in ("u", "v"):
         arr = getattr(state, name)
-        if abs(arr[0]) > atol or abs(arr[-1]) > atol:
+        if abs(arr[0]) > STATE_ATOL or abs(arr[-1]) > STATE_ATOL:
             raise ValueError(f"{name} does not vanish at the endpoints")
 
 
@@ -161,7 +163,7 @@ def elastic_coupling(state: FlowState, grid: Grid1D) -> np.ndarray:
     return -n_xx * n_x
 
 
-def director_residual(state: FlowState, d: DerivedViscosities,
+def director_residual(state: FlowState, c: LeslieSet,
                       grid: Grid1D) -> np.ndarray:
     """Residual gamma1 ndot - director_source - n_xx of the scalar director
     equation, which a consistent state satisfies to scheme accuracy."""
@@ -169,5 +171,5 @@ def director_residual(state: FlowState, d: DerivedViscosities,
     u_x = gradient(state.u, grid.dx)
     v_x = gradient(state.v, grid.dx)
     n_xx = second_derivative(state.n, grid.dx, neumann_ends=True)
-    return (d.gamma1 * ndot
-            - director_source(d.gamma1, d.gamma2, state.n, u_x, v_x) - n_xx)
+    return (c.gamma1 * ndot
+            - director_source(c.gamma1, c.gamma2, state.n, u_x, v_x) - n_xx)

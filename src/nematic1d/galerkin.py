@@ -15,8 +15,8 @@ from scipy.fft import dct, dst
 from scipy.linalg import solve_banded
 
 from . import diagnostics
-from .coefficients import (DerivedViscosities, LeslieSet, director_source,
-                           matrix_entries)
+from .coefficients import (LeslieSet, director_source, matrix_entries,
+                           require_valid)
 from .fields import (FlowState, Grid1D, check_state, director_rate_flux,
                      elastic_coupling, gradient, pressure, second_derivative)
 
@@ -225,7 +225,7 @@ def remap_density_to_grid(rho_particles: np.ndarray, positions: np.ndarray,
 # Implicit director step
 # =============================================================================
 
-def advance_director(state: FlowState, d: DerivedViscosities, dt: float,
+def advance_director(state: FlowState, c: LeslieSet, dt: float,
                      grid: Grid1D, u_x: Optional[np.ndarray] = None,
                      v_x: Optional[np.ndarray] = None,
                      n_lag: Optional[np.ndarray] = None) -> np.ndarray:
@@ -239,11 +239,11 @@ def advance_director(state: FlowState, d: DerivedViscosities, dt: float,
     the previous iterate.  Velocity gradients may be supplied (spectral
     path) or are taken by finite differences.
     """
-    if d.gamma1 <= 0.0:
+    g1, g2 = c.gamma1, c.gamma2
+    if g1 <= 0.0:
         raise ValueError("gamma1 must be positive")
     dx = grid.dx
     m = grid.num_nodes
-    g1, g2 = d.gamma1, d.gamma2
     if u_x is None:
         u_x = gradient(state.u, dx)
     if v_x is None:
@@ -381,12 +381,11 @@ class SolverConfig:
 @dataclass
 class StepStats:
     picard_iterations: int
-    dt_used: float
     halvings: int
 
 
-def _initial_ndot(state: FlowState, d: DerivedViscosities,
-                  grid: Grid1D, u_x: Optional[np.ndarray] = None,
+def _initial_ndot(state: FlowState, c: LeslieSet, grid: Grid1D,
+                  u_x: Optional[np.ndarray] = None,
                   v_x: Optional[np.ndarray] = None) -> np.ndarray:
     """Material director rate consistent with the director equation; used to
     seed the ledger at t = 0."""
@@ -395,13 +394,12 @@ def _initial_ndot(state: FlowState, d: DerivedViscosities,
     if v_x is None:
         v_x = gradient(state.v, grid.dx)
     n_xx = second_derivative(state.n, grid.dx, neumann_ends=True)
-    src = director_source(d.gamma1, d.gamma2, state.n, u_x, v_x)
-    return (n_xx + src) / d.gamma1
+    src = director_source(c.gamma1, c.gamma2, state.n, u_x, v_x)
+    return (n_xx + src) / c.gamma1
 
 
 def _attempt_step(state: FlowState, spec: SpectralVelocity, grid: Grid1D,
-                  c: LeslieSet, d: DerivedViscosities, dt: float,
-                  config: SolverConfig,
+                  c: LeslieSet, dt: float, config: SolverConfig,
                   basis: SineBasis) -> Optional[tuple[FlowState, SpectralVelocity, int]]:
     """One Picard-coupled step at fixed dt; None when Picard stalls."""
     # step-invariant: the particle labels, the mass, and where the
@@ -433,7 +431,7 @@ def _attempt_step(state: FlowState, spec: SpectralVelocity, grid: Grid1D,
 
         # (ii) implicit director with lagged trig coefficients
         working = FlowState(state.time, state.rho, u_field, v_field, state.n)
-        n_new = advance_director(working, d, dt, grid, u_x=u_x, v_x=v_x,
+        n_new = advance_director(working, c, dt, grid, u_x=u_x, v_x=v_x,
                                  n_lag=n_it)
         n_x_new = gradient(n_new, grid.dx, neumann_ends=True)
         ndot_new = (n_new - state.n) / dt + u_field * n_x_new
@@ -459,13 +457,14 @@ def _attempt_step(state: FlowState, spec: SpectralVelocity, grid: Grid1D,
 
 
 def step(state: FlowState, spec: SpectralVelocity, grid: Grid1D,
-         c: LeslieSet, d: DerivedViscosities, config: SolverConfig,
+         c: LeslieSet, config: SolverConfig,
          basis: Optional[SineBasis] = None,
          ) -> tuple[FlowState, SpectralVelocity, StepStats]:
     """Advance one scheduled step, halving dt internally on Picard failure.
 
-    Returns the advanced state together with the dt actually used (always
-    config.dt / 2^k).  Raises TimeStepUnderflow below the dt floor.
+    Returns the state advanced by config.dt / 2^k after k halvings (its
+    time shows how far), the new modes, and the Picard count and k.  Raises
+    TimeStepUnderflow below the dt floor.
     """
     if basis is None:
         basis = SineBasis(spec.num_modes, grid)
@@ -473,12 +472,12 @@ def step(state: FlowState, spec: SpectralVelocity, grid: Grid1D,
     halvings = 0
     while dt >= DT_MIN:
         try:
-            result = _attempt_step(state, spec, grid, c, d, dt, config, basis)
+            result = _attempt_step(state, spec, grid, c, dt, config, basis)
         except DenominatorTooSmall:
             result = None
         if result is not None:
             new_state, new_spec, iters = result
-            return new_state, new_spec, StepStats(iters, dt, halvings)
+            return new_state, new_spec, StepStats(iters, halvings)
         dt *= 0.5
         halvings += 1
     raise TimeStepUnderflow(
@@ -488,7 +487,7 @@ def step(state: FlowState, spec: SpectralVelocity, grid: Grid1D,
 
 
 def run(initial: FlowState, num_modes: int, grid: Grid1D, c: LeslieSet,
-        d: DerivedViscosities, config: SolverConfig, t_end: float,
+        config: SolverConfig, t_end: float,
         snapshot_every: int = 1) -> diagnostics.Trajectory:
     """Integrate from the initial state to t_end, recording every
     snapshot_every-th scheduled step.
@@ -497,6 +496,7 @@ def run(initial: FlowState, num_modes: int, grid: Grid1D, c: LeslieSet,
     config.dt, and `diagnostics.run_schedule` refills each scheduled window
     after internal halvings so output times stay on the uniform cadence.
     """
+    require_valid(c)
     basis = SineBasis(num_modes, grid)
     state = initial.copy()
     check_state(state, grid)
@@ -505,7 +505,7 @@ def run(initial: FlowState, num_modes: int, grid: Grid1D, c: LeslieSet,
     state.u = basis.reconstruct(spec.c)
     state.v = basis.reconstruct(spec.d)
     if state.ndot is None:
-        state.ndot = _initial_ndot(state, d, grid,
+        state.ndot = _initial_ndot(state, c, grid,
                                    u_x=basis.reconstruct_derivative(spec.c),
                                    v_x=basis.reconstruct_derivative(spec.d))
 
@@ -514,13 +514,13 @@ def run(initial: FlowState, num_modes: int, grid: Grid1D, c: LeslieSet,
 
     def advance(state: FlowState, dt: float) -> FlowState:
         nonlocal spec, total_halvings
-        state, spec, stats = step(state, spec, grid, c, d,
+        state, spec, stats = step(state, spec, grid, c,
                                   replace(config, dt=dt), basis=basis)
         picard_counts.append(stats.picard_iterations)
         total_halvings += stats.halvings
         return state
 
-    traj = diagnostics.run_schedule(state, advance, c, d, grid, config.dt,
+    traj = diagnostics.run_schedule(state, advance, c, grid, config.dt,
                                     t_end, snapshot_every)
     traj.metadata = {"scheme": "galerkin", "num_modes": num_modes,
                      "dt": config.dt, "picard_iterations": picard_counts,

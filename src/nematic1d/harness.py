@@ -11,16 +11,16 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import diagnostics, fdsolver, galerkin
-from .coefficients import (DerivedViscosities, LeslieSet, derive_viscosities,
-                           require_valid)
-from .coefficients import validate  # noqa: F401  (perfbench/tracer.py wraps harness.validate)
+from .coefficients import LeslieSet, require_valid
+from .coefficients import derive_viscosities, validate  # noqa: F401  (perfbench/tracer.py wraps these harness names)
 from .fields import FlowState, Grid1D, gradient
 
 OUTPUT_ROOT_ENV = "NEMATIC1D_OUT"
@@ -34,6 +34,9 @@ ROUGH_PROFILES = ("sawtooth", "tent", "vacuum_patch")
 # smoothing radius
 _SAW_X = np.array([0.0, 0.2, 0.26, 0.32, 0.38, 0.44, 0.7, 1.0])
 _SAW_Y = np.array([0.0, 0.4, 1.6, 0.4, 1.6, 0.4, 1.0, 0.0])
+
+# Widening of the density envelope that density_bound_flags checks.
+DENSITY_ENVELOPE_FACTOR = 10.0
 
 
 @dataclass
@@ -283,6 +286,13 @@ def _convolve_even_extension(f: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.convolve(padded, weights[::-1], mode="valid")
 
 
+def _momentum_quotients(raw: RawInitialData) -> np.ndarray:
+    """(m0, l0) / sqrt(rho0), stacked, and zero where rho0 vanishes."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(raw.rho0 > 0.0,
+                        np.array([raw.m0, raw.l0]) / np.sqrt(raw.rho0), 0.0)
+
+
 def mollify_initial_data(raw: RawInitialData, delta: float,
                          grid: Grid1D) -> FlowState:
     """Smooth rough initial data into a strictly positive-density state.
@@ -298,10 +308,7 @@ def mollify_initial_data(raw: RawInitialData, delta: float,
         raise ValueError("delta must be positive")
     weights = _bump_weights(delta, grid.dx)
     rho = _convolve_zero_extension(raw.rho0, weights) + delta
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w_u = np.where(raw.rho0 > 0.0, raw.m0 / np.sqrt(raw.rho0), 0.0)
-        w_v = np.where(raw.rho0 > 0.0, raw.l0 / np.sqrt(raw.rho0), 0.0)
+    w_u, w_v = _momentum_quotients(raw)
     u = _convolve_zero_extension(w_u, weights) / np.sqrt(rho)
     v = _convolve_zero_extension(w_v, weights) / np.sqrt(rho)
     u[0] = u[-1] = 0.0
@@ -328,31 +335,27 @@ def build_initial_state(config: RunConfig, grid: Grid1D) -> FlowState:
 # =============================================================================
 
 def run_simulation(config: RunConfig) -> diagnostics.Trajectory:
-    """Validate, build initial data, and integrate with the chosen scheme."""
-    derived = derive_viscosities(config.coefficients)
+    """Build initial data and integrate with the chosen (validating) scheme."""
     grid = Grid1D(config.grid_cells)
-    return _integrate(config, build_initial_state(config, grid), grid, derived)
+    return _integrate(config, build_initial_state(config, grid), grid)
 
 
-def _integrate(config: RunConfig, state: FlowState, grid: Grid1D,
-               derived: DerivedViscosities) -> diagnostics.Trajectory:
+def _integrate(config: RunConfig, state: FlowState,
+               grid: Grid1D) -> diagnostics.Trajectory:
     """Run the configured scheme from a built initial state."""
     if config.scheme == "galerkin":
         solver_cfg = galerkin.SolverConfig(dt=config.dt,
                                            picard_tol=config.picard_tol)
         return galerkin.run(state, config.modes, grid, config.coefficients,
-                            derived, solver_cfg, config.t_end,
-                            config.snapshot_every)
+                            solver_cfg, config.t_end, config.snapshot_every)
     oracle_cfg = fdsolver.OracleConfig(cfl=config.cfl, limiter=config.limiter)
-    return fdsolver.run_fd(state, grid, config.coefficients, derived,
-                           config.dt, config.t_end, oracle_cfg,
-                           config.snapshot_every)
+    return fdsolver.run_fd(state, grid, config.coefficients, config.dt,
+                           config.t_end, oracle_cfg, config.snapshot_every)
 
 
-def density_bound_flags(traj: diagnostics.Trajectory,
-                        factor: float = 10.0) -> int:
+def density_bound_flags(traj: diagnostics.Trajectory) -> int:
     """Count snapshots whose density leaves the exponential-in-time envelope
-    implied by the initial bounds, widened by `factor`."""
+    implied by the initial bounds, widened by DENSITY_ENVELOPE_FACTOR."""
     rho0 = traj.snapshots[0].rho
     rho0_min = float(np.min(rho0))
     if rho0_min <= 0.0:
@@ -360,7 +363,7 @@ def density_bound_flags(traj: diagnostics.Trajectory,
     c1 = max(float(np.max(rho0)), 1.0 / rho0_min)
     flags = 0
     for t, snap in zip(traj.times, traj.snapshots):
-        hi = factor * c1 * np.exp(t)
+        hi = DENSITY_ENVELOPE_FACTOR * c1 * np.exp(t)
         lo = 1.0 / hi
         if np.max(snap.rho) > hi or np.min(snap.rho) < lo:
             flags += 1
@@ -454,21 +457,7 @@ class SweepReport:
     observed_orders: dict
 
     def to_dict(self) -> dict:
-        return {
-            "deltas": self.deltas,
-            "members": [
-                {"delta": m.delta, "final_energy": m.final_energy,
-                 "max_defect": m.max_defect,
-                 "rho2gamma_spacetime": m.rho2gamma_spacetime,
-                 "entropy_series": m.entropy_series,
-                 "h_pair_series": m.h_pair_series,
-                 "initial_errors": m.initial_errors}
-                for m in self.members
-            ],
-            "cauchy": self.cauchy,
-            "statuses": self.statuses,
-            "observed_orders": self.observed_orders,
-        }
+        return asdict(self)
 
 
 def _initial_data_errors(raw: RawInitialData, state: FlowState, delta: float,
@@ -479,9 +468,7 @@ def _initial_data_errors(raw: RawInitialData, state: FlowState, delta: float,
     def lp(err: np.ndarray, p: float) -> float:
         return float(np.trapezoid(np.abs(err) ** p, dx=dx) ** (1.0 / p))
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w_u = np.where(raw.rho0 > 0.0, raw.m0 / np.sqrt(raw.rho0), 0.0)
-        w_v = np.where(raw.rho0 > 0.0, raw.l0 / np.sqrt(raw.rho0), 0.0)
+    w_u, w_v = _momentum_quotients(raw)
     diff_n = state.n - raw.n0
     diff_nx = gradient(state.n, dx, neumann_ends=True) - gradient(
         raw.n0, dx, neumann_ends=True)
@@ -497,13 +484,11 @@ def _initial_data_errors(raw: RawInitialData, state: FlowState, delta: float,
 
 
 def _sweep_member(args: tuple) -> SweepMember:
-    config_dict, delta, subdir = args
-    config = config_from_flat(_flat_items(config_dict))
+    config, delta, subdir = args
     grid = Grid1D(config.grid_cells)
     raw = build_raw_initial_data(config, grid)
     state = mollify_initial_data(raw, delta, grid)
-    traj = _integrate(config, state, grid,
-                      derive_viscosities(config.coefficients))
+    traj = _integrate(config, state, grid)
 
     window = np.sin(np.pi * grid.x) ** 2
     pairs = []
@@ -570,33 +555,22 @@ def run_sweep(config: RunConfig, deltas: Sequence[float],
     # an inadmissible set is a config error, not a member failure
     require_valid(config.coefficients)
 
-    payload = [(config.to_dict(), d,
+    payload = [(config, d,
                 None if outdir is None else str(outdir / f"delta_{d:g}"))
                for d in deltas]
     members = []
-    failure: Optional[tuple[float, Exception]] = None
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_member, p) for p in payload]
-            for d, fut in zip(deltas, futures):
-                try:
-                    members.append(fut.result())
-                except Exception as exc:
-                    failure = (d, exc)
-                    break
-    else:
-        for d, p in zip(deltas, payload):
+    pool = (ProcessPoolExecutor(max_workers=workers) if workers > 1
+            else nullcontext())
+    with pool:
+        # both maps yield in delta order and raise a member's failure there
+        results = (pool.map if workers > 1 else map)(_sweep_member, payload)
+        for d in deltas:
             try:
-                members.append(_sweep_member(p))
+                members.append(next(results))
             except Exception as exc:
-                failure = (d, exc)
-                break
-
-    if failure is not None:
-        d_bad, exc = failure
-        partial = _assemble_report([m.delta for m in members], members)
-        raise SweepAborted(
-            f"sweep member delta={d_bad:g} failed: {exc}", partial) from exc
+                partial = _assemble_report([m.delta for m in members], members)
+                raise SweepAborted(f"sweep member delta={d:g} failed: {exc}",
+                                   partial) from exc
     return _assemble_report(deltas, members)
 
 

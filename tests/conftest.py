@@ -1,18 +1,13 @@
 import numpy as np
 import pytest
 
-from nematic1d.coefficients import derive_viscosities, example_set
+from nematic1d.coefficients import example_set
 
 
 @pytest.fixture
 def base_set():
     """The standard admissible example: gamma1 = 2, gamma2 = 0, A(n) = I."""
     return example_set()
-
-
-@pytest.fixture
-def base_derived(base_set):
-    return derive_viscosities(base_set)
 
 
 @pytest.fixture

@@ -44,13 +44,13 @@ def test_criterion_1_coefficient_ground_truth():
     a11, a12, a21, a22 = matrix_entries(c, angles)
     dev = max(np.max(np.abs(a11 - 1.0)), np.max(np.abs(a12)),
               np.max(np.abs(a21)), np.max(np.abs(a22 - 1.0)))
-    ok = (rep.is_valid and d.gamma1 == 2.0 and d.gamma2 == 0.0
+    ok = (rep.is_valid and c.gamma1 == 2.0 and c.gamma2 == 0.0
           and dev <= 1e-14 and abs(d.lambda_lo - 1.0) <= 1e-12)
     elapsed = time.perf_counter() - t0
     report(1, "coefficient ground truth", ok and elapsed < 1.0, t0,
            f"max A dev {dev:.1e}, lambda {d.lambda_lo:.15f}")
     assert rep.is_valid
-    assert d.gamma1 == 2.0 and d.gamma2 == 0.0
+    assert c.gamma1 == 2.0 and c.gamma2 == 0.0
     assert dev <= 1e-14
     assert abs(d.lambda_lo - 1.0) <= 1e-12
     assert elapsed < 1.0
@@ -143,7 +143,7 @@ def test_criterion_3_energy_law(shear_run_fine, shear_run_half_dt):
     assert elapsed < 60.0
 
 
-def test_criterion_4_mass_conservation(shear_run_fine, base_set, base_derived):
+def test_criterion_4_mass_conservation(shear_run_fine, base_set):
     t0 = time.perf_counter()
     masses = np.array([led.mass for led in shear_run_fine.ledgers])
     galerkin_step_drift = float(np.max(np.abs(np.diff(masses))))
@@ -157,7 +157,7 @@ def test_criterion_4_mass_conservation(shear_run_fine, base_set, base_derived):
     fd_drift = 0.0
     mass = np.trapezoid(state.rho, dx=grid.dx)
     for _ in range(200):
-        state = step_fd(state, grid, base_set, base_derived, 5e-4)
+        state = step_fd(state, grid, base_set, 5e-4)
         new_mass = np.trapezoid(state.rho, dx=grid.dx)
         fd_drift = max(fd_drift, abs(new_mass - mass))
         mass = new_mass
@@ -288,11 +288,11 @@ def test_criterion_8_delta_sweep():
     assert elapsed < 600.0
 
 
-def test_criterion_9_director_diagnostics(base_set, base_derived):
+def test_criterion_9_director_diagnostics(base_set):
     t0 = time.perf_counter()
     grid = Grid1D(128)
     t_end = 0.5
-    g1 = base_derived.gamma1
+    g1 = base_set.gamma1
 
     def relaxation_norms(dt):
         # pure director relaxation: the velocity stays identically zero
@@ -306,7 +306,7 @@ def test_criterion_9_director_diagnostics(base_set, base_derived):
         for k in range(1, steps + 1):
             state = FlowState(times[-1], np.ones(grid.num_nodes), z, z,
                               state_n)
-            new_n = advance_director(state, base_derived, dt, grid)
+            new_n = advance_director(state, base_set, dt, grid)
             times.append(k * dt)
             snaps.append(FlowState(k * dt, np.ones(grid.num_nodes), z, z,
                                    new_n, ndot=(new_n - state_n) / dt))

@@ -16,8 +16,8 @@ def test_example_set_passes_all_checks(base_set):
 
 def test_example_set_derived_viscosities(base_set):
     d = derive_viscosities(base_set)
-    assert d.gamma1 == pytest.approx(2.0, abs=1e-15)
-    assert d.gamma2 == pytest.approx(0.0, abs=1e-15)
+    assert base_set.gamma1 == pytest.approx(2.0, abs=1e-15)
+    assert base_set.gamma2 == pytest.approx(0.0, abs=1e-15)
     # closed form is min{1 - 0, 2 - 0} and is attained for this set
     assert d.lambda_closed_form == pytest.approx(1.0, abs=1e-14)
     assert d.lambda_lo == pytest.approx(1.0, abs=1e-12)
@@ -112,7 +112,7 @@ def test_ellipticity_bounds_hold(rng):
     for _ in range(20):
         c = random_valid_set(rng)
         d = derive_viscosities(c)
-        assert d.gamma1 > 0.0
+        assert c.gamma1 > 0.0
         assert 0.0 < d.lambda_lo <= d.lambda_hi
         n = rng.uniform(-np.pi, np.pi, 2000)
         theta = rng.uniform(0.0, 2.0 * np.pi, 2000)

@@ -23,27 +23,27 @@ def test_oracle_config_validation():
         OracleConfig(limiter="superbee")
 
 
-def test_static_state_unchanged(base_set, base_derived):
+def test_static_state_unchanged(base_set):
     grid = Grid1D(64)
     state = make_state(grid, n=np.full(grid.num_nodes, 0.9))
-    out = step_fd(state, grid, base_set, base_derived, 1e-4)
+    out = step_fd(state, grid, base_set, 1e-4)
     assert np.max(np.abs(out.rho - 1.0)) < 1e-14
     assert np.max(np.abs(out.u)) < 1e-14
     assert np.max(np.abs(out.v)) < 1e-14
     assert np.max(np.abs(out.n - 0.9)) < 1e-14
 
 
-def test_cfl_violation_raises(base_set, base_derived):
+def test_cfl_violation_raises(base_set):
     grid = Grid1D(64)
     state = make_state(grid, u=np.sin(np.pi * grid.x))
     with pytest.raises(CFLViolation):
         check_cfl(state, grid, 0.1, OracleConfig(), base_set.gamma_ad)
     with pytest.raises(CFLViolation):
-        step_fd(state, grid, base_set, base_derived, 0.1)
+        step_fd(state, grid, base_set, 0.1)
 
 
 @pytest.mark.parametrize("limiter", ["none", "minmod"])
-def test_mass_conserved_per_step(base_set, base_derived, limiter):
+def test_mass_conserved_per_step(base_set, limiter):
     grid = Grid1D(96)
     x = grid.x
     state = make_state(grid, rho=1.0 + 0.3 * np.cos(np.pi * x),
@@ -53,13 +53,13 @@ def test_mass_conserved_per_step(base_set, base_derived, limiter):
     cfg = OracleConfig(limiter=limiter)
     mass = np.trapezoid(state.rho, dx=grid.dx)
     for _ in range(50):
-        state = step_fd(state, grid, base_set, base_derived, 1e-4, cfg)
+        state = step_fd(state, grid, base_set, 1e-4, cfg)
         new_mass = np.trapezoid(state.rho, dx=grid.dx)
         assert abs(new_mass - mass) < 1e-14
         mass = new_mass
 
 
-def test_frozen_velocity_density_matches_closed_form(base_set, base_derived):
+def test_frozen_velocity_density_matches_closed_form(base_set):
     # one upwind continuity step against the mass-coordinate formula
     dt = 1e-4
     for cells in (128, 256):
@@ -67,7 +67,7 @@ def test_frozen_velocity_density_matches_closed_form(base_set, base_derived):
         x = grid.x
         u = np.sin(np.pi * x)
         state = make_state(grid, u=u, n=np.full(grid.num_nodes, 0.5))
-        out = step_fd(state, grid, base_set, base_derived, dt)
+        out = step_fd(state, grid, base_set, dt)
         ld = LagrangianDensity.at_step_start(np.ones(grid.num_nodes), grid)
         rho_formula = advance_density(ld, dt * np.pi * np.cos(np.pi * x))
         # the formula lives at (barely) displaced particles; for one small
@@ -76,21 +76,21 @@ def test_frozen_velocity_density_matches_closed_form(base_set, base_derived):
         assert gap <= 5.0 * (dt * dt + dt / cells)
 
 
-def test_run_fd_static_ledger_constant(base_set, base_derived):
+def test_run_fd_static_ledger_constant(base_set):
     grid = Grid1D(64)
     state = make_state(grid, n=np.full(grid.num_nodes, 0.4))
-    traj = run_fd(state, grid, base_set, base_derived, dt=1e-3, t_end=0.05)
+    traj = run_fd(state, grid, base_set, dt=1e-3, t_end=0.05)
     for led in traj.ledgers:
         assert led.total == pytest.approx(traj.ledgers[0].total, abs=1e-12)
         assert abs(led.dissipation) < 1e-12
     assert traj.metadata["scheme"] == "fd"
 
 
-def test_run_fd_shear_dissipates(base_set, base_derived):
+def test_run_fd_shear_dissipates(base_set):
     grid = Grid1D(96)
     state = make_state(grid, v=np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, np.pi / 4))
-    traj = run_fd(state, grid, base_set, base_derived, dt=5e-4, t_end=0.05)
+    traj = run_fd(state, grid, base_set, dt=5e-4, t_end=0.05)
     totals = np.array([led.total for led in traj.ledgers])
     assert np.all(np.diff(totals) <= 1e-8)
     masses = np.array([led.mass for led in traj.ledgers])

@@ -216,15 +216,14 @@ def test_elastic_coupling_linear_interior():
 # director residual
 # -----------------------------------------------------------------------------
 
-def test_director_residual_static(base_derived):
+def test_director_residual_static(base_set):
     grid = Grid1D(64)
     state = make_state(grid, n=np.full(grid.num_nodes, 0.4),
                        ndot=np.zeros(grid.num_nodes))
-    assert np.max(np.abs(director_residual(state, base_derived, grid))) == 0.0
+    assert np.max(np.abs(director_residual(state, base_set, grid))) == 0.0
 
 
-def test_director_residual_independent_of_u_when_gamma2_zero(base_set,
-                                                             base_derived):
+def test_director_residual_independent_of_u_when_gamma2_zero(base_set):
     grid = Grid1D(64)
     x = grid.x
     n = 0.2 * np.cos(np.pi * x)
@@ -232,12 +231,12 @@ def test_director_residual_independent_of_u_when_gamma2_zero(base_set,
     s1 = make_state(grid, u=np.sin(np.pi * x), n=n.copy(), ndot=nd.copy())
     s2 = make_state(grid, u=2.5 * np.sin(2 * np.pi * x), n=n.copy(),
                     ndot=nd.copy())
-    r1 = director_residual(s1, base_derived, grid)
-    r2 = director_residual(s2, base_derived, grid)
+    r1 = director_residual(s1, base_set, grid)
+    r2 = director_residual(s2, base_set, grid)
     assert np.max(np.abs(r1 - r2)) < 1e-13
 
 
-def test_director_residual_manufactured_solution(base_derived):
+def test_director_residual_manufactured_solution(base_set):
     # n(x, t) = t cos(pi x), u = v = 0, gamma1 = 2:
     # residual = 2 cos(pi x) + t pi^2 cos(pi x) up to O(dx^2)
     t = 0.37
@@ -247,7 +246,7 @@ def test_director_residual_manufactured_solution(base_derived):
         x = grid.x
         state = make_state(grid, n=t * np.cos(np.pi * x),
                            ndot=np.cos(np.pi * x))
-        got = director_residual(state, base_derived, grid)
+        got = director_residual(state, base_set, grid)
         want = (2.0 + t * np.pi**2) * np.cos(np.pi * x)
         errs.append(np.max(np.abs(got - want)))
     assert errs[0] / errs[1] > 3.0

@@ -286,37 +286,37 @@ def test_remap_conserves_mass_exactly(rng):
 # director
 # -----------------------------------------------------------------------------
 
-def test_director_heat_decay_exact_amplification(base_derived):
+def test_director_heat_decay_exact_amplification(base_set):
     # u = v = 0, n0 = cos(pi x): one implicit step multiplies the discrete
     # eigenvector by 1/(1 + mu dt / gamma1), mu = 4 sin^2(pi dx / 2)/dx^2
     grid = Grid1D(64)
     dt = 2e-3
     n0 = np.cos(np.pi * grid.x)
     state = make_state(grid, n=n0)
-    n1 = advance_director(state, base_derived, dt, grid)
+    n1 = advance_director(state, base_set, dt, grid)
     mu = 4.0 * np.sin(np.pi * grid.dx / 2.0) ** 2 / grid.dx ** 2
-    amp = 1.0 / (1.0 + mu * dt / base_derived.gamma1)
+    amp = 1.0 / (1.0 + mu * dt / base_set.gamma1)
     assert np.max(np.abs(n1 - amp * n0)) < 1e-12
 
 
-def test_director_constant_is_fixed_point(base_derived):
+def test_director_constant_is_fixed_point(base_set):
     # gamma2 = 0 and v = 0: no sources, constant director unchanged
     grid = Grid1D(64)
     state = make_state(grid, u=np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, 0.77))
-    n1 = advance_director(state, base_derived, 1e-2, grid)
+    n1 = advance_director(state, base_set, 1e-2, grid)
     assert np.max(np.abs(n1 - 0.77)) < 1e-13
 
 
-def test_director_neumann_ends_after_step(base_derived):
+def test_director_neumann_ends_after_step(base_set):
     grid = Grid1D(64)
     state = make_state(grid, v=np.sin(np.pi * grid.x),
                        n=0.5 + 0.3 * np.cos(2 * np.pi * grid.x))
-    n1 = advance_director(state, base_derived, 1e-2, grid)
+    n1 = advance_director(state, base_set, 1e-2, grid)
     nx = gradient(n1, grid.dx, neumann_ends=True)
     assert nx[0] == 0.0 and nx[-1] == 0.0
     # mirrored-ghost row: the boundary value satisfies its implicit equation
-    g1 = base_derived.gamma1
+    g1 = base_set.gamma1
     v_x = gradient(state.v, grid.dx)
     src = 0.5 * g1 * v_x[0]
     lhs = g1 * (n1[0] - state.n[0]) / 1e-2 - 2.0 * (n1[1] - n1[0]) / grid.dx**2
@@ -327,14 +327,14 @@ def test_director_neumann_ends_after_step(base_derived):
 # coupled step
 # -----------------------------------------------------------------------------
 
-def test_static_state_is_fixed_point(base_set, base_derived):
+def test_static_state_is_fixed_point(base_set):
     grid = Grid1D(64)
     state = make_state(grid, n=np.full(grid.num_nodes, 0.4),
                        ndot=np.zeros(grid.num_nodes))
     spec = project_initial_velocity(state.u, state.v, 8, grid)
     cfg = SolverConfig(dt=1e-3)
     new_state, new_spec, stats = step(state, spec, grid, base_set,
-                                      base_derived, cfg)
+                                      cfg)
     assert stats.picard_iterations == 1
     assert np.max(np.abs(new_state.rho - 1.0)) < 1e-13
     assert np.max(np.abs(new_state.n - 0.4)) < 1e-13
@@ -342,7 +342,7 @@ def test_static_state_is_fixed_point(base_set, base_derived):
     assert np.max(np.abs(new_spec.c)) < 1e-13
 
 
-def test_single_mode_viscous_decay(base_set, base_derived):
+def test_single_mode_viscous_decay(base_set):
     # K = 1, rho = 1, n constant: the mode obeys the backward-Euler factor
     # 1/(1 + pi^2 dt) plus nonlinear corrections
     grid = Grid1D(128)
@@ -352,25 +352,25 @@ def test_single_mode_viscous_decay(base_set, base_derived):
     state.ndot = np.zeros(grid.num_nodes)
     spec = project_initial_velocity(state.u, state.v, 1, grid)
     cfg = SolverConfig(dt=dt)
-    new_state, new_spec, _ = step(state, spec, grid, base_set, base_derived,
+    new_state, new_spec, _ = step(state, spec, grid, base_set,
                                   cfg)
     expected = spec.c[0] / (1.0 + np.pi**2 * dt)
     assert new_spec.c[0] == pytest.approx(expected, rel=2e-3)
 
 
-def test_shear_step_picard_converges_quickly(base_set, base_derived):
+def test_shear_step_picard_converges_quickly(base_set):
     grid = Grid1D(128)
     state = make_state(grid, v=np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, np.pi / 4))
     state.ndot = np.zeros(grid.num_nodes)
     spec = project_initial_velocity(state.u, state.v, 16, grid)
     cfg = SolverConfig(dt=1e-3)
-    _, _, stats = step(state, spec, grid, base_set, base_derived, cfg)
+    _, _, stats = step(state, spec, grid, base_set, cfg)
     assert stats.picard_iterations <= 10
     assert stats.halvings == 0
 
 
-def test_converged_step_satisfies_director_equation(base_set, base_derived):
+def test_converged_step_satisfies_director_equation(base_set):
     # after Picard convergence the new state solves its discrete director
     # equation; the reported residual sits at the spatial stencil floor and
     # shrinks at second order
@@ -381,15 +381,15 @@ def test_converged_step_satisfies_director_equation(base_set, base_derived):
                            n=np.full(grid.num_nodes, np.pi / 4))
         state.ndot = np.zeros(grid.num_nodes)
         spec = project_initial_velocity(state.u, state.v, 16, grid)
-        new_state, _, _ = step(state, spec, grid, base_set, base_derived,
+        new_state, _, _ = step(state, spec, grid, base_set,
                                SolverConfig(dt=1e-3))
-        res = director_residual(new_state, base_derived, grid)
+        res = director_residual(new_state, base_set, grid)
         maxima.append(np.max(np.abs(res)))
         assert maxima[-1] < 100.0 * grid.dx**2
     assert maxima[0] / maxima[1] > 3.0
 
 
-def test_director_first_order_in_time(base_derived):
+def test_director_first_order_in_time(base_set):
     # against the closed-form semi-discrete decay exp(-mu t / gamma1), the
     # implicit stepping error halves with dt
     grid = Grid1D(64)
@@ -402,8 +402,8 @@ def test_director_first_order_in_time(base_derived):
         state = make_state(grid)
         for _ in range(int(round(t_end / dt))):
             state = make_state(grid, n=n)
-            n = advance_director(state, base_derived, dt, grid)
-        exact = np.exp(-mu * t_end / base_derived.gamma1) * n0
+            n = advance_director(state, base_set, dt, grid)
+        exact = np.exp(-mu * t_end / base_set.gamma1) * n0
         errs.append(np.max(np.abs(n - exact)))
     ratio = errs[0] / errs[1]
     assert 1.7 < ratio < 2.3
@@ -413,11 +413,11 @@ def test_director_first_order_in_time(base_derived):
 # run driver
 # -----------------------------------------------------------------------------
 
-def test_run_zero_horizon_returns_initial(base_set, base_derived):
+def test_run_zero_horizon_returns_initial(base_set):
     grid = Grid1D(64)
     state = make_state(grid, u=np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, 0.3))
-    traj = run(state, 8, grid, base_set, base_derived,
+    traj = run(state, 8, grid, base_set,
                SolverConfig(dt=1e-3), t_end=0.0)
     assert len(traj.snapshots) == 1
     # sin(pi x) lies in the mode span, so the projected snapshot matches
@@ -425,21 +425,21 @@ def test_run_zero_horizon_returns_initial(base_set, base_derived):
     assert np.max(np.abs(traj.snapshots[0].rho - 1.0)) == 0.0
 
 
-def test_run_rejects_velocity_not_vanishing_at_wall(base_set, base_derived):
+def test_run_rejects_velocity_not_vanishing_at_wall(base_set):
     # the caller's state is checked before the sine projection, which would
     # otherwise pin u to zero at the walls and hide the bad boundary data
     grid = Grid1D(64)
     state = make_state(grid, u=0.1 + np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, 0.3))
     with pytest.raises(ValueError, match="u does not vanish"):
-        run(state, 8, grid, base_set, base_derived, SolverConfig(dt=1e-3),
+        run(state, 8, grid, base_set, SolverConfig(dt=1e-3),
             t_end=1e-3)
 
 
-def test_static_run_constant_ledger(base_set, base_derived):
+def test_static_run_constant_ledger(base_set):
     grid = Grid1D(64)
     state = make_state(grid, n=np.full(grid.num_nodes, 0.4))
-    traj = run(state, 8, grid, base_set, base_derived,
+    traj = run(state, 8, grid, base_set,
                SolverConfig(dt=5e-3), t_end=0.1)
     for led in traj.ledgers:
         assert led.total == pytest.approx(traj.ledgers[0].total, abs=1e-12)
@@ -449,7 +449,7 @@ def test_static_run_constant_ledger(base_set, base_derived):
     assert max_defect < 1e-12
 
 
-def test_picard_limit_insensitive_to_tolerance(base_set, base_derived):
+def test_picard_limit_insensitive_to_tolerance(base_set):
     # tightening picard_tol by four orders barely moves the converged step,
     # so the iteration lands on a well-defined fixed point
     grid = Grid1D(64)
@@ -459,7 +459,7 @@ def test_picard_limit_insensitive_to_tolerance(base_set, base_derived):
                            n=np.full(grid.num_nodes, np.pi / 4))
         state.ndot = np.zeros(grid.num_nodes)
         spec = project_initial_velocity(state.u, state.v, 8, grid)
-        new_state, _, _ = step(state, spec, grid, base_set, base_derived,
+        new_state, _, _ = step(state, spec, grid, base_set,
                                SolverConfig(dt=1e-3, picard_tol=tol))
         results.append(new_state)
     for name in ("rho", "u", "v", "n"):
@@ -468,29 +468,29 @@ def test_picard_limit_insensitive_to_tolerance(base_set, base_derived):
         assert np.max(np.abs(a - b)) < 1e-5
 
 
-def test_snapshot_cadence_keeps_uniform_budget(base_set, base_derived):
+def test_snapshot_cadence_keeps_uniform_budget(base_set):
     grid = Grid1D(64)
     state = make_state(grid, v=np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, np.pi / 4))
-    traj = run(state, 8, grid, base_set, base_derived,
+    traj = run(state, 8, grid, base_set,
                SolverConfig(dt=1e-3), t_end=0.02, snapshot_every=2)
     assert len(traj.times) == 11
     defect, max_defect = energy_budget(traj.times, traj.ledgers)
     assert np.isfinite(max_defect)
 
 
-def test_shear_final_energy_regression(base_set, base_derived):
+def test_shear_final_energy_regression(base_set):
     # determinism canary: fixed configuration, frozen final energy
     grid = Grid1D(64)
     state = make_state(grid, v=np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, np.pi / 4))
-    traj = run(state, 8, grid, base_set, base_derived,
+    traj = run(state, 8, grid, base_set,
                SolverConfig(dt=1e-3), t_end=0.05)
     assert traj.ledgers[-1].total == pytest.approx(1.1526201877036499,
                                                    rel=1e-9)
 
 
-def test_budget_constant_stable_under_joint_refinement(base_set, base_derived):
+def test_budget_constant_stable_under_joint_refinement(base_set):
     # the defect / (dt + dx^2) ratio stays within a modest band as grid and
     # step refine together
     ratios = []
@@ -498,18 +498,18 @@ def test_budget_constant_stable_under_joint_refinement(base_set, base_derived):
         grid = Grid1D(cells)
         state = make_state(grid, v=np.sin(np.pi * grid.x),
                            n=np.full(grid.num_nodes, np.pi / 4))
-        traj = run(state, modes, grid, base_set, base_derived,
+        traj = run(state, modes, grid, base_set,
                    SolverConfig(dt=dt), t_end=0.1)
         _, defect = energy_budget(traj.times, traj.ledgers)
         ratios.append(defect / (dt + grid.dx**2))
     assert max(ratios) / min(ratios) < 3.0
 
 
-def test_shear_run_invariants(base_set, base_derived):
+def test_shear_run_invariants(base_set):
     grid = Grid1D(64)
     state = make_state(grid, v=np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, np.pi / 4))
-    traj = run(state, 8, grid, base_set, base_derived,
+    traj = run(state, 8, grid, base_set,
                SolverConfig(dt=1e-3), t_end=0.05)
     masses = np.array([led.mass for led in traj.ledgers])
     assert np.max(np.abs(np.diff(masses))) < 1e-10

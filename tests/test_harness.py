@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import nematic1d
+import nematic1d.coefficients as coefficients_module
 import nematic1d.harness as harness_module
 from nematic1d.cli import main as cli_main
 from nematic1d.coefficients import InvalidCoefficients, example_set
@@ -450,6 +451,35 @@ def test_cli_invalid_coefficients_exit_code(tmp_path, capsys):
     assert rc == 2
     assert "alpha4_positive" in captured.err
     assert cli_main(["validate-coefficients", "--config", str(conf)]) == 1
+
+
+@pytest.mark.parametrize("scheme", ["galerkin", "fd"])
+def test_cli_run_validates_once(tmp_path, monkeypatch, scheme):
+    # the scheme validates its coefficient set before its set-up, and
+    # nothing else on the run path does
+    calls = []
+    real = coefficients_module.validate
+    monkeypatch.setattr(coefficients_module, "validate",
+                        lambda c: calls.append(c) or real(c))
+    conf = tmp_path / "run.conf"
+    conf.write_text(TEXT_CONFIG.replace("scheme = galerkin", f"scheme = {scheme}")
+                    + f"\noutput.dir = {tmp_path / 'out'}\n")
+    assert cli_main(["run", "--config", str(conf)]) == 0
+    assert len(calls) == 1
+
+
+def test_cli_run_default_coefficients_exits_2(tmp_path, capsys):
+    # no coefficient lines: the all-zero default set has gamma1 = 0, so it
+    # must be rejected before any set-up divides by gamma1
+    body = "\n".join(line for line in TEXT_CONFIG.splitlines()
+                     if not line.startswith("coefficients."))
+    conf = tmp_path / "run.conf"
+    conf.write_text(body + f"\noutput.dir = {tmp_path / 'out'}\n")
+    assert cli_main(["run", "--config", str(conf)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: coefficient set fails: ")
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep",
