@@ -9,7 +9,7 @@ from .coefficients import (DerivedViscosities, InvalidCoefficients, LeslieSet,
 from .diagnostics import Trajectory
 from .fields import (FlowState, Grid1D, director_residual, elastic_coupling,
                      pressure)
-from .galerkin import SolverConfig, SpectralVelocity, project_initial_velocity
+from .galerkin import project_initial_velocity
 from .harness import RunConfig, mollify_initial_data, parse_config, run_simulation
 
 __all__ = [
@@ -19,7 +19,7 @@ __all__ = [
     "Trajectory",
     "FlowState", "Grid1D", "director_residual", "elastic_coupling",
     "pressure",
-    "SolverConfig", "SpectralVelocity", "project_initial_velocity",
+    "project_initial_velocity",
     "RunConfig", "mollify_initial_data", "parse_config", "run_simulation",
 ]
 

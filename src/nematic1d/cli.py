@@ -167,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--deltas", type=_delta_list,
                          default="0.1,0.05,0.025,0.0125",
                          help="comma-separated, strictly decreasing")
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=_positive_int, default=1)
     p_sweep.add_argument("--output", default=None)
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -6,8 +6,6 @@ same implicit director step; robustness over sharpness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import solve_banded
 
@@ -22,16 +20,8 @@ class CFLViolation(RuntimeError):
     """dt exceeds the advective/acoustic stability bound for this state."""
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    cfl: float = 0.9
-    limiter: str = "none"   # none | minmod
-
-    def __post_init__(self):
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError("cfl must lie in (0, 1]")
-        if self.limiter not in ("none", "minmod"):
-            raise ValueError(f"unknown limiter {self.limiter!r}")
+# Largest admitted dt * max(|u| + sound speed) / dx.
+CFL = 0.9
 
 
 def _node_weights(grid: Grid1D) -> np.ndarray:
@@ -40,31 +30,14 @@ def _node_weights(grid: Grid1D) -> np.ndarray:
     return w
 
 
-def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
-
-
-def _face_density(rho: np.ndarray, u_face: np.ndarray, limiter: str) -> np.ndarray:
-    """Upwind face density, optionally with a minmod-limited reconstruction."""
-    if limiter == "minmod":
-        slope = np.zeros_like(rho)
-        slope[1:-1] = _minmod(rho[1:-1] - rho[:-2], rho[2:] - rho[1:-1])
-        left = rho[:-1] + 0.5 * slope[:-1]
-        right = rho[1:] - 0.5 * slope[1:]
-    else:
-        left = rho[:-1]
-        right = rho[1:]
-    return np.where(u_face >= 0.0, left, right)
-
-
-def check_cfl(state: FlowState, grid: Grid1D, dt: float, cfg: OracleConfig,
+def check_cfl(state: FlowState, grid: Grid1D, dt: float,
               gamma_ad: float) -> None:
     sound = np.sqrt(gamma_ad * pressure(state.rho, gamma_ad - 1.0))
     speed = float(np.max(np.abs(state.u) + sound))
-    if dt * speed > cfg.cfl * grid.dx:
+    if dt * speed > CFL * grid.dx:
         raise CFLViolation(
-            f"dt={dt:g} exceeds {cfg.cfl:g}*dx/max speed = "
-            f"{cfg.cfl * grid.dx / speed:g}")
+            f"dt={dt:g} exceeds {CFL:g}*dx/max speed = "
+            f"{CFL * grid.dx / speed:g}")
 
 
 def _viscous_tridiag_solve(rho_new: np.ndarray, coeff_face: np.ndarray,
@@ -93,8 +66,8 @@ def _viscous_tridiag_solve(rho_new: np.ndarray, coeff_face: np.ndarray,
     return q
 
 
-def step_fd(state: FlowState, grid: Grid1D, c: LeslieSet, dt: float,
-            cfg: OracleConfig = OracleConfig()) -> FlowState:
+def step_fd(state: FlowState, grid: Grid1D, c: LeslieSet,
+            dt: float) -> FlowState:
     """One conservative upwind / semi-implicit step.
 
     Continuity is a telescoping upwind flux update (exact mass
@@ -102,13 +75,14 @@ def step_fd(state: FlowState, grid: Grid1D, c: LeslieSet, dt: float,
     momentum equations treat their own A(n) diffusion implicitly, the cross
     coupling by one Gauss-Seidel pass, and transport/pressure explicitly.
     """
-    check_cfl(state, grid, dt, cfg, c.gamma_ad)
+    check_cfl(state, grid, dt, c.gamma_ad)
     dx = grid.dx
     w = _node_weights(grid)
 
     # --- continuity ---------------------------------------------------------
     u_face = 0.5 * (state.u[:-1] + state.u[1:])
-    mass_flux = _face_density(state.rho, u_face, cfg.limiter) * u_face
+    rho_face = np.where(u_face >= 0.0, state.rho[:-1], state.rho[1:])  # upwind
+    mass_flux = rho_face * u_face
     div = np.zeros(grid.num_nodes)
     div[0] = mass_flux[0]
     div[1:-1] = mass_flux[1:] - mass_flux[:-1]
@@ -169,8 +143,7 @@ def step_fd(state: FlowState, grid: Grid1D, c: LeslieSet, dt: float,
 
 
 def run_fd(initial: FlowState, grid: Grid1D, c: LeslieSet, dt: float,
-           t_end: float, cfg: OracleConfig = OracleConfig(),
-           snapshot_every: int = 1) -> diagnostics.Trajectory:
+           t_end: float, snapshot_every: int = 1) -> diagnostics.Trajectory:
     """Integrate with the oracle scheme at fixed dt, ledgering snapshots."""
     require_valid(c)
     state = initial.copy()
@@ -178,8 +151,7 @@ def run_fd(initial: FlowState, grid: Grid1D, c: LeslieSet, dt: float,
     if state.ndot is None:
         state.ndot = _initial_ndot(state, c, grid)
     traj = diagnostics.run_schedule(
-        state, lambda s, step_dt: step_fd(s, grid, c, step_dt, cfg),
+        state, lambda s, step_dt: step_fd(s, grid, c, step_dt),
         c, grid, dt, t_end, snapshot_every)
-    traj.metadata = {"scheme": "fd", "dt": dt,
-                     "cfl": cfg.cfl, "limiter": cfg.limiter}
+    traj.metadata = {"scheme": "fd", "dt": dt}
     return traj

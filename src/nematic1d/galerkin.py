@@ -39,7 +39,7 @@ DT_MIN = 1e-12
 
 
 # =============================================================================
-# Sine basis and spectral velocities
+# Sine basis
 # =============================================================================
 
 class SineBasis:
@@ -96,25 +96,11 @@ class SineBasis:
         return 0.5 * dct(scaled, type=1)
 
 
-@dataclass
-class SpectralVelocity:
-    """Truncated sine-mode coefficients of the two velocity components.
-
-    The reconstruction vanishes at both endpoints automatically.
-    """
-    num_modes: int
-    c: np.ndarray
-    d: np.ndarray
-
-    def copy(self) -> "SpectralVelocity":
-        return SpectralVelocity(self.num_modes, self.c.copy(), self.d.copy())
-
-
 def project_initial_velocity(u0: np.ndarray, v0: np.ndarray, num_modes: int,
-                             grid: Grid1D) -> SpectralVelocity:
-    """Project endpoint-vanishing initial velocities onto the first K modes."""
-    basis = SineBasis(num_modes, grid)
-    return SpectralVelocity(num_modes, basis.project(u0), basis.project(v0))
+                             grid: Grid1D) -> np.ndarray:
+    """Project endpoint-vanishing initial velocities onto the first K modes:
+    the (2, K) coefficients of u and v, the layout SineBasis transforms."""
+    return SineBasis(num_modes, grid).project(np.array([u0, v0]))
 
 
 # =============================================================================
@@ -334,12 +320,11 @@ def galerkin_system(state: FlowState, c: LeslieSet, dt: float, *,
     return mass, stiffness, rhs
 
 
-def advance_velocity_modes(state: FlowState, spec: SpectralVelocity,
-                           c: LeslieSet, dt: float, *, grid: Grid1D,
-                           basis: SineBasis, rho_new: np.ndarray,
-                           n_new: np.ndarray,
-                           ndot_new: np.ndarray) -> SpectralVelocity:
-    """Advance the mode coefficients of (u, v) by one step of the weak form.
+def advance_velocity_modes(state: FlowState, c: LeslieSet, dt: float, *,
+                           grid: Grid1D, basis: SineBasis,
+                           rho_new: np.ndarray, n_new: np.ndarray,
+                           ndot_new: np.ndarray) -> np.ndarray:
+    """The (2, K) mode coefficients of (u, v) after one step of the weak form.
 
     The second-order coefficient matrix A(n) is treated implicitly (mass and
     stiffness from `galerkin_system`); transport and pressure are explicit
@@ -361,22 +346,12 @@ def advance_velocity_modes(state: FlowState, spec: SpectralVelocity,
         sol = np.linalg.solve(system, rhs.ravel())
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"velocity mode solve failed: {exc}") from exc
-    return SpectralVelocity(K, sol[:K], sol[K:])
+    return sol.reshape(2, K)
 
 
 # =============================================================================
 # Coupled step and run
 # =============================================================================
-
-@dataclass
-class SolverConfig:
-    dt: float
-    picard_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.dt <= 0.0 or self.picard_tol <= 0.0:
-            raise ValueError("dt and picard_tol must be positive")
-
 
 @dataclass
 class StepStats:
@@ -398,9 +373,9 @@ def _initial_ndot(state: FlowState, c: LeslieSet, grid: Grid1D,
     return (n_xx + src) / c.gamma1
 
 
-def _attempt_step(state: FlowState, spec: SpectralVelocity, grid: Grid1D,
-                  c: LeslieSet, dt: float, config: SolverConfig,
-                  basis: SineBasis) -> Optional[tuple[FlowState, SpectralVelocity, int]]:
+def _attempt_step(state: FlowState, modes: np.ndarray, grid: Grid1D,
+                  c: LeslieSet, dt: float, picard_tol: float,
+                  basis: SineBasis) -> Optional[tuple[FlowState, np.ndarray, int]]:
     """One Picard-coupled step at fixed dt; None when Picard stalls."""
     # step-invariant: the particle labels, the mass, and where the
     # mass-coordinate gradient u_x / rho is defined
@@ -409,14 +384,12 @@ def _attempt_step(state: FlowState, spec: SpectralVelocity, grid: Grid1D,
     occupied = state.rho > 0.0
     rho_safe = np.where(occupied, state.rho, 1.0)
 
-    spec_it = spec.copy()
-    rho_it = state.rho.copy()
-    n_it = state.n.copy()
+    # iterates are rebound, never mutated, so no copies are needed
+    modes_it, rho_it, n_it = modes, state.rho, state.n
 
     for iteration in range(1, PICARD_MAX + 1):
-        modes = np.array([spec_it.c, spec_it.d])
-        u_field, v_field = basis.reconstruct(modes)
-        u_x, v_x = basis.reconstruct_derivative(modes)
+        u_field, v_field = basis.reconstruct(modes_it)
+        u_x, v_x = basis.reconstruct_derivative(modes_it)
 
         # (i) density along particle paths, then conservative remap; every
         # iterate integrates from the step start, and advance_density
@@ -437,92 +410,90 @@ def _attempt_step(state: FlowState, spec: SpectralVelocity, grid: Grid1D,
         ndot_new = (n_new - state.n) / dt + u_field * n_x_new
 
         # (iii) velocity modes, implicit in the A(n) part
-        spec_new = advance_velocity_modes(state, spec, c, dt, grid=grid,
-                                          basis=basis, rho_new=rho_new,
-                                          n_new=n_new, ndot_new=ndot_new)
+        modes_new = advance_velocity_modes(state, c, dt, grid=grid,
+                                           basis=basis, rho_new=rho_new,
+                                           n_new=n_new, ndot_new=ndot_new)
 
         delta = max(float(np.max(np.abs(rho_new - rho_it))),
                     float(np.max(np.abs(n_new - n_it))),
-                    float(np.max(np.abs(spec_new.c - spec_it.c))),
-                    float(np.max(np.abs(spec_new.d - spec_it.d))))
-        rho_it, n_it, spec_it = rho_new, n_new, spec_new
-        if delta < config.picard_tol:
-            u_final, v_final = basis.reconstruct(
-                np.array([spec_it.c, spec_it.d]))
+                    float(np.max(np.abs(modes_new - modes_it))))
+        rho_it, n_it, modes_it = rho_new, n_new, modes_new
+        if delta < picard_tol:
+            u_final, v_final = basis.reconstruct(modes_it)
             ndot_fin = (n_it - state.n) / dt + u_final * n_x_new
             new_state = FlowState(state.time + dt, rho_it, u_final, v_final,
                                   n_it, ndot=ndot_fin)
-            return new_state, spec_it, iteration
+            return new_state, modes_it, iteration
     return None
 
 
-def step(state: FlowState, spec: SpectralVelocity, grid: Grid1D,
-         c: LeslieSet, config: SolverConfig,
-         basis: Optional[SineBasis] = None,
-         ) -> tuple[FlowState, SpectralVelocity, StepStats]:
-    """Advance one scheduled step, halving dt internally on Picard failure.
+def step(state: FlowState, modes: np.ndarray, grid: Grid1D, c: LeslieSet, *,
+         dt: float, picard_tol: float, basis: Optional[SineBasis] = None,
+         ) -> tuple[FlowState, np.ndarray, StepStats]:
+    """Advance one scheduled step from the (2, K) velocity modes, halving dt
+    internally on Picard failure.
 
-    Returns the state advanced by config.dt / 2^k after k halvings (its
-    time shows how far), the new modes, and the Picard count and k.  Raises
+    Returns the state advanced by dt / 2^k after k halvings (its time shows
+    how far), the new modes, and the Picard count and k.  Raises
     TimeStepUnderflow below the dt floor.
     """
     if basis is None:
-        basis = SineBasis(spec.num_modes, grid)
-    dt = config.dt
+        basis = SineBasis(modes.shape[-1], grid)
     halvings = 0
     while dt >= DT_MIN:
         try:
-            result = _attempt_step(state, spec, grid, c, dt, config, basis)
+            result = _attempt_step(state, modes, grid, c, dt, picard_tol,
+                                   basis)
         except DenominatorTooSmall:
             result = None
         if result is not None:
-            new_state, new_spec, iters = result
-            return new_state, new_spec, StepStats(iters, halvings)
+            new_state, new_modes, iters = result
+            return new_state, new_modes, StepStats(iters, halvings)
         dt *= 0.5
         halvings += 1
     raise TimeStepUnderflow(
         f"dt underflow at t={state.time:.6g}: "
         f"min rho={np.min(state.rho):.3e}, max |u|={np.max(np.abs(state.u)):.3e}, "
-        f"max |modes|={max(np.max(np.abs(spec.c)), np.max(np.abs(spec.d))):.3e}")
+        f"max |modes|={np.max(np.abs(modes)):.3e}")
 
 
-def run(initial: FlowState, num_modes: int, grid: Grid1D, c: LeslieSet,
-        config: SolverConfig, t_end: float,
+def run(initial: FlowState, num_modes: int, grid: Grid1D, c: LeslieSet, *,
+        dt: float, picard_tol: float, t_end: float,
         snapshot_every: int = 1) -> diagnostics.Trajectory:
-    """Integrate from the initial state to t_end, recording every
-    snapshot_every-th scheduled step.
+    """Integrate from the initial state to t_end in scheduled steps of dt,
+    recording every snapshot_every-th one.
 
-    Deterministic for a given configuration; the scheduled step size is
-    config.dt, and `diagnostics.run_schedule` refills each scheduled window
-    after internal halvings so output times stay on the uniform cadence.
+    Deterministic for a given configuration; `diagnostics.run_schedule`
+    refills each scheduled window after internal halvings so output times
+    stay on the uniform cadence.
     """
     require_valid(c)
+    if not (dt > 0.0 and picard_tol > 0.0):
+        raise ValueError("dt and picard_tol must be positive")
     basis = SineBasis(num_modes, grid)
     state = initial.copy()
     check_state(state, grid)
-    spec = project_initial_velocity(state.u, state.v, num_modes, grid)
+    modes = project_initial_velocity(state.u, state.v, num_modes, grid)
     # start from the projected velocities so state and modes agree
-    state.u = basis.reconstruct(spec.c)
-    state.v = basis.reconstruct(spec.d)
+    state.u, state.v = basis.reconstruct(modes)
     if state.ndot is None:
-        state.ndot = _initial_ndot(state, c, grid,
-                                   u_x=basis.reconstruct_derivative(spec.c),
-                                   v_x=basis.reconstruct_derivative(spec.d))
+        u_x, v_x = basis.reconstruct_derivative(modes)
+        state.ndot = _initial_ndot(state, c, grid, u_x=u_x, v_x=v_x)
 
     picard_counts: list[int] = []
     total_halvings = 0
 
-    def advance(state: FlowState, dt: float) -> FlowState:
-        nonlocal spec, total_halvings
-        state, spec, stats = step(state, spec, grid, c,
-                                  replace(config, dt=dt), basis=basis)
+    def advance(state: FlowState, step_dt: float) -> FlowState:
+        nonlocal modes, total_halvings
+        state, modes, stats = step(state, modes, grid, c, dt=step_dt,
+                                   picard_tol=picard_tol, basis=basis)
         picard_counts.append(stats.picard_iterations)
         total_halvings += stats.halvings
         return state
 
-    traj = diagnostics.run_schedule(state, advance, c, grid, config.dt,
-                                    t_end, snapshot_every)
-    traj.metadata = {"scheme": "galerkin", "num_modes": num_modes,
-                     "dt": config.dt, "picard_iterations": picard_counts,
+    traj = diagnostics.run_schedule(state, advance, c, grid, dt, t_end,
+                                    snapshot_every)
+    traj.metadata = {"scheme": "galerkin", "num_modes": num_modes, "dt": dt,
+                     "picard_iterations": picard_counts,
                      "dt_halvings": total_halvings}
     return traj

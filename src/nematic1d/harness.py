@@ -12,7 +12,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -39,8 +39,22 @@ _SAW_Y = np.array([0.0, 0.4, 1.6, 0.4, 1.6, 0.4, 1.0, 0.0])
 DENSITY_ENVELOPE_FACTOR = 10.0
 
 
+# Config-file key of each RunConfig field but the coefficients, set by
+# "coefficients.<LeslieSet field>" keys, and the preset parameters, set by
+# every other "initial.<name>" key.
+CONFIG_KEYS = {
+    "grid.cells": "grid_cells", "modes": "modes", "dt": "dt",
+    "t_end": "t_end", "scheme": "scheme", "initial.preset": "initial_preset",
+    "mollify_delta": "mollify_delta", "output.dir": "output_dir",
+    "output.snapshot_every": "snapshot_every",
+    "tolerances.picard": "picard_tol", "tolerances.energy": "energy_tol",
+}
+
+
 @dataclass
 class RunConfig:
+    """The options of one run, with their defaults; CONFIG_KEYS names the
+    config-file key of each."""
     coefficients: LeslieSet = field(default_factory=LeslieSet)
     grid_cells: int = 128
     modes: int = 16
@@ -54,8 +68,6 @@ class RunConfig:
     snapshot_every: int = 1
     picard_tol: float = 1e-10
     energy_tol: float = 1e-8
-    cfl: float = 0.9
-    limiter: str = "none"
 
     def __post_init__(self):
         if self.grid_cells < 8:
@@ -65,34 +77,35 @@ class RunConfig:
         if self.modes >= self.grid_cells:
             raise ValueError("modes must be < grid.cells: higher sine modes "
                              "alias on the grid")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.t_end < 0.0:
-            raise ValueError("t_end must be nonnegative")
-        if self.mollify_delta < 0.0:
+        # the float checks are negated comparisons, so NaN fails them too
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0.0 <= self.t_end < np.inf:
+            raise ValueError("t_end must be nonnegative and finite")
+        if not self.mollify_delta >= 0.0:
             raise ValueError("mollify_delta must be nonnegative")
         if self.scheme not in ("galerkin", "fd"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.initial_preset not in PRESETS:
             raise ValueError(f"unknown initial preset {self.initial_preset!r}")
+        if self.snapshot_every < 1:
+            raise ValueError("output.snapshot_every must be >= 1")
+        if not self.picard_tol > 0.0:
+            raise ValueError("tolerances.picard must be positive")
+        if not self.energy_tol >= 0.0:
+            raise ValueError("tolerances.energy must be nonnegative")
 
     def to_dict(self) -> dict:
-        cdict = {f"alpha{i}": a for i, a in enumerate(self.coefficients.alphas())}
-        cdict["gamma_ad"] = self.coefficients.gamma_ad
-        return {
-            "coefficients": cdict,
-            "grid": {"cells": self.grid_cells},
-            "modes": self.modes,
-            "dt": self.dt,
-            "t_end": self.t_end,
-            "scheme": self.scheme,
-            "initial": {"preset": self.initial_preset, **self.initial_params},
-            "mollify_delta": self.mollify_delta,
-            "output": {"dir": self.output_dir,
-                       "snapshot_every": self.snapshot_every},
-            "tolerances": {"picard": self.picard_tol, "energy": self.energy_tol},
-            "oracle": {"cfl": self.cfl, "limiter": self.limiter},
-        }
+        """Nested config-file keys, the inverse of config_from_flat."""
+        out = {"coefficients": asdict(self.coefficients),
+               "initial": dict(self.initial_params)}
+        for key, name in CONFIG_KEYS.items():
+            *sections, leaf = key.split(".")
+            node = out
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[leaf] = getattr(self, name)
+        return out
 
 
 def _flat_items(obj: dict, prefix: str = "") -> dict:
@@ -142,49 +155,38 @@ def parse_config(path: str | Path) -> RunConfig:
     return config_from_flat(flat)
 
 
+def _typed(key: str, value, default):
+    """value as the type of its field's default; a None default marks an
+    optional string (output.dir, which a text config may write as 2024)."""
+    if default is None:
+        return None if value is None else str(value)
+    try:
+        return type(default)(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config key {key} = {value!r}: {exc}") from None
+
+
 def config_from_flat(flat: dict) -> RunConfig:
-    coeff_kwargs = {}
-    for i in range(9):
-        key = f"coefficients.alpha{i}"
-        if key in flat:
-            coeff_kwargs[f"alpha{i}"] = float(flat.pop(key))
-    if "coefficients.gamma_ad" in flat:
-        coeff_kwargs["gamma_ad"] = float(flat.pop("coefficients.gamma_ad"))
-    coeffs = LeslieSet(**coeff_kwargs)
-
-    initial_params = {}
-    preset = "shear"
-    for key in list(flat):
-        if key.startswith("initial."):
-            name = key.split(".", 1)[1]
-            if name == "preset":
-                preset = str(flat.pop(key))
-            else:
-                initial_params[name] = flat.pop(key)
-
-    def take(key, default):
-        return flat.pop(key) if key in flat else default
-
-    cfg = RunConfig(
-        coefficients=coeffs,
-        grid_cells=int(take("grid.cells", 128)),
-        modes=int(take("modes", 16)),
-        dt=float(take("dt", 1e-3)),
-        t_end=float(take("t_end", 0.5)),
-        scheme=str(take("scheme", "galerkin")),
-        initial_preset=preset,
-        initial_params=initial_params,
-        mollify_delta=float(take("mollify_delta", 0.0)),
-        output_dir=take("output.dir", None),
-        snapshot_every=int(take("output.snapshot_every", 1)),
-        picard_tol=float(take("tolerances.picard", 1e-10)),
-        energy_tol=float(take("tolerances.energy", 1e-8)),
-        cfl=float(take("oracle.cfl", 0.9)),
-        limiter=str(take("oracle.limiter", "none")),
-    )
-    if flat:
-        raise ValueError(f"unknown config keys: {sorted(flat)}")
-    return cfg
+    """A RunConfig from dotted keys; a key left out keeps its default."""
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    coefficient_defaults = {f"coefficients.{f.name}": f.default
+                            for f in fields(LeslieSet)}
+    kwargs, coeffs, params, unknown = {}, {}, {}, []
+    for key, value in flat.items():
+        name = key.partition(".")[2]
+        if key in CONFIG_KEYS:
+            name = CONFIG_KEYS[key]
+            kwargs[name] = _typed(key, value, defaults[name])
+        elif key in coefficient_defaults:
+            coeffs[name] = _typed(key, value, coefficient_defaults[key])
+        elif key.startswith("initial."):
+            params[name] = value
+        else:
+            unknown.append(key)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    return RunConfig(coefficients=LeslieSet(**coeffs), initial_params=params,
+                     **kwargs)
 
 
 # =============================================================================
@@ -344,13 +346,12 @@ def _integrate(config: RunConfig, state: FlowState,
                grid: Grid1D) -> diagnostics.Trajectory:
     """Run the configured scheme from a built initial state."""
     if config.scheme == "galerkin":
-        solver_cfg = galerkin.SolverConfig(dt=config.dt,
-                                           picard_tol=config.picard_tol)
         return galerkin.run(state, config.modes, grid, config.coefficients,
-                            solver_cfg, config.t_end, config.snapshot_every)
-    oracle_cfg = fdsolver.OracleConfig(cfl=config.cfl, limiter=config.limiter)
+                            dt=config.dt, picard_tol=config.picard_tol,
+                            t_end=config.t_end,
+                            snapshot_every=config.snapshot_every)
     return fdsolver.run_fd(state, grid, config.coefficients, config.dt,
-                           config.t_end, oracle_cfg, config.snapshot_every)
+                           config.t_end, config.snapshot_every)
 
 
 def density_bound_flags(traj: diagnostics.Trajectory) -> int:
@@ -460,7 +461,7 @@ class SweepReport:
         return asdict(self)
 
 
-def _initial_data_errors(raw: RawInitialData, state: FlowState, delta: float,
+def _initial_data_errors(raw: RawInitialData, state: FlowState,
                          grid: Grid1D, gamma_ad: float) -> dict:
     """Discrete norms of the mollified-to-raw initial data distances."""
     dx = grid.dx
@@ -509,7 +510,7 @@ def _sweep_member(args: tuple) -> SweepMember:
             traj.times, traj.ledgers),
         entropy_series=[led.entropy for led in traj.ledgers],
         h_pair_series=pairs,
-        initial_errors=_initial_data_errors(raw, state, delta, grid,
+        initial_errors=_initial_data_errors(raw, state, grid,
                                             config.coefficients.gamma_ad),
     )
 

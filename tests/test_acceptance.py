@@ -268,7 +268,7 @@ def test_criterion_8_delta_sweep():
     errs = {}
     for d in deltas:
         st = mollify_initial_data(raw, d, fine)
-        for k, v in _initial_data_errors(raw, st, d, fine,
+        for k, v in _initial_data_errors(raw, st, fine,
                                          cfg.coefficients.gamma_ad).items():
             errs.setdefault(k, []).append(v)
     logd = np.log(deltas)

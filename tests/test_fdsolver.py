@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nematic1d.fdsolver import CFLViolation, OracleConfig, check_cfl, run_fd, step_fd
+from nematic1d.fdsolver import CFLViolation, check_cfl, run_fd, step_fd
 from nematic1d.fields import FlowState, Grid1D
 from nematic1d.galerkin import LagrangianDensity, advance_density
 
@@ -14,13 +14,6 @@ def make_state(grid, rho=None, u=None, v=None, n=None, ndot=None):
                      v=z.copy() if v is None else v,
                      n=z.copy() if n is None else n,
                      ndot=z.copy() if ndot is None else ndot)
-
-
-def test_oracle_config_validation():
-    with pytest.raises(ValueError):
-        OracleConfig(cfl=0.0)
-    with pytest.raises(ValueError):
-        OracleConfig(limiter="superbee")
 
 
 def test_static_state_unchanged(base_set):
@@ -37,23 +30,21 @@ def test_cfl_violation_raises(base_set):
     grid = Grid1D(64)
     state = make_state(grid, u=np.sin(np.pi * grid.x))
     with pytest.raises(CFLViolation):
-        check_cfl(state, grid, 0.1, OracleConfig(), base_set.gamma_ad)
+        check_cfl(state, grid, 0.1, base_set.gamma_ad)
     with pytest.raises(CFLViolation):
         step_fd(state, grid, base_set, 0.1)
 
 
-@pytest.mark.parametrize("limiter", ["none", "minmod"])
-def test_mass_conserved_per_step(base_set, limiter):
+def test_mass_conserved_per_step(base_set):
     grid = Grid1D(96)
     x = grid.x
     state = make_state(grid, rho=1.0 + 0.3 * np.cos(np.pi * x),
                        u=0.2 * np.sin(np.pi * x),
                        v=np.sin(np.pi * x),
                        n=np.full(grid.num_nodes, np.pi / 4))
-    cfg = OracleConfig(limiter=limiter)
     mass = np.trapezoid(state.rho, dx=grid.dx)
     for _ in range(50):
-        state = step_fd(state, grid, base_set, 1e-4, cfg)
+        state = step_fd(state, grid, base_set, 1e-4)
         new_mass = np.trapezoid(state.rho, dx=grid.dx)
         assert abs(new_mass - mass) < 1e-14
         mass = new_mass

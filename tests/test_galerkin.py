@@ -8,10 +8,13 @@ from nematic1d.fields import (FlowState, Grid1D, director_rate_flux,
                               director_residual, elastic_coupling, gradient,
                               pressure)
 from nematic1d.galerkin import (DenominatorTooSmall, LagrangianDensity,
-                                SineBasis, SolverConfig, _pchip_derivative,
+                                SineBasis, _pchip_derivative,
                                 advance_density, advance_director,
                                 galerkin_system, project_initial_velocity,
                                 remap_density_to_grid, run, step)
+from nematic1d.harness import RunConfig
+
+PICARD_TOL = RunConfig.picard_tol   # the run default
 
 
 def make_state(grid, rho=None, u=None, v=None, n=None, ndot=None):
@@ -30,28 +33,28 @@ def make_state(grid, rho=None, u=None, v=None, n=None, ndot=None):
 
 def test_project_pure_mode():
     grid = Grid1D(128)
-    spec = project_initial_velocity(np.sin(np.pi * grid.x),
-                                    np.zeros(grid.num_nodes), 6, grid)
-    assert spec.c[0] == pytest.approx(1.0, abs=1e-12)
-    assert np.max(np.abs(spec.c[1:])) < 1e-12
-    assert np.max(np.abs(spec.d)) < 1e-13
+    modes = project_initial_velocity(np.sin(np.pi * grid.x),
+                                     np.zeros(grid.num_nodes), 6, grid)
+    assert modes[0][0] == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(modes[0][1:])) < 1e-12
+    assert np.max(np.abs(modes[1])) < 1e-13
 
 
 def test_project_zero():
     grid = Grid1D(64)
     z = np.zeros(grid.num_nodes)
-    spec = project_initial_velocity(z, z, 8, grid)
-    assert np.max(np.abs(spec.c)) == 0.0
+    modes = project_initial_velocity(z, z, 8, grid)
+    assert np.max(np.abs(modes[0])) == 0.0
 
 
 def test_project_parabola_coefficient():
     # 2 * integral of x(1-x) sin(j pi x) = 8/(j pi)^3 for odd j, 0 for even
     grid = Grid1D(256)
     u0 = grid.x * (1.0 - grid.x)
-    spec = project_initial_velocity(u0, np.zeros(grid.num_nodes), 8, grid)
-    assert spec.c[0] == pytest.approx(8.0 / np.pi**3, abs=2e-5)
-    assert spec.c[0] == pytest.approx(0.2580122754655959, abs=2e-5)
-    assert np.max(np.abs(spec.c[1::2])) < 1e-12   # even modes vanish
+    modes = project_initial_velocity(u0, np.zeros(grid.num_nodes), 8, grid)
+    assert modes[0][0] == pytest.approx(8.0 / np.pi**3, abs=2e-5)
+    assert modes[0][0] == pytest.approx(0.2580122754655959, abs=2e-5)
+    assert np.max(np.abs(modes[0][1::2])) < 1e-12   # even modes vanish
 
 
 def test_spectral_consistency_doubling_modes():
@@ -62,8 +65,8 @@ def test_spectral_consistency_doubling_modes():
     z = np.zeros(grid.num_nodes)
     errs = []
     for K in (4, 8, 16):
-        spec = project_initial_velocity(u0, z, K, grid)
-        recon = SineBasis(K, grid).reconstruct(spec.c)
+        modes = project_initial_velocity(u0, z, K, grid)
+        recon = SineBasis(K, grid).reconstruct(modes[0])
         errs.append(np.sqrt(np.trapezoid((recon - u0) ** 2, dx=grid.dx)))
     assert errs[0] / errs[1] > 4.0
     assert errs[1] / errs[2] > 4.0
@@ -331,15 +334,14 @@ def test_static_state_is_fixed_point(base_set):
     grid = Grid1D(64)
     state = make_state(grid, n=np.full(grid.num_nodes, 0.4),
                        ndot=np.zeros(grid.num_nodes))
-    spec = project_initial_velocity(state.u, state.v, 8, grid)
-    cfg = SolverConfig(dt=1e-3)
-    new_state, new_spec, stats = step(state, spec, grid, base_set,
-                                      cfg)
+    modes = project_initial_velocity(state.u, state.v, 8, grid)
+    new_state, new_modes, stats = step(state, modes, grid, base_set,
+                                       dt=1e-3, picard_tol=PICARD_TOL)
     assert stats.picard_iterations == 1
     assert np.max(np.abs(new_state.rho - 1.0)) < 1e-13
     assert np.max(np.abs(new_state.n - 0.4)) < 1e-13
     assert np.max(np.abs(new_state.u)) < 1e-13
-    assert np.max(np.abs(new_spec.c)) < 1e-13
+    assert np.max(np.abs(new_modes[0])) < 1e-13
 
 
 def test_single_mode_viscous_decay(base_set):
@@ -350,12 +352,11 @@ def test_single_mode_viscous_decay(base_set):
     state = make_state(grid, u=0.1 * np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, 0.6))
     state.ndot = np.zeros(grid.num_nodes)
-    spec = project_initial_velocity(state.u, state.v, 1, grid)
-    cfg = SolverConfig(dt=dt)
-    new_state, new_spec, _ = step(state, spec, grid, base_set,
-                                  cfg)
-    expected = spec.c[0] / (1.0 + np.pi**2 * dt)
-    assert new_spec.c[0] == pytest.approx(expected, rel=2e-3)
+    modes = project_initial_velocity(state.u, state.v, 1, grid)
+    new_state, new_modes, _ = step(state, modes, grid, base_set,
+                                   dt=dt, picard_tol=PICARD_TOL)
+    expected = modes[0][0] / (1.0 + np.pi**2 * dt)
+    assert new_modes[0][0] == pytest.approx(expected, rel=2e-3)
 
 
 def test_shear_step_picard_converges_quickly(base_set):
@@ -363,9 +364,9 @@ def test_shear_step_picard_converges_quickly(base_set):
     state = make_state(grid, v=np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, np.pi / 4))
     state.ndot = np.zeros(grid.num_nodes)
-    spec = project_initial_velocity(state.u, state.v, 16, grid)
-    cfg = SolverConfig(dt=1e-3)
-    _, _, stats = step(state, spec, grid, base_set, cfg)
+    modes = project_initial_velocity(state.u, state.v, 16, grid)
+    _, _, stats = step(state, modes, grid, base_set, dt=1e-3,
+                       picard_tol=PICARD_TOL)
     assert stats.picard_iterations <= 10
     assert stats.halvings == 0
 
@@ -380,9 +381,9 @@ def test_converged_step_satisfies_director_equation(base_set):
         state = make_state(grid, v=np.sin(np.pi * grid.x),
                            n=np.full(grid.num_nodes, np.pi / 4))
         state.ndot = np.zeros(grid.num_nodes)
-        spec = project_initial_velocity(state.u, state.v, 16, grid)
-        new_state, _, _ = step(state, spec, grid, base_set,
-                               SolverConfig(dt=1e-3))
+        modes = project_initial_velocity(state.u, state.v, 16, grid)
+        new_state, _, _ = step(state, modes, grid, base_set, dt=1e-3,
+                               picard_tol=PICARD_TOL)
         res = director_residual(new_state, base_set, grid)
         maxima.append(np.max(np.abs(res)))
         assert maxima[-1] < 100.0 * grid.dx**2
@@ -418,7 +419,7 @@ def test_run_zero_horizon_returns_initial(base_set):
     state = make_state(grid, u=np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, 0.3))
     traj = run(state, 8, grid, base_set,
-               SolverConfig(dt=1e-3), t_end=0.0)
+               dt=1e-3, picard_tol=PICARD_TOL, t_end=0.0)
     assert len(traj.snapshots) == 1
     # sin(pi x) lies in the mode span, so the projected snapshot matches
     assert np.max(np.abs(traj.snapshots[0].u - state.u)) < 1e-12
@@ -432,15 +433,24 @@ def test_run_rejects_velocity_not_vanishing_at_wall(base_set):
     state = make_state(grid, u=0.1 + np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, 0.3))
     with pytest.raises(ValueError, match="u does not vanish"):
-        run(state, 8, grid, base_set, SolverConfig(dt=1e-3),
+        run(state, 8, grid, base_set, dt=1e-3, picard_tol=PICARD_TOL,
             t_end=1e-3)
+
+
+@pytest.mark.parametrize("dt,tol", [(0.0, PICARD_TOL), (-1e-3, PICARD_TOL),
+                                    (1e-3, 0.0)])
+def test_run_rejects_non_positive_dt_or_tolerance(base_set, dt, tol):
+    grid = Grid1D(64)
+    state = make_state(grid, n=np.full(grid.num_nodes, 0.4))
+    with pytest.raises(ValueError, match="dt and picard_tol must be positive"):
+        run(state, 8, grid, base_set, dt=dt, picard_tol=tol, t_end=1e-3)
 
 
 def test_static_run_constant_ledger(base_set):
     grid = Grid1D(64)
     state = make_state(grid, n=np.full(grid.num_nodes, 0.4))
     traj = run(state, 8, grid, base_set,
-               SolverConfig(dt=5e-3), t_end=0.1)
+               dt=5e-3, picard_tol=PICARD_TOL, t_end=0.1)
     for led in traj.ledgers:
         assert led.total == pytest.approx(traj.ledgers[0].total, abs=1e-12)
         assert led.mass == pytest.approx(traj.ledgers[0].mass, abs=1e-12)
@@ -458,9 +468,9 @@ def test_picard_limit_insensitive_to_tolerance(base_set):
         state = make_state(grid, v=np.sin(np.pi * grid.x),
                            n=np.full(grid.num_nodes, np.pi / 4))
         state.ndot = np.zeros(grid.num_nodes)
-        spec = project_initial_velocity(state.u, state.v, 8, grid)
-        new_state, _, _ = step(state, spec, grid, base_set,
-                               SolverConfig(dt=1e-3, picard_tol=tol))
+        modes = project_initial_velocity(state.u, state.v, 8, grid)
+        new_state, _, _ = step(state, modes, grid, base_set, dt=1e-3,
+                               picard_tol=tol)
         results.append(new_state)
     for name in ("rho", "u", "v", "n"):
         a = getattr(results[0], name)
@@ -473,7 +483,8 @@ def test_snapshot_cadence_keeps_uniform_budget(base_set):
     state = make_state(grid, v=np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, np.pi / 4))
     traj = run(state, 8, grid, base_set,
-               SolverConfig(dt=1e-3), t_end=0.02, snapshot_every=2)
+               dt=1e-3, picard_tol=PICARD_TOL, t_end=0.02,
+               snapshot_every=2)
     assert len(traj.times) == 11
     defect, max_defect = energy_budget(traj.times, traj.ledgers)
     assert np.isfinite(max_defect)
@@ -485,7 +496,7 @@ def test_shear_final_energy_regression(base_set):
     state = make_state(grid, v=np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, np.pi / 4))
     traj = run(state, 8, grid, base_set,
-               SolverConfig(dt=1e-3), t_end=0.05)
+               dt=1e-3, picard_tol=PICARD_TOL, t_end=0.05)
     assert traj.ledgers[-1].total == pytest.approx(1.1526201877036499,
                                                    rel=1e-9)
 
@@ -499,7 +510,7 @@ def test_budget_constant_stable_under_joint_refinement(base_set):
         state = make_state(grid, v=np.sin(np.pi * grid.x),
                            n=np.full(grid.num_nodes, np.pi / 4))
         traj = run(state, modes, grid, base_set,
-                   SolverConfig(dt=dt), t_end=0.1)
+                   dt=dt, picard_tol=PICARD_TOL, t_end=0.1)
         _, defect = energy_budget(traj.times, traj.ledgers)
         ratios.append(defect / (dt + grid.dx**2))
     assert max(ratios) / min(ratios) < 3.0
@@ -510,7 +521,7 @@ def test_shear_run_invariants(base_set):
     state = make_state(grid, v=np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, np.pi / 4))
     traj = run(state, 8, grid, base_set,
-               SolverConfig(dt=1e-3), t_end=0.05)
+               dt=1e-3, picard_tol=PICARD_TOL, t_end=0.05)
     masses = np.array([led.mass for led in traj.ledgers])
     assert np.max(np.abs(np.diff(masses))) < 1e-10
     totals = np.array([led.total for led in traj.ledgers])

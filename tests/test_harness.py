@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,9 @@ import nematic1d
 import nematic1d.coefficients as coefficients_module
 import nematic1d.harness as harness_module
 from nematic1d.cli import main as cli_main
-from nematic1d.coefficients import InvalidCoefficients, example_set
+from nematic1d.coefficients import InvalidCoefficients, LeslieSet, example_set
 from nematic1d.fields import Grid1D, gradient
-from nematic1d.harness import (RunConfig, build_initial_state,
+from nematic1d.harness import (RunConfig, _flat_items, build_initial_state,
                                build_raw_initial_data, config_from_flat,
                                density_bound_flags, mollify_initial_data,
                                parse_config, run_simulation, run_sweep,
@@ -61,6 +62,9 @@ def test_parse_text_config(tmp_path):
     assert cfg.modes == 8
     assert cfg.scheme == "galerkin"
     assert cfg.initial_preset == "shear"
+    # a numeric directory name stays a path, not an int
+    path.write_text(TEXT_CONFIG + "output.dir = 2024\n")
+    assert parse_config(path).output_dir == "2024"
 
 
 def test_parse_json_config(tmp_path):
@@ -76,19 +80,31 @@ def test_parse_json_config(tmp_path):
     assert cfg.initial_params["n0"] == 0.3
 
 
-def test_config_round_trip():
-    cfg = shear_config()
-    flat = {}
+def test_config_round_trip(tmp_path):
+    # every field, and every coefficient, away from its default: a key
+    # mapped to the wrong field cannot hide behind an equal default
+    cfg = RunConfig(
+        coefficients=LeslieSet(*(0.5 + i for i in range(9)), gamma_ad=1.4),
+        grid_cells=96, modes=12, dt=2e-3, t_end=0.3, scheme="fd",
+        initial_preset="smooth_random", initial_params={"seed": 5, "n0": 0.25},
+        mollify_delta=0.01, output_dir="out/round_trip", snapshot_every=3,
+        picard_tol=1e-9, energy_tol=1e-7)
+    default = RunConfig()
+    for f in fields(RunConfig):
+        assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+    for f in fields(LeslieSet):
+        assert (getattr(cfg.coefficients, f.name)
+                != getattr(default.coefficients, f.name)), f.name
 
-    def flatten(d, prefix=""):
-        for k, v in d.items():
-            if isinstance(v, dict):
-                flatten(v, f"{prefix}{k}.")
-            else:
-                flat[f"{prefix}{k}"] = v
-    flatten(cfg.to_dict())
-    cfg2 = config_from_flat(flat)
-    assert cfg2.to_dict() == cfg.to_dict()
+    flat = _flat_items(cfg.to_dict())
+    text = tmp_path / "run.conf"
+    text.write_text("".join(f"{k} = {v}\n" if isinstance(v, str)
+                            else f"{k} = {v!r}\n" for k, v in flat.items()))
+    nested = tmp_path / "run.json"
+    nested.write_text(json.dumps(cfg.to_dict()))
+    assert config_from_flat(flat) == cfg
+    assert parse_config(text) == cfg
+    assert parse_config(nested) == cfg
 
 
 def test_unknown_key_rejected():
@@ -101,6 +117,21 @@ def test_config_validation():
         shear_config(grid_cells=4)
     with pytest.raises(ValueError):
         shear_config(dt=-1.0)
+    with pytest.raises(ValueError, match="output.snapshot_every"):
+        shear_config(snapshot_every=0)
+    with pytest.raises(ValueError, match="tolerances.picard"):
+        shear_config(picard_tol=0.0)
+    with pytest.raises(ValueError, match="tolerances.energy"):
+        shear_config(energy_tol=-1.0)
+    nan, inf = float("nan"), float("inf")
+    for name, value in (("snapshot_every", -2), ("picard_tol", -1e-10),
+                        ("picard_tol", nan), ("energy_tol", nan),
+                        ("dt", nan), ("dt", inf), ("t_end", inf),
+                        ("mollify_delta", nan)):
+        with pytest.raises(ValueError, match="must be"):
+            shear_config(**{name: value})
+    # zero energy tolerance is usable: a dissipating run is still monotone
+    shear_config(energy_tol=0.0)
     with pytest.raises(ValueError):
         shear_config(scheme="spectral")
     with pytest.raises(ValueError):
@@ -486,13 +517,21 @@ def test_cli_run_default_coefficients_exits_2(tmp_path, capsys):
                                      "validate-coefficients"])
 @pytest.mark.parametrize("bad_line", ["grid.cells = 8\nmodes = 12",
                                       "grid.cells = many",
-                                      "not a key value line"],
-                         ids=["aliased_modes", "non_numeric", "no_equals"])
+                                      "not a key value line",
+                                      "grid.cells = none",
+                                      "output.snapshot_every = 0",
+                                      "output.snapshot_every = -2",
+                                      "tolerances.picard = 0",
+                                      "tolerances.energy = -1"],
+                         ids=["aliased_modes", "non_numeric", "no_equals",
+                              "missing_value", "zero_cadence",
+                              "negative_cadence", "zero_picard_tol",
+                              "negative_energy_tol"])
 def test_cli_rejected_config_exits_2(tmp_path, capsys, command, bad_line):
     conf = tmp_path / "bad.conf"
-    conf.write_text(TEXT_CONFIG.replace("grid.cells = 64\nmodes = 8",
-                                        bad_line)
-                    + f"\noutput.dir = {tmp_path / 'out'}\n")
+    # appended, so the bad line is the last value of each key it sets
+    conf.write_text(TEXT_CONFIG + f"\noutput.dir = {tmp_path / 'out'}\n"
+                    + bad_line + "\n")
     assert cli_main([command, "--config", str(conf)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -554,6 +593,18 @@ def test_cli_sweep_inadmissible_set_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "sweep.json").exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_cli_sweep_rejects_non_positive_workers(tmp_path, capsys, workers):
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(TEXT_CONFIG + f"\noutput.dir = {tmp_path / 'out'}\n")
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(["sweep", "--config", str(conf), "--workers", workers])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "--workers" in err and "positive" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--sets", "0"), ("--sets", "-3"),
                                         ("--samples", "0"),
                                         ("--samples", "-5")])
@@ -584,6 +635,46 @@ def test_benchmark_tracer_targets_resolve():
         target = importlib.import_module(f"nematic1d.{module_name}")
         for part in attr.split("."):
             target = inspect.getattr_static(target, part)
+
+
+@pytest.mark.parametrize("scheme", ["galerkin", "fd"])
+def test_benchmark_traced_run_counts_steps(tmp_path, scheme):
+    # the traced benchmark counts calls of the step functions the run
+    # drivers look up as module globals: one galerkin.step span and one
+    # step_stats entry per scheduled step, or one fdsolver.step span
+    root = Path(__file__).resolve().parents[1]
+    conf = tmp_path / "run.conf"
+    conf.write_text(TEXT_CONFIG.replace("scheme = galerkin", f"scheme = {scheme}")
+                    + f"\noutput.dir = {tmp_path / 'out'}\n")
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from tracer import Tracer\n"
+            "from nematic1d import cli\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "rc = cli.main(['run', '--config', sys.argv[2]])\n"
+            "tracer.dump(sys.argv[3])\n"
+            "sys.exit(rc)\n")
+    src = str(Path(nematic1d.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    dump = tmp_path / "trace.json"
+    subprocess.run([sys.executable, "-c", code, str(root / "perfbench"),
+                    str(conf), str(dump)], env=env, capture_output=True,
+                   check=True)
+    trace = json.loads(dump.read_text())
+    calls = {name: 0 for name in ("galerkin.step", "fdsolver.step")}
+    for name_id, *_ in trace["spans"]:
+        name = trace["names"][name_id]
+        calls[name] = calls.get(name, 0) + 1
+    steps = 10   # t_end = 0.01 at dt = 1e-3, no halvings
+    if scheme == "galerkin":
+        assert calls["galerkin.step"] == steps and calls["fdsolver.step"] == 0
+        assert len(trace["step_stats"]) == steps
+        assert all(halvings == 0 for _, halvings in trace["step_stats"])
+    else:
+        assert calls["fdsolver.step"] == steps and calls["galerkin.step"] == 0
+        assert trace["step_stats"] == []
 
 
 def test_cli_import_leaves_out_scipy_interpolate():
