@@ -10,7 +10,7 @@ second-order stencils used elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,7 +26,8 @@ def integrate(values: np.ndarray, grid: Grid1D) -> float:
 
 @dataclass(frozen=True)
 class EnergyLedger:
-    """One row of the run ledger.
+    """One row of the run ledger; the field order is the energy.csv column
+    order.
 
     dissipation_parts are the five completed-squares integrals in order:
     director-rate square, longitudinal gradient, transverse gradient,
@@ -41,17 +42,23 @@ class EnergyLedger:
     dissipation: float
     dissipation_parts: tuple[float, float, float, float, float]
     mass: float
-    rho2gamma: float
     entropy: float
+    rho2gamma: float
 
     CSV_HEADER = ("time,kinetic,internal,elastic,total,D_total,"
                   "D_1,D_2,D_3,D_4,D_5,mass,entropy,rho2gamma")
 
+    def values(self) -> list[float]:
+        """Every entry in field order, the five parts in place of
+        dissipation_parts: the energy.csv columns."""
+        vals = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            vals += value if isinstance(value, tuple) else [value]
+        return vals
+
     def csv_row(self) -> str:
-        vals = [self.time, self.kinetic, self.internal, self.elastic,
-                self.total, self.dissipation, *self.dissipation_parts,
-                self.mass, self.entropy, self.rho2gamma]
-        return ",".join(f"{v:.17g}" for v in vals)
+        return ",".join(f"{v:.17g}" for v in self.values())
 
 
 @dataclass(frozen=True)
@@ -119,10 +126,7 @@ def make_ledger(state: FlowState, c: LeslieSet, grid: Grid1D) -> EnergyLedger:
         rho2gamma=integrate(pressure(state.rho, 2.0 * c.gamma_ad), grid),
         entropy=entropy_like(state, grid),
     )
-    vals = [led.time, led.kinetic, led.internal, led.elastic, led.total,
-            led.dissipation, *led.dissipation_parts, led.mass, led.rho2gamma,
-            led.entropy]
-    if not all(np.isfinite(v) for v in vals):
+    if not np.all(np.isfinite(led.values())):
         raise ValueError(f"non-finite ledger entry at t={state.time:g}")
     return led
 

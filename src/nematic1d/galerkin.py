@@ -6,7 +6,7 @@ iteration that halves dt on non-convergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -107,17 +107,14 @@ def project_initial_velocity(u0: np.ndarray, v0: np.ndarray, num_modes: int,
 # Lagrangian density
 # =============================================================================
 
-@dataclass
+@dataclass(frozen=True)
 class LagrangianDensity:
     """Per-step mass-coordinate bookkeeping.
 
     rho0 holds the density at the step start sampled at the grid nodes (the
-    particle labels), labels the normalized cumulative mass at those nodes,
-    and accumulated_uX the integral of the velocity's mass-coordinate
-    gradient along each particle path since the step start.
+    particle labels), labels the normalized cumulative mass at those nodes.
     """
     rho0: np.ndarray
-    accumulated_uX: np.ndarray
     labels: np.ndarray
 
     @classmethod
@@ -127,31 +124,27 @@ class LagrangianDensity:
         total = cum[-1]
         if total <= 0.0:
             raise ValueError("total mass must be positive")
-        return cls(rho0=rho.copy(),
-                   accumulated_uX=np.zeros_like(rho),
-                   labels=cum / total)
+        return cls(rho0=rho.copy(), labels=cum / total)
 
 
 def advance_density(ld: LagrangianDensity,
                     uX_increment: np.ndarray) -> np.ndarray:
     """Closed-form density along particle paths.
 
-    Adds the supplied mass-coordinate velocity-gradient increment to the
-    accumulated integral and evaluates
+    uX_increment is the integral of the velocity's mass-coordinate gradient
+    along each particle path since the step start; evaluates
 
-        rho = rho0 / (1 + rho0 * accumulated_uX)
+        rho = rho0 / (1 + rho0 * uX_increment)
 
     at the particle labels.  The step window must keep
-    |rho0 * accumulated_uX| <= DENOMINATOR_GUARD/2, the regime in which the
+    |rho0 * uX_increment| <= DENOMINATOR_GUARD/2, the regime in which the
     two-sided density bounds hold; outside it the caller halves dt.
     """
-    acc = ld.accumulated_uX + uX_increment
-    window = ld.rho0 * acc
+    window = ld.rho0 * uX_increment
     if np.max(np.abs(window)) > 0.5 * DENOMINATOR_GUARD:
         raise DenominatorTooSmall(
             f"density window |rho0 int u_X| = {np.max(np.abs(window)):.3e} "
             f"> {0.5 * DENOMINATOR_GUARD:.3e}")
-    ld.accumulated_uX = acc
     return ld.rho0 / (1.0 + window)
 
 
@@ -379,7 +372,7 @@ def _attempt_step(state: FlowState, modes: np.ndarray, grid: Grid1D,
     """One Picard-coupled step at fixed dt; None when Picard stalls."""
     # step-invariant: the particle labels, the mass, and where the
     # mass-coordinate gradient u_x / rho is defined
-    ld_start = LagrangianDensity.at_step_start(state.rho, grid)
+    ld = LagrangianDensity.at_step_start(state.rho, grid)
     total_mass = float(np.trapezoid(state.rho, dx=grid.dx))
     occupied = state.rho > 0.0
     rho_safe = np.where(occupied, state.rho, 1.0)
@@ -392,9 +385,7 @@ def _attempt_step(state: FlowState, modes: np.ndarray, grid: Grid1D,
         u_x, v_x = basis.reconstruct_derivative(modes_it)
 
         # (i) density along particle paths, then conservative remap; every
-        # iterate integrates from the step start, and advance_density
-        # rebinds (never mutates) the accumulator of its shallow copy
-        ld = replace(ld_start)
+        # iterate integrates from the step start
         rho_particles = advance_density(
             ld, dt * np.where(occupied, u_x / rho_safe, 0.0))
         positions = grid.x + dt * u_field

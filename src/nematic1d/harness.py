@@ -25,8 +25,15 @@ from .fields import FlowState, Grid1D, gradient
 
 OUTPUT_ROOT_ENV = "NEMATIC1D_OUT"
 
-PRESETS = ("static", "shear", "smooth_random", "rough_density")
-ROUGH_PROFILES = ("sawtooth", "tent", "vacuum_patch")
+# Each initial preset's parameters, set by "initial.<name>" keys, with the
+# defaults that also give their types.
+PRESET_PARAMS = {
+    "static": {"n0": 0.5},
+    "shear": {"amplitude": 1.0},
+    "smooth_random": {"seed": 0, "n0": 0.5},
+    "rough_density": {"profile": "sawtooth"},
+}
+PRESETS = tuple(PRESET_PARAMS)
 
 # sawtooth rough density: vacuum at both walls, gentle wall slopes, and a
 # train of sharp interior teeth whose convex/concave kinks dominate the
@@ -35,13 +42,21 @@ ROUGH_PROFILES = ("sawtooth", "tent", "vacuum_patch")
 _SAW_X = np.array([0.0, 0.2, 0.26, 0.32, 0.38, 0.44, 0.7, 1.0])
 _SAW_Y = np.array([0.0, 0.4, 1.6, 0.4, 1.6, 0.4, 1.0, 0.0])
 
+# The rough_density profiles: raw density on the grid nodes x.
+_ROUGH_DENSITY = {
+    "sawtooth": lambda x: np.interp(x, _SAW_X, _SAW_Y),
+    "tent": lambda x: 4.0 * np.minimum(x, 1.0 - x),
+    "vacuum_patch": lambda x: np.where((x >= 0.4) & (x <= 0.6), 0.0, 1.0),
+}
+ROUGH_PROFILES = tuple(_ROUGH_DENSITY)
+
 # Widening of the density envelope that density_bound_flags checks.
 DENSITY_ENVELOPE_FACTOR = 10.0
 
 
 # Config-file key of each RunConfig field but the coefficients, set by
 # "coefficients.<LeslieSet field>" keys, and the preset parameters, set by
-# every other "initial.<name>" key.
+# every other "initial.<name>" key and declared in PRESET_PARAMS.
 CONFIG_KEYS = {
     "grid.cells": "grid_cells", "modes": "modes", "dt": "dt",
     "t_end": "t_end", "scheme": "scheme", "initial.preset": "initial_preset",
@@ -54,7 +69,8 @@ CONFIG_KEYS = {
 @dataclass
 class RunConfig:
     """The options of one run, with their defaults; CONFIG_KEYS names the
-    config-file key of each."""
+    config-file key of each.  initial_params may leave out any parameter
+    of the preset; it holds the full, typed set once constructed."""
     coefficients: LeslieSet = field(default_factory=LeslieSet)
     grid_cells: int = 128
     modes: int = 16
@@ -88,6 +104,20 @@ class RunConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.initial_preset not in PRESETS:
             raise ValueError(f"unknown initial preset {self.initial_preset!r}")
+        declared = PRESET_PARAMS[self.initial_preset]
+        unknown = [f"initial.{name}" for name in self.initial_params
+                   if name not in declared]
+        if unknown:
+            raise ValueError(f"unknown config keys for initial preset "
+                             f"{self.initial_preset!r}: {sorted(unknown)}")
+        self.initial_params = {
+            name: _typed(f"initial.{name}",
+                         self.initial_params.get(name, default), default)
+            for name, default in declared.items()}
+        profile = self.initial_params.get("profile", ROUGH_PROFILES[0])
+        if profile not in ROUGH_PROFILES:
+            raise ValueError(f"config key initial.profile = {profile!r}: "
+                             f"not one of {', '.join(ROUGH_PROFILES)}")
         if self.snapshot_every < 1:
             raise ValueError("output.snapshot_every must be >= 1")
         if not self.picard_tol > 0.0:
@@ -119,23 +149,6 @@ def _flat_items(obj: dict, prefix: str = "") -> dict:
     return out
 
 
-def _parse_scalar(text: str):
-    text = text.strip()
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    if lowered in ("none", "null", ""):
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def parse_config(path: str | Path) -> RunConfig:
     """Read a run configuration from key-value text or JSON."""
     text = Path(path).read_text()
@@ -151,19 +164,33 @@ def parse_config(path: str | Path) -> RunConfig:
             if "=" not in line:
                 raise ValueError(f"config line is not KEY = VALUE: {raw_line!r}")
             key, val = line.split("=", 1)
-            flat[key.strip()] = _parse_scalar(val)
+            flat[key.strip()] = val.strip()
     return config_from_flat(flat)
 
 
 def _typed(key: str, value, default):
-    """value as the type of its field's default; a None default marks an
-    optional string (output.dir, which a text config may write as 2024)."""
+    """value, a JSON value or the stripped text of a config line, as the type
+    of its declared default.  A None default marks an optional path string
+    (output.dir, which a text config may write as 2024 and unset as none);
+    a boolean is no number, and an integer option takes only whole numbers."""
     if default is None:
-        return None if value is None else str(value)
+        unset = value is None or str(value).lower() in ("", "none", "null")
+        return None if unset else str(value)
+    kind = type(default)
     try:
-        return type(default)(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"config key {key} = {value!r}: {exc}") from None
+        if isinstance(value, bool) and kind in (int, float):
+            raise TypeError("a boolean is not a number")
+        if kind is not int or isinstance(value, int):
+            return kind(value)
+        if isinstance(value, str) and value.lstrip("+-").isdecimal():
+            return int(value)  # exact, however many digits
+        number = float(value)
+        if number.is_integer():
+            return int(number)
+        raise ValueError
+    except (TypeError, ValueError, OverflowError) as exc:
+        reason = "not a whole number" if kind is int else exc
+        raise ValueError(f"config key {key} = {value!r}: {reason}") from None
 
 
 def config_from_flat(flat: dict) -> RunConfig:
@@ -207,22 +234,19 @@ def build_raw_initial_data(config: RunConfig, grid: Grid1D) -> RawInitialData:
     params = config.initial_params
     preset = config.initial_preset
     if preset == "static":
-        n_const = float(params.get("n0", 0.5))
         return RawInitialData(np.ones_like(x), np.zeros_like(x),
-                              np.zeros_like(x), np.full_like(x, n_const))
+                              np.zeros_like(x), np.full_like(x, params["n0"]))
     if preset == "shear":
-        amp = float(params.get("amplitude", 1.0))
         rho = np.ones_like(x)
         return RawInitialData(rho, np.zeros_like(x),
-                              rho * amp * np.sin(np.pi * x),
+                              rho * params["amplitude"] * np.sin(np.pi * x),
                               np.full_like(x, np.pi / 4.0))
     if preset == "smooth_random":
-        seed = int(params.get("seed", 0))
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(params["seed"])
         rho = np.ones_like(x)
         u = np.zeros_like(x)
         v = np.zeros_like(x)
-        n = np.full_like(x, float(params.get("n0", 0.5)))
+        n = np.full_like(x, params["n0"])
         for k in range(1, 4):
             rho = rho + 0.15 / k * rng.uniform(-1, 1) * np.cos(k * np.pi * x)
             u = u + 0.3 / k * rng.uniform(-1, 1) * np.sin(k * np.pi * x)
@@ -230,27 +254,18 @@ def build_raw_initial_data(config: RunConfig, grid: Grid1D) -> RawInitialData:
             n = n + 0.3 / k * rng.uniform(-1, 1) * np.cos(k * np.pi * x)
         rho = np.maximum(rho, 0.3)
         return RawInitialData(rho, rho * u, rho * v, n)
-    if preset == "rough_density":
-        profile = str(params.get("profile", "sawtooth"))
-        tent = np.minimum(x, 1.0 - x)
-        if profile == "sawtooth":
-            rho = np.interp(x, _SAW_X, _SAW_Y)
-        elif profile == "tent":
-            rho = 4.0 * tent
-        elif profile == "vacuum_patch":
-            rho = np.where((x >= 0.4) & (x <= 0.6), 0.0, 1.0)
-        else:
-            raise ValueError(f"unknown rough profile {profile!r}")
-        # piecewise-linear momentum shapes: kinked but curvature-free in the
-        # bulk, so the floor term dominates the mollification error cleanly
-        w = 0.6 * tent
-        z = -0.4 * tent
-        sqrho = np.sqrt(rho)
-        # integral of min(y, 1-y), a kinked but C^1 angle profile
-        q = np.where(x <= 0.5, 0.5 * x * x, 0.25 - 0.5 * (1.0 - x) ** 2)
-        n = np.pi / 4.0 + 0.5 * (4.0 * q - 1.0)
-        return RawInitialData(rho, sqrho * w, sqrho * z, n)
-    raise ValueError(f"unknown preset {preset!r}")
+    # rough_density
+    rho = _ROUGH_DENSITY[params["profile"]](x)
+    # piecewise-linear momentum shapes: kinked but curvature-free in the
+    # bulk, so the floor term dominates the mollification error cleanly
+    tent = np.minimum(x, 1.0 - x)
+    w = 0.6 * tent
+    z = -0.4 * tent
+    sqrho = np.sqrt(rho)
+    # integral of min(y, 1-y), a kinked but C^1 angle profile
+    q = np.where(x <= 0.5, 0.5 * x * x, 0.25 - 0.5 * (1.0 - x) ** 2)
+    n = np.pi / 4.0 + 0.5 * (4.0 * q - 1.0)
+    return RawInitialData(rho, sqrho * w, sqrho * z, n)
 
 
 # =============================================================================
@@ -270,22 +285,11 @@ def _bump_weights(delta: float, dx: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _convolve_zero_extension(f: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _convolve(f: np.ndarray, weights: np.ndarray, mode: str) -> np.ndarray:
+    """f convolved with the kernel after padding its ends by np.pad `mode`:
+    "constant" extends by zero, "reflect" evenly about the end nodes."""
     r = (weights.size - 1) // 2
-    if r == 0:
-        return f.copy()
-    padded = np.concatenate([np.zeros(r), f, np.zeros(r)])
-    return np.convolve(padded, weights[::-1], mode="valid")
-
-
-def _convolve_even_extension(f: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    r = (weights.size - 1) // 2
-    if r == 0:
-        return f.copy()
-    left = f[1:r + 1][::-1]
-    right = f[-r - 1:-1][::-1]
-    padded = np.concatenate([left, f, right])
-    return np.convolve(padded, weights[::-1], mode="valid")
+    return np.convolve(np.pad(f, r, mode=mode), weights[::-1], mode="valid")
 
 
 def _momentum_quotients(raw: RawInitialData) -> np.ndarray:
@@ -309,13 +313,13 @@ def mollify_initial_data(raw: RawInitialData, delta: float,
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     weights = _bump_weights(delta, grid.dx)
-    rho = _convolve_zero_extension(raw.rho0, weights) + delta
+    rho = _convolve(raw.rho0, weights, "constant") + delta
     w_u, w_v = _momentum_quotients(raw)
-    u = _convolve_zero_extension(w_u, weights) / np.sqrt(rho)
-    v = _convolve_zero_extension(w_v, weights) / np.sqrt(rho)
+    u = _convolve(w_u, weights, "constant") / np.sqrt(rho)
+    v = _convolve(w_v, weights, "constant") / np.sqrt(rho)
     u[0] = u[-1] = 0.0
     v[0] = v[-1] = 0.0
-    n = _convolve_even_extension(raw.n0, weights)
+    n = _convolve(raw.n0, weights, "reflect")
     return FlowState(time=0.0, rho=rho, u=u, v=v, n=n)
 
 
@@ -407,13 +411,8 @@ def write_outputs(traj: diagnostics.Trajectory, config: RunConfig,
             np.all(np.diff(totals) <= config.energy_tol)),
         "density_bound_flags": density_bound_flags(traj),
         "min_rho": float(min(np.min(s.rho) for s in traj.snapshots)),
-        "final": {
-            "time": final.time, "kinetic": final.kinetic,
-            "internal": final.internal, "elastic": final.elastic,
-            "total": final.total, "dissipation": final.dissipation,
-            "mass": final.mass, "entropy": final.entropy,
-            "rho2gamma": final.rho2gamma,
-        },
+        "final": {k: v for k, v in asdict(final).items()
+                  if k != "dissipation_parts"},
         "metadata": {k: v for k, v in traj.metadata.items()
                      if k != "picard_iterations"},
     }

@@ -179,10 +179,12 @@ def test_advance_density_guard_two_sided():
     with pytest.raises(DenominatorTooSmall):
         advance_density(ld, np.full(grid.num_nodes, -0.6))
     ld2 = LagrangianDensity.at_step_start(np.ones(grid.num_nodes), grid)
+    fresh = LagrangianDensity.at_step_start(np.ones(grid.num_nodes), grid)
     with pytest.raises(DenominatorTooSmall):
         advance_density(ld2, np.full(grid.num_nodes, 0.6))
-    # a failed window check must not corrupt the accumulator
-    assert np.max(np.abs(ld2.accumulated_uX)) == 0.0
+    # a failed window check leaves the step-start state as it was
+    assert np.array_equal(ld2.rho0, fresh.rho0)
+    assert np.array_equal(ld2.labels, fresh.labels)
 
 
 def _lagrangian_vs_upwind_gap(cells: int, tau: float, nsub: int = 1600) -> float:

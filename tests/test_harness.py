@@ -78,6 +78,38 @@ def test_parse_json_config(tmp_path):
     assert cfg.grid_cells == 96
     assert cfg.initial_preset == "static"
     assert cfg.initial_params["n0"] == 0.3
+    # a boolean is no number, and an integer option takes no fraction
+    for bad in ({"grid": {"cells": 16.9}}, {"modes": True},
+                {"grid": {"cells": 16.9}, "modes": True}):
+        path.write_text(json.dumps({**data, **bad}))
+        with pytest.raises(ValueError, match="config key (grid.cells|modes)"):
+            parse_config(path)
+
+
+SHIPPED_CONFIGS = {
+    "shear.conf": RunConfig(
+        coefficients=LeslieSet(alpha2=-1.0, alpha3=1.0, alpha4=1.0,
+                               gamma_ad=2.0),
+        grid_cells=128, modes=16, dt=1e-3, t_end=0.5, scheme="galerkin",
+        initial_preset="shear", initial_params={"amplitude": 1.0},
+        mollify_delta=0.0, output_dir="out/shear", snapshot_every=1,
+        picard_tol=1e-10, energy_tol=1e-8),
+    "rough_sweep.conf": RunConfig(
+        coefficients=LeslieSet(alpha2=-1.0, alpha3=1.0, alpha4=1.0,
+                               gamma_ad=2.0),
+        grid_cells=256, modes=16, dt=1e-3, t_end=0.1, scheme="galerkin",
+        initial_preset="rough_density", initial_params={"profile": "sawtooth"},
+        mollify_delta=0.0, output_dir="out/rough_sweep", snapshot_every=1,
+        picard_tol=1e-10, energy_tol=1e-8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+def test_shipped_configs_parse_unchanged(name):
+    # repr tells 128 from 128.0, which == does not
+    cfg = parse_config(Path(__file__).parent.parent / "configs" / name)
+    assert cfg == SHIPPED_CONFIGS[name]
+    assert repr(cfg) == repr(SHIPPED_CONFIGS[name])
 
 
 def test_config_round_trip(tmp_path):
@@ -193,6 +225,29 @@ def test_rough_profiles_vacuum_at_walls():
     assert np.min(saw.rho0[1:-1]) > 0.0
 
 
+def _off_default(default):
+    if isinstance(default, str):
+        return next(p for p in harness_module.ROUGH_PROFILES if p != default)
+    return default + (1 if isinstance(default, int) else 0.25)
+
+
+@pytest.mark.parametrize("preset,name", [
+    (preset, name) for preset, params in harness_module.PRESET_PARAMS.items()
+    for name in params])
+def test_every_preset_parameter_changes_the_data(preset, name):
+    # the declared parameters and the ones the builder reads cannot drift
+    # apart: moving one away from its default changes the raw data
+    grid = Grid1D(64)
+    default = harness_module.PRESET_PARAMS[preset][name]
+    base = build_raw_initial_data(shear_config(initial_preset=preset), grid)
+    moved = build_raw_initial_data(shear_config(
+        initial_preset=preset, initial_params={name: _off_default(default)}),
+        grid)
+    assert any(not np.array_equal(a, b) for a, b in zip(
+        (base.rho0, base.m0, base.l0, base.n0),
+        (moved.rho0, moved.m0, moved.l0, moved.n0)))
+
+
 def test_mollify_constants():
     grid = Grid1D(128)
     cfg = shear_config(initial_preset="static", initial_params={"n0": 0.7})
@@ -255,8 +310,8 @@ def test_mollified_even_extension_preserves_symmetry():
     # under the reflected convolution
     grid = Grid1D(128)
     f = np.cos(2 * np.pi * grid.x)
-    from nematic1d.harness import _bump_weights, _convolve_even_extension
-    out = _convolve_even_extension(f, _bump_weights(0.05, grid.dx))
+    from nematic1d.harness import _bump_weights, _convolve
+    out = _convolve(f, _bump_weights(0.05, grid.dx), "reflect")
     assert np.max(np.abs(out - out[::-1])) < 1e-15
 
 
@@ -515,18 +570,20 @@ def test_cli_run_default_coefficients_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "sweep",
                                      "validate-coefficients"])
-@pytest.mark.parametrize("bad_line", ["grid.cells = 8\nmodes = 12",
-                                      "grid.cells = many",
-                                      "not a key value line",
-                                      "grid.cells = none",
-                                      "output.snapshot_every = 0",
-                                      "output.snapshot_every = -2",
-                                      "tolerances.picard = 0",
-                                      "tolerances.energy = -1"],
-                         ids=["aliased_modes", "non_numeric", "no_equals",
-                              "missing_value", "zero_cadence",
-                              "negative_cadence", "zero_picard_tol",
-                              "negative_energy_tol"])
+@pytest.mark.parametrize("bad_line", [
+    "grid.cells = 8\nmodes = 12", "grid.cells = many",
+    "not a key value line", "grid.cells = none", "output.snapshot_every = 0",
+    "output.snapshot_every = -2", "tolerances.picard = 0",
+    "tolerances.energy = -1", "dt = true", "modes = true",
+    "grid.cells = 64.7", "initial.preset = smooth_random\ninitial.sed = 3",
+    "initial.seed = 3",
+    "initial.preset = smooth_random\ninitial.seed = abc",
+    "initial.preset = rough_density\ninitial.profile = bogus"],
+    ids=["aliased_modes", "non_numeric", "no_equals", "missing_value",
+         "zero_cadence", "negative_cadence", "zero_picard_tol",
+         "negative_energy_tol", "boolean_float", "boolean_int",
+         "fractional_int", "misspelt_param", "undeclared_param",
+         "non_numeric_param", "unknown_profile"])
 def test_cli_rejected_config_exits_2(tmp_path, capsys, command, bad_line):
     conf = tmp_path / "bad.conf"
     # appended, so the bad line is the last value of each key it sets
@@ -535,6 +592,9 @@ def test_cli_rejected_config_exits_2(tmp_path, capsys, command, bad_line):
     assert cli_main([command, "--config", str(conf)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    # the error names the key of the offending line
+    assert bad_line.splitlines()[-1].split("=")[0].strip() in err
     assert not (tmp_path / "out").exists()
 
 
