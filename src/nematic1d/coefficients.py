@@ -11,7 +11,6 @@ that together make the momentum system uniformly parabolic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -87,9 +86,6 @@ class ValidationReport:
     checks: tuple[ConstraintCheck, ...]
     is_valid: bool
 
-    def __iter__(self) -> Iterator[ConstraintCheck]:
-        return iter(self.checks)
-
     def failed(self) -> list[ConstraintCheck]:
         return [c for c in self.checks if not c.passed]
 
@@ -100,15 +96,6 @@ class ValidationReport:
             lines.append(f"{c.name:<28s} {status}  margin={c.margin:+.6e}")
         lines.append(f"overall: {'valid' if self.is_valid else 'INVALID'}")
         return "\n".join(lines)
-
-    def as_dict(self) -> dict:
-        return {
-            "checks": [
-                {"name": c.name, "passed": c.passed, "margin": c.margin}
-                for c in self.checks
-            ],
-            "is_valid": self.is_valid,
-        }
 
 
 def validate(c: LeslieSet) -> ValidationReport:

@@ -157,14 +157,12 @@ def _richardson_dx(f, x: np.ndarray, h: float = RICHARDSON_BASE_STEP) -> np.ndar
 
 
 def check_divergence_identity(c: LeslieSet, profile: TrigProfile,
-                              grid: Grid1D, _flip_sign: bool = False) -> float:
+                              grid: Grid1D) -> float:
     """Max relative gap between d/dx of the assembled stress column
     (sigma11, sigma21) and d/dx of the flux brackets, at every node.
 
     Both sides use the same Richardson differentiation, so the result
     measures the algebraic agreement of the two assembly routes.
-    `_flip_sign` corrupts the director-rate term on the flux side; it exists
-    so the verification suite can prove it detects broken formulas.
     """
     x = grid.x
 
@@ -174,8 +172,7 @@ def check_divergence_identity(c: LeslieSet, profile: TrigProfile,
 
     def bracket(xx):
         s = profile.sample(xx)
-        sign = -1.0 if _flip_sign else 1.0
-        f1, f2 = flux_bracket(c, s.u_x, s.v_x, s.n, sign * s.ndot)
+        f1, f2 = flux_bracket(c, s.u_x, s.v_x, s.n, s.ndot)
         return np.stack([f1, f2])
 
     lhs = _richardson_dx(stress_col, x)
@@ -249,14 +246,8 @@ def samples_per_set(samples: int, num_sets: int) -> int:
 
 
 def run_identity_suite(seed: int = 0, samples: int = 10_000,
-                       num_sets: int = 20, grid_cells: int = 64,
-                       canary: bool = False) -> list[SuiteRow]:
-    """Fuzz every identity over random admissible coefficient sets.
-
-    With canary=True the divergence check runs with a deliberately corrupted
-    director-rate sign and is expected to fail; this proves the suite has
-    teeth.
-    """
+                       num_sets: int = 20, grid_cells: int = 64) -> list[SuiteRow]:
+    """Fuzz every identity over random admissible coefficient sets."""
     rng = np.random.default_rng(seed)
     grid = Grid1D(grid_cells)
     sets = [example_set()] + [random_valid_set(rng) for _ in range(num_sets - 1)]
@@ -267,8 +258,7 @@ def run_identity_suite(seed: int = 0, samples: int = 10_000,
     worst = 0.0
     for cs in sets:
         for p in profiles:
-            worst = max(worst,
-                        check_divergence_identity(cs, p, grid, _flip_sign=canary))
+            worst = max(worst, check_divergence_identity(cs, p, grid))
     rows.append(SuiteRow("divergence: stress column vs flux bracket", worst, 1e-8))
 
     worst = 0.0

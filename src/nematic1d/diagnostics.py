@@ -133,12 +133,11 @@ def make_ledger(state: FlowState, c: LeslieSet, grid: Grid1D) -> EnergyLedger:
 
 @dataclass
 class Trajectory:
-    """Snapshots at the requested cadence plus the per-snapshot ledger."""
+    """The run record: the state and its ledger at each output time, which
+    each carries as its own `time`."""
     grid: Grid1D
-    times: np.ndarray
     snapshots: list[FlowState]
     ledgers: list[EnergyLedger]
-    mass_scale: float
     metadata: dict = field(default_factory=dict)
 
 
@@ -155,7 +154,6 @@ def run_schedule(initial: FlowState,
     stay on the cadence.  The caller validates c and fills the metadata.
     """
     state = initial
-    times = [0.0]
     snapshots = [state.copy()]
     ledgers = [make_ledger(state, c, grid)]
 
@@ -168,16 +166,13 @@ def run_schedule(initial: FlowState,
         while state.time < target - 1e-13:
             state = advance(state, min(dt, target - state.time))
         if k % snapshot_every == 0 or state.time >= t_end - 1e-13:
-            times.append(state.time)
             snapshots.append(state.copy())
             ledgers.append(make_ledger(state, c, grid))
 
-    return Trajectory(grid=grid, times=np.asarray(times), snapshots=snapshots,
-                      ledgers=ledgers, mass_scale=integrate(initial.rho, grid))
+    return Trajectory(grid=grid, snapshots=snapshots, ledgers=ledgers)
 
 
-def energy_budget(times: np.ndarray,
-                  ledgers: Sequence[EnergyLedger]) -> tuple[np.ndarray, float]:
+def energy_budget(ledgers: Sequence[EnergyLedger]) -> tuple[np.ndarray, float]:
     """Budget defect series E(t_m) - E(0) + sum_{k<=m} D(t_k) (t_k - t_{k-1})
     and its max.
 
@@ -185,11 +180,7 @@ def energy_budget(times: np.ndarray,
     rule, matching the implicit Euler stepping), so output times need not be
     uniform: an off-cadence final snapshot weighs its shorter interval.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size != len(ledgers):
-        raise ValueError("times and ledgers length mismatch")
-    if times.size < 2:
-        return np.zeros(times.size), 0.0
+    times = np.array([led.time for led in ledgers])
     e = np.array([led.total for led in ledgers])
     dvals = np.array([led.dissipation for led in ledgers])
     defect = np.empty(times.size)
@@ -198,34 +189,28 @@ def energy_budget(times: np.ndarray,
     return defect, float(np.max(np.abs(defect)))
 
 
-def high_integrability(times: np.ndarray, ledgers: Sequence[EnergyLedger]) -> float:
+def high_integrability(ledgers: Sequence[EnergyLedger]) -> float:
     """Space-time integral of rho^(2 gamma): trapezoid in time over the
     per-snapshot spatial integrals already carried by the ledger."""
-    times = np.asarray(times, dtype=float)
-    vals = np.array([led.rho2gamma for led in ledgers])
-    if times.size == 1:
-        return 0.0
-    return float(np.trapezoid(vals, times))
+    return float(np.trapezoid([led.rho2gamma for led in ledgers],
+                              [led.time for led in ledgers]))
 
 
-def director_norms(times: np.ndarray, snapshots: Sequence[FlowState],
+def director_norms(snapshots: Sequence[FlowState],
                    grid: Grid1D) -> tuple[float, float]:
     """Space-time L^2 norms of n_xx and n_t across a trajectory.
 
     n_t is reconstructed from the solver's ndot as ndot - u n_x, keeping a
     single definition of the director rate per run.
     """
-    times = np.asarray(times, dtype=float)
-    sq_xx = np.empty(times.size)
-    sq_t = np.empty(times.size)
-    for i, s in enumerate(snapshots):
+    sq_xx, sq_t = [], []
+    for s in snapshots:
         n_xx = second_derivative(s.n, grid.dx, neumann_ends=True)
         n_x = gradient(s.n, grid.dx, neumann_ends=True)
         n_t = s.require_ndot() - s.u * n_x
-        sq_xx[i] = integrate(n_xx * n_xx, grid)
-        sq_t[i] = integrate(n_t * n_t, grid)
-    if times.size == 1:
-        return 0.0, 0.0
+        sq_xx.append(integrate(n_xx * n_xx, grid))
+        sq_t.append(integrate(n_t * n_t, grid))
+    times = [s.time for s in snapshots]
     return (float(np.sqrt(np.trapezoid(sq_xx, times))),
             float(np.sqrt(np.trapezoid(sq_t, times))))
 

@@ -340,15 +340,13 @@ def build_initial_state(config: RunConfig, grid: Grid1D) -> FlowState:
 # Running and persistence
 # =============================================================================
 
-def run_simulation(config: RunConfig) -> diagnostics.Trajectory:
-    """Build initial data and integrate with the chosen (validating) scheme."""
+def run_simulation(config: RunConfig,
+                   state: Optional[FlowState] = None) -> diagnostics.Trajectory:
+    """Integrate the initial state, built from the config unless given, with
+    the configured (validating) scheme."""
     grid = Grid1D(config.grid_cells)
-    return _integrate(config, build_initial_state(config, grid), grid)
-
-
-def _integrate(config: RunConfig, state: FlowState,
-               grid: Grid1D) -> diagnostics.Trajectory:
-    """Run the configured scheme from a built initial state."""
+    if state is None:
+        state = build_initial_state(config, grid)
     if config.scheme == "galerkin":
         return galerkin.run(state, config.modes, grid, config.coefficients,
                             dt=config.dt, picard_tol=config.picard_tol,
@@ -367,8 +365,8 @@ def density_bound_flags(traj: diagnostics.Trajectory) -> int:
         return 0
     c1 = max(float(np.max(rho0)), 1.0 / rho0_min)
     flags = 0
-    for t, snap in zip(traj.times, traj.snapshots):
-        hi = DENSITY_ENVELOPE_FACTOR * c1 * np.exp(t)
+    for snap in traj.snapshots:
+        hi = DENSITY_ENVELOPE_FACTOR * c1 * np.exp(snap.time)
         lo = 1.0 / hi
         if np.max(snap.rho) > hi or np.min(snap.rho) < lo:
             flags += 1
@@ -400,12 +398,12 @@ def write_outputs(traj: diagnostics.Trajectory, config: RunConfig,
             for row in table.tolist())
         (outdir / f"fields_{idx:04d}.csv").write_text(text)
 
-    defect, max_defect = diagnostics.energy_budget(traj.times, traj.ledgers)
+    _, max_defect = diagnostics.energy_budget(traj.ledgers)
     totals = np.array([led.total for led in traj.ledgers])
     final = traj.ledgers[-1]
     summary = {
         "config": config.to_dict(),
-        "mass_scale": traj.mass_scale,
+        "mass_scale": traj.ledgers[0].mass,
         "max_defect": max_defect,
         "energy_monotone_within_tol": bool(
             np.all(np.diff(totals) <= config.energy_tol)),
@@ -456,9 +454,6 @@ class SweepReport:
     statuses: dict
     observed_orders: dict
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _initial_data_errors(raw: RawInitialData, state: FlowState,
                          grid: Grid1D, gamma_ad: float) -> dict:
@@ -488,7 +483,7 @@ def _sweep_member(args: tuple) -> SweepMember:
     grid = Grid1D(config.grid_cells)
     raw = build_raw_initial_data(config, grid)
     state = mollify_initial_data(raw, delta, grid)
-    traj = _integrate(config, state, grid)
+    traj = run_simulation(config, state)
 
     window = np.sin(np.pi * grid.x) ** 2
     pairs = []
@@ -496,7 +491,7 @@ def _sweep_member(args: tuple) -> SweepMember:
         h = diagnostics.effective_viscous_flux(snap, config.coefficients, grid)
         pairs.append((diagnostics.integrate(window * snap.rho * h.h1, grid),
                       diagnostics.integrate(window * snap.rho * h.h2, grid)))
-    _, max_defect = diagnostics.energy_budget(traj.times, traj.ledgers)
+    _, max_defect = diagnostics.energy_budget(traj.ledgers)
     if subdir is not None:
         path = Path(subdir)
         path.mkdir(parents=True, exist_ok=True)
@@ -505,8 +500,7 @@ def _sweep_member(args: tuple) -> SweepMember:
         delta=delta,
         final_energy=traj.ledgers[-1].total,
         max_defect=max_defect,
-        rho2gamma_spacetime=diagnostics.high_integrability(
-            traj.times, traj.ledgers),
+        rho2gamma_spacetime=diagnostics.high_integrability(traj.ledgers),
         entropy_series=[led.entropy for led in traj.ledgers],
         h_pair_series=pairs,
         initial_errors=_initial_data_errors(raw, state, grid,
@@ -515,10 +509,8 @@ def _sweep_member(args: tuple) -> SweepMember:
 
 
 def _series_distance(a: Sequence, b: Sequence) -> float:
-    arr_a = np.asarray(a, dtype=float)
-    arr_b = np.asarray(b, dtype=float)
-    m = min(arr_a.shape[0], arr_b.shape[0])
-    return float(np.max(np.abs(arr_a[:m] - arr_b[:m])))
+    """max |a - b| over two members' equally long series."""
+    return float(np.max(np.abs(np.subtract(a, b))))
 
 
 def _observed_order(deltas: Sequence[float], errors: Sequence[float]) -> float:
@@ -568,13 +560,14 @@ def run_sweep(config: RunConfig, deltas: Sequence[float],
             try:
                 members.append(next(results))
             except Exception as exc:
-                partial = _assemble_report([m.delta for m in members], members)
+                partial = _assemble_report(members)
                 raise SweepAborted(f"sweep member delta={d:g} failed: {exc}",
                                    partial) from exc
-    return _assemble_report(deltas, members)
+    return _assemble_report(members)
 
 
-def _assemble_report(deltas: list, members: list) -> SweepReport:
+def _assemble_report(members: list) -> SweepReport:
+    deltas = [m.delta for m in members]
     if not members:
         return SweepReport(deltas=deltas, members=[], cauchy={},
                            statuses={}, observed_orders={})
@@ -611,5 +604,5 @@ def _assemble_report(deltas: list, members: list) -> SweepReport:
 
 def write_sweep(report: SweepReport, config: RunConfig, outdir: Path) -> None:
     (outdir / "sweep.json").write_text(
-        json.dumps({"config": config.to_dict(), **report.to_dict()},
+        json.dumps({"config": config.to_dict(), **asdict(report)},
                    indent=2, sort_keys=True) + "\n")

@@ -127,9 +127,8 @@ def test_criterion_3_energy_law(shear_run_fine, shear_run_half_dt):
     t0 = time.perf_counter()
     totals = np.array([led.total for led in shear_run_fine.ledgers])
     monotone = bool(np.all(np.diff(totals) <= 1e-8))
-    _, defect = energy_budget(shear_run_fine.times, shear_run_fine.ledgers)
-    _, defect_half = energy_budget(shear_run_half_dt.times,
-                                   shear_run_half_dt.ledgers)
+    _, defect = energy_budget(shear_run_fine.ledgers)
+    _, defect_half = energy_budget(shear_run_half_dt.ledgers)
     dx = 1.0 / 128
     band = 10.0 * (1e-3 + dx * dx)
     ratio = defect / defect_half
@@ -311,7 +310,7 @@ def test_criterion_9_director_diagnostics(base_set):
             snaps.append(FlowState(k * dt, np.ones(grid.num_nodes), z, z,
                                    new_n, ndot=(new_n - state_n) / dt))
             state_n = new_n
-        return director_norms(np.asarray(times), snaps, grid)
+        return director_norms(snaps, grid)
 
     nxx, nt = relaxation_norms(1e-3)
     nxx_half, nt_half = relaxation_norms(5e-4)

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from nematic1d.coefficients import (InvalidCoefficients, LeslieSet,
 def test_example_set_passes_all_checks(base_set):
     report = validate(base_set)
     assert report.is_valid
-    assert all(c.passed for c in report)
+    assert all(c.passed for c in report.checks)
 
 
 def test_example_set_derived_viscosities(base_set):
@@ -30,7 +32,8 @@ def test_negative_alpha4_fails_named_check(base_set):
     assert not report.is_valid
     failed = {c.name for c in report.failed()}
     assert "alpha4_positive" in failed
-    margin = next(c.margin for c in report if c.name == "alpha4_positive")
+    margin = next(c.margin for c in report.checks
+                  if c.name == "alpha4_positive")
     assert margin == pytest.approx(-1.0)
 
 
@@ -53,7 +56,7 @@ def test_report_serialization(base_set):
     report = validate(base_set)
     text = report.as_text()
     assert "parodi" in text and "valid" in text
-    data = report.as_dict()
+    data = asdict(report)
     assert data["is_valid"] and len(data["checks"]) == 9
 
 

@@ -105,10 +105,10 @@ def test_divergence_identity_random_sets(rng):
         assert check_divergence_identity(c, p, Grid1D(24)) < 1e-8
 
 
-def test_divergence_canary_detects_corruption(base_set):
+def test_divergence_canary_detects_corruption(base_set, corrupt_flux_bracket):
+    corrupt_flux_bracket()
     profile = standard_profiles()[0]
-    err = check_divergence_identity(base_set, profile, Grid1D(24),
-                                    _flip_sign=True)
+    err = check_divergence_identity(base_set, profile, Grid1D(24))
     assert err > 1e-4
 
 
@@ -305,7 +305,7 @@ def test_identity_suite_matches_point_by_point_reference(seed):
         assert abs(row.max_residual - residual) <= 1e-13
 
 
-def test_identity_suite_canary_fails():
-    rows = run_identity_suite(seed=3, samples=500, num_sets=3, grid_cells=16,
-                              canary=True)
+def test_identity_suite_canary_fails(corrupt_flux_bracket):
+    corrupt_flux_bracket()
+    rows = run_identity_suite(seed=3, samples=500, num_sets=3, grid_cells=16)
     assert not rows[0].passed

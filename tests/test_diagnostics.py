@@ -2,13 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nematic1d.coefficients import LeslieSet, random_valid_set
+from nematic1d.coefficients import LeslieSet, example_set, random_valid_set
 from nematic1d.diagnostics import (EnergyLedger, director_norms, dissipation,
                                    dissipation_direct, effective_viscous_flux,
                                    energy, energy_budget, entropy_like,
                                    high_integrability, make_ledger)
 from nematic1d.fields import FlowState, Grid1D
+from nematic1d.harness import RunConfig, run_simulation
 
 
 def make_state(grid, rho=None, u=None, v=None, n=None, ndot=None, time=0.0):
@@ -94,10 +96,9 @@ def test_dissipation_negative_raises():
 def test_energy_budget_static(base_set):
     grid = Grid1D(32)
     state = make_state(grid, n=np.full(grid.num_nodes, 0.2))
-    times = np.linspace(0.0, 1.0, 11)
-    ledgers = [make_ledger(state, base_set, grid)
-               for _ in times]
-    defect, max_defect = energy_budget(times, ledgers)
+    led = make_ledger(state, base_set, grid)
+    ledgers = [replace(led, time=t) for t in np.linspace(0.0, 1.0, 11)]
+    defect, max_defect = energy_budget(ledgers)
     assert max_defect < 1e-12
     assert np.all(defect == defect)
 
@@ -107,9 +108,10 @@ def test_energy_budget_weights_each_interval(base_set):
     # defect_m = E_m - E_0 + sum_{k<=m} D_k (t_k - t_{k-1})
     grid = Grid1D(32)
     led = make_ledger(make_state(grid), base_set, grid)
-    ledgers = [replace(led, total=e, dissipation=dv)
-               for e, dv in ((1.0, 5.0), (0.9, 2.0), (0.7, 0.6))]
-    defect, max_defect = energy_budget(np.array([0.0, 0.1, 0.35]), ledgers)
+    ledgers = [replace(led, time=t, total=e, dissipation=dv)
+               for t, e, dv in ((0.0, 1.0, 5.0), (0.1, 0.9, 2.0),
+                                (0.35, 0.7, 0.6))]
+    defect, max_defect = energy_budget(ledgers)
     assert defect == pytest.approx([0.0, 0.1, 0.05], abs=1e-15)
     assert max_defect == pytest.approx(0.1, abs=1e-15)
 
@@ -117,23 +119,22 @@ def test_energy_budget_weights_each_interval(base_set):
 def test_high_integrability_constants(base_set):
     grid = Grid1D(64)
     # rho = 1, gamma = 2, T = 1 -> 1
-    state = make_state(grid)
-    times = np.linspace(0.0, 1.0, 21)
-    ledgers = [make_ledger(state, base_set, grid) for _ in times]
-    assert high_integrability(times, ledgers) == pytest.approx(1.0, abs=1e-12)
+    led = make_ledger(make_state(grid), base_set, grid)
+    ledgers = [replace(led, time=t) for t in np.linspace(0.0, 1.0, 21)]
+    assert high_integrability(ledgers) == pytest.approx(1.0, abs=1e-12)
     # rho = 2, gamma = 1.5, T = 0.5 -> 0.5 * 2^3 = 4
     c15 = LeslieSet(alpha2=-1.0, alpha3=1.0, alpha4=1.0, gamma_ad=1.5)
-    state2 = make_state(grid, rho=np.full(grid.num_nodes, 2.0))
-    times2 = np.linspace(0.0, 0.5, 11)
-    ledgers2 = [make_ledger(state2, c15, grid) for _ in times2]
-    assert high_integrability(times2, ledgers2) == pytest.approx(4.0, abs=1e-12)
+    led2 = make_ledger(make_state(grid, rho=np.full(grid.num_nodes, 2.0)),
+                       c15, grid)
+    ledgers2 = [replace(led2, time=t) for t in np.linspace(0.0, 0.5, 11)]
+    assert high_integrability(ledgers2) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_director_norms_static():
     grid = Grid1D(32)
-    state = make_state(grid, n=np.full(grid.num_nodes, 1.4))
-    times = np.linspace(0.0, 1.0, 5)
-    nxx, nt = director_norms(times, [state] * 5, grid)
+    snapshots = [make_state(grid, n=np.full(grid.num_nodes, 1.4), time=t)
+                 for t in np.linspace(0.0, 1.0, 5)]
+    nxx, nt = director_norms(snapshots, grid)
     assert nxx == 0.0 and nt == 0.0
 
 
@@ -182,3 +183,23 @@ def test_ledger_total_is_sum(base_set):
     assert led.total == pytest.approx(led.kinetic + led.internal + led.elastic)
     row = led.csv_row()
     assert len(row.split(",")) == len(EnergyLedger.CSV_HEADER.split(","))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(scheme=st.sampled_from(["galerkin", "fd"]),
+       every=st.integers(1, 4), steps=st.integers(0, 7))
+def test_record_times_follow_the_schedule(scheme, every, steps):
+    # the snapshots and ledgers are the record's one time series: equal,
+    # increasing, from 0 to t_end, at the cadence plus the final state
+    dt = 1e-3
+    t_end = steps * dt
+    traj = run_simulation(RunConfig(
+        coefficients=example_set(), grid_cells=16, modes=4, dt=dt,
+        t_end=t_end, scheme=scheme, snapshot_every=every))
+    times = [s.time for s in traj.snapshots]
+    assert times == [led.time for led in traj.ledgers]
+    assert all(b > a for a, b in zip(times, times[1:]))
+    assert times[0] == 0.0
+    assert abs(times[-1] - t_end) <= 1e-12
+    off_cadence_final = steps % every != 0
+    assert len(times) == 1 + steps // every + off_cadence_final

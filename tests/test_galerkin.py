@@ -2,17 +2,20 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
-from nematic1d.coefficients import matrix_entries, random_valid_set
-from nematic1d.diagnostics import energy_budget
+from nematic1d.coefficients import (example_set, matrix_entries,
+                                    random_valid_set)
+from nematic1d.diagnostics import (director_norms, energy_budget,
+                                   high_integrability)
 from nematic1d.fields import (FlowState, Grid1D, director_rate_flux,
                               director_residual, elastic_coupling, gradient,
                               pressure)
 from nematic1d.galerkin import (DenominatorTooSmall, LagrangianDensity,
-                                SineBasis, _pchip_derivative,
+                                SineBasis, TimeStepUnderflow,
+                                _pchip_derivative,
                                 advance_density, advance_director,
                                 galerkin_system, project_initial_velocity,
                                 remap_density_to_grid, run, step)
-from nematic1d.harness import RunConfig
+from nematic1d.harness import RunConfig, run_simulation
 
 PICARD_TOL = RunConfig.picard_tol   # the run default
 
@@ -426,6 +429,11 @@ def test_run_zero_horizon_returns_initial(base_set):
     # sin(pi x) lies in the mode span, so the projected snapshot matches
     assert np.max(np.abs(traj.snapshots[0].u - state.u)) < 1e-12
     assert np.max(np.abs(traj.snapshots[0].rho - 1.0)) == 0.0
+    # one output time: every reduction over the record is zero
+    defect, max_defect = energy_budget(traj.ledgers)
+    assert defect.tolist() == [0.0] and max_defect == 0.0
+    assert high_integrability(traj.ledgers) == 0.0
+    assert director_norms(traj.snapshots, grid) == (0.0, 0.0)
 
 
 def test_run_rejects_velocity_not_vanishing_at_wall(base_set):
@@ -457,7 +465,7 @@ def test_static_run_constant_ledger(base_set):
         assert led.total == pytest.approx(traj.ledgers[0].total, abs=1e-12)
         assert led.mass == pytest.approx(traj.ledgers[0].mass, abs=1e-12)
         assert abs(led.dissipation) < 1e-12
-    defect, max_defect = energy_budget(traj.times, traj.ledgers)
+    defect, max_defect = energy_budget(traj.ledgers)
     assert max_defect < 1e-12
 
 
@@ -487,8 +495,8 @@ def test_snapshot_cadence_keeps_uniform_budget(base_set):
     traj = run(state, 8, grid, base_set,
                dt=1e-3, picard_tol=PICARD_TOL, t_end=0.02,
                snapshot_every=2)
-    assert len(traj.times) == 11
-    defect, max_defect = energy_budget(traj.times, traj.ledgers)
+    assert len(traj.ledgers) == 11
+    defect, max_defect = energy_budget(traj.ledgers)
     assert np.isfinite(max_defect)
 
 
@@ -513,7 +521,7 @@ def test_budget_constant_stable_under_joint_refinement(base_set):
                            n=np.full(grid.num_nodes, np.pi / 4))
         traj = run(state, modes, grid, base_set,
                    dt=dt, picard_tol=PICARD_TOL, t_end=0.1)
-        _, defect = energy_budget(traj.times, traj.ledgers)
+        _, defect = energy_budget(traj.ledgers)
         ratios.append(defect / (dt + grid.dx**2))
     assert max(ratios) / min(ratios) < 3.0
 
@@ -533,3 +541,33 @@ def test_shear_run_invariants(base_set):
         assert snap.u[0] == 0.0 and snap.u[-1] == 0.0
         assert snap.v[0] == 0.0 and snap.v[-1] == 0.0
     assert max(traj.metadata["picard_iterations"]) <= 10
+
+
+def halving_config(**overrides):
+    # at dt = 1 step rejects its first attempts on this data and halves dt,
+    # so the schedule must refill each window
+    return RunConfig(coefficients=example_set(), grid_cells=64, modes=8,
+                     dt=1.0, t_end=2.0, initial_preset="smooth_random",
+                     **overrides)
+
+
+@pytest.mark.parametrize("every", [1, 2])
+def test_halved_steps_keep_the_cadence(every):
+    traj = run_simulation(halving_config(snapshot_every=every))
+    assert traj.metadata["dt_halvings"] > 0
+    times = [led.time for led in traj.ledgers]
+    assert times == pytest.approx(np.arange(0.0, 2.0 + 1e-9, every),
+                                  abs=1e-13)
+    mass0 = traj.ledgers[0].mass
+    for led in traj.ledgers:
+        assert abs(led.mass - mass0) <= 1e-13 * mass0
+
+
+def test_dt_floor_raises_underflow(monkeypatch):
+    # a floor above the first halved dt (0.5) leaves no step to accept
+    monkeypatch.setattr("nematic1d.galerkin.DT_MIN", 0.6)
+    with pytest.raises(TimeStepUnderflow) as excinfo:
+        run_simulation(halving_config())
+    message = str(excinfo.value)
+    assert message.startswith("dt underflow at t=0:")
+    assert "\n" not in message

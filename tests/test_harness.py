@@ -5,7 +5,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -457,7 +457,7 @@ def test_sweep_report_serializable(tmp_path):
     cfg = shear_config(initial_preset="rough_density", t_end=0.002,
                        grid_cells=128)
     report = run_sweep(cfg, [0.1, 0.05], workers=1, outdir=tmp_path)
-    blob = json.dumps(report.to_dict())
+    blob = json.dumps(asdict(report))
     assert "entropy" in blob
     assert (tmp_path / "delta_0.1" / "summary.json").exists()
     assert (tmp_path / "delta_0.05" / "energy.csv").exists()
@@ -566,6 +566,30 @@ def test_cli_run_default_coefficients_exits_2(tmp_path, capsys):
     assert len(err) == 1
     assert err[0].startswith("error: coefficient set fails: ")
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_cli_run_vacuum_data_exits_2(tmp_path, capsys):
+    # the rough profiles touch vacuum, which only mollified data may do:
+    # the run is refused before any output directory exists
+    conf = tmp_path / "run.conf"
+    conf.write_text(TEXT_CONFIG.replace("initial.preset = shear",
+                                        "initial.preset = rough_density")
+                    + f"\noutput.dir = {tmp_path / 'out'}\n")
+    assert cli_main(["run", "--config", str(conf)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: raw density touches zero; set mollify_delta > 0"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_builds_initial_state_once(tmp_path, monkeypatch):
+    calls = []
+    real = harness_module.build_raw_initial_data
+    monkeypatch.setattr(harness_module, "build_raw_initial_data",
+                        lambda *args: calls.append(args) or real(*args))
+    conf = tmp_path / "run.conf"
+    conf.write_text(TEXT_CONFIG + f"\noutput.dir = {tmp_path / 'out'}\n")
+    assert cli_main(["run", "--config", str(conf)]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command", ["run", "sweep",
@@ -749,10 +773,10 @@ def test_cli_import_leaves_out_scipy_interpolate():
     assert result.stdout.strip() == "False"
 
 
-def test_cli_verify_passes_and_canary_fails():
+def test_cli_verify_passes_and_canary_fails(corrupt_flux_bracket):
     assert cli_main(["verify", "--samples", "400", "--sets", "3"]) == 0
-    assert cli_main(["verify", "--samples", "400", "--sets", "3",
-                     "--canary"]) == 1
+    corrupt_flux_bracket()
+    assert cli_main(["verify", "--samples", "400", "--sets", "3"]) == 1
 
 
 def test_cli_sweep(tmp_path):
