@@ -6,9 +6,11 @@ coefficient set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +30,20 @@ def _load_config(path: str) -> harness.RunConfig | None:
         return None
 
 
+def _refuse_coefficients(exc: InvalidCoefficients, outdir: Path,
+                         created: Path | None) -> int:
+    """Report an inadmissible set and remove the directories the command
+    created for its outputs: the scheme validates before writing any."""
+    print(f"error: {exc}", file=sys.stderr)
+    if created is not None:
+        with contextlib.suppress(OSError):   # left in place if not empty
+            for path in (outdir, *outdir.parents):
+                path.rmdir()
+                if path == created:
+                    break
+    return 2
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     if config is None:
@@ -38,15 +54,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:  # before the solve, so a missing directory wastes no work
-        outdir = harness.resolve_output_dir(config, args.output)
+        outdir, created = harness.resolve_output_dir(config, args.output)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
         traj = harness.run_simulation(config, state)
     except InvalidCoefficients as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse_coefficients(exc, outdir, created)
     except Exception as exc:  # solver abort
         print(f"solver abort: {exc}", file=sys.stderr)
         return 1
@@ -70,7 +85,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:  # before the solve, so a missing directory wastes no work
-        outdir = harness.resolve_output_dir(config, args.output)
+        outdir, created = harness.resolve_output_dir(config, args.output)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -78,8 +93,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         report = harness.run_sweep(config, deltas, workers=args.workers,
                                    outdir=outdir)
     except InvalidCoefficients as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse_coefficients(exc, outdir, created)
     except harness.SweepAborted as exc:
         harness.write_sweep(exc.partial, config, outdir)
         print(f"sweep abort ({exc}); partial report written to "

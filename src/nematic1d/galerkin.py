@@ -2,23 +2,30 @@
 density advanced exactly along particle paths in mass coordinates, director
 advanced by an implicit tridiagonal step, all coupled by a per-step Picard
 iteration that halves dt on non-convergence.
+
+The velocity system is assembled and LU-factored once per step attempt, at
+O(N log N + K^2 + K^3); each Picard iterate then corrects the modes by the
+factored solve of its momentum residual, an O(N log N) transform plus an
+O(K^2) back-substitution.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.fft import dct, dst
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, solve_banded
 
 from . import diagnostics
 from .coefficients import (LeslieSet, director_source, matrix_entries,
                            require_valid)
-from .fields import (FlowState, Grid1D, check_state, director_rate_flux,
-                     elastic_coupling, gradient, pressure, second_derivative)
+from .fields import (FlowState, Grid1D, check_state, elastic_coupling,
+                     flux_bracket, gradient, pressure, second_derivative)
+from .fields import director_rate_flux  # noqa: F401  (perfbench/tracer.py wraps this galerkin name)
 
 
 class DenominatorTooSmall(RuntimeError):
@@ -274,13 +281,10 @@ def _toeplitz_hankel(moments: np.ndarray,
     return windows[..., K - 1::-1, :], windows[..., K + 1:, :]
 
 
-def galerkin_system(state: FlowState, c: LeslieSet, dt: float, *,
-                    grid: Grid1D, basis: SineBasis, rho_new: np.ndarray,
-                    n_new: np.ndarray, ndot_new: np.ndarray,
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trapezoid-rule Galerkin mass matrix (K, K), the four stiffness blocks
-    (4, K, K) of A(n) in the order 11, 12, 21, 22, and the right-hand sides
-    (2, K) of the u and v mode equations.
+def galerkin_system(c: LeslieSet, *, basis: SineBasis, rho_new: np.ndarray,
+                    n_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid-rule Galerkin mass matrix (K, K) and the four stiffness
+    blocks (4, K, K) of A(n) in the order 11, 12, 21, 22.
 
     The matrices come from the cosine moments C_m of the coefficient fields
     by the product-to-sum identities
@@ -290,56 +294,87 @@ def galerkin_system(state: FlowState, c: LeslieSet, dt: float, *,
 
     exact on the grid, at O(N log N + K^2) for all of them together.
     """
-    a11, a12, a21, a22 = matrix_entries(c, n_new)
-    b1, b2 = director_rate_flux(c, n_new, ndot_new)
-    elastic_state = FlowState(state.time, rho_new, state.u, state.v, n_new)
-    elastic = elastic_coupling(elastic_state, grid)
-    p_old = pressure(state.rho, c.gamma_ad)
-    rho_u = state.rho * state.u
-
     cos_moments = basis.cosine_moments(np.array([
-        rho_new, a11, a12, a21, a22,
-        rho_u * state.u + p_old - b1, rho_u * state.v - b2]))
-    sin_moments = basis.sine_moments(np.array([
-        rho_u + dt * elastic, state.rho * state.v]))
-
-    K = basis.num_modes
-    toeplitz, hankel = _toeplitz_hankel(cos_moments[:5], K)
+        rho_new, *matrix_entries(c, n_new)]))
+    toeplitz, hankel = _toeplitz_hankel(cos_moments, basis.num_modes)
     mass = 0.5 * (toeplitz[0] - hankel[0])
     stiffness = np.add(toeplitz[1:], hankel[1:])
     stiffness *= np.outer(basis.wavenumbers, 0.5 * basis.wavenumbers)
+    return mass, stiffness
+
+
+def momentum_residual(state: FlowState, c: LeslieSet, dt: float, *,
+                      grid: Grid1D, basis: SineBasis, rho_new: np.ndarray,
+                      n_new: np.ndarray, ndot_new: np.ndarray,
+                      velocity: np.ndarray,
+                      gradients: np.ndarray) -> np.ndarray:
+    """The (2, K) residual b - (M + dt S) c of the u and v mode equations at
+    the modes c whose node values and x-derivatives are `velocity` and
+    `gradients`, each (2, N+1).
+
+    Transport and pressure are explicit at the old time; the elastic source
+    and the director-rate flux use the new director.  With the fields of c in
+    hand, M c is the sine moments of rho_new (u, v), and the rows of S c are
+    j pi times the cosine moments of A(n) (u_x, v_x), which `flux_bracket`
+    adds to the director-rate part: one DST and one DCT of two rows, exact
+    against the assembled matrices.
+    """
+    elastic = elastic_coupling(
+        FlowState(state.time, rho_new, state.u, state.v, n_new), grid)
+    f1, f2 = flux_bracket(c, *gradients, n_new, ndot_new)
+    rho_u = state.rho * state.u
+    p_old = pressure(state.rho, c.gamma_ad)
+    sin_moments = basis.sine_moments(
+        np.array([rho_u + dt * elastic, state.rho * state.v])
+        - rho_new * velocity)
+    cos_moments = basis.cosine_moments(np.array([
+        rho_u * state.u + p_old - f1, rho_u * state.v - f2]))
     # integrals against phi_j' are j pi times the cosine moments
-    rhs = sin_moments + dt * basis.wavenumbers * cos_moments[5:, 1:K + 1]
-    return mass, stiffness, rhs
+    return (sin_moments
+            + dt * basis.wavenumbers * cos_moments[:, 1:basis.num_modes + 1])
 
 
 def advance_velocity_modes(state: FlowState, c: LeslieSet, dt: float, *,
-                           grid: Grid1D, basis: SineBasis,
+                           grid: Grid1D, basis: SineBasis, modes: np.ndarray,
+                           velocity: np.ndarray, gradients: np.ndarray,
                            rho_new: np.ndarray, n_new: np.ndarray,
-                           ndot_new: np.ndarray) -> np.ndarray:
-    """The (2, K) mode coefficients of (u, v) after one step of the weak form.
+                           ndot_new: np.ndarray,
+                           factor: Optional[tuple] = None,
+                           ) -> tuple[np.ndarray, tuple]:
+    """One chord correction of the (2, K) modes of (u, v) toward the weak
+    form's step, modes + (M + dt S)^-1 `momentum_residual`.
 
-    The second-order coefficient matrix A(n) is treated implicitly (mass and
-    stiffness from `galerkin_system`); transport and pressure are explicit
-    at the old time, while the elastic source and the director-rate flux use
-    the freshly advanced director.
+    The second-order coefficient matrix A(n) is treated implicitly.  The
+    system M(rho) + dt S(n) is assembled and LU-factored once per step
+    attempt, at its first iterate (factor=None), and the factorization is
+    returned for the later iterates to pass back; each iterate costs the
+    transform residual and one back-substitution.  At the fixed point the
+    residual vanishes, so the modes are the direct solution at the
+    converged (rho, n, ndot).
     """
     if np.min(rho_new) <= 0.0:
         raise ValueError("mass matrix requires strictly positive density")
     K = basis.num_modes
-    mass, stiffness, rhs = galerkin_system(
+    if factor is None:
+        mass, stiffness = galerkin_system(c, basis=basis, rho_new=rho_new,
+                                          n_new=n_new)
+        system = np.empty((2 * K, 2 * K))
+        blocks = system.reshape(2, K, 2, K).swapaxes(1, 2)   # K x K each
+        np.multiply(dt, stiffness.reshape(2, 2, K, K), out=blocks)
+        blocks[0, 0] += mass
+        blocks[1, 1] += mass
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", LinAlgWarning)
+                factor = lu_factor(system, overwrite_a=True,
+                                   check_finite=False)
+        except LinAlgWarning as exc:
+            raise RuntimeError(f"velocity mode solve failed: {exc}") from exc
+    residual = momentum_residual(
         state, c, dt, grid=grid, basis=basis, rho_new=rho_new, n_new=n_new,
-        ndot_new=ndot_new)
-    system = np.empty((2 * K, 2 * K))
-    blocks = system.reshape(2, K, 2, K).swapaxes(1, 2)   # blocks[a, b]: K x K
-    np.multiply(dt, stiffness.reshape(2, 2, K, K), out=blocks)
-    blocks[0, 0] += mass
-    blocks[1, 1] += mass
-    try:
-        sol = np.linalg.solve(system, rhs.ravel())
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"velocity mode solve failed: {exc}") from exc
-    return sol.reshape(2, K)
+        ndot_new=ndot_new, velocity=velocity, gradients=gradients)
+    correction = lu_solve(factor, residual.ravel(), check_finite=False)
+    return modes + correction.reshape(2, K), factor
 
 
 # =============================================================================
@@ -380,9 +415,12 @@ def _attempt_step(state: FlowState, modes: np.ndarray, grid: Grid1D,
     # iterates are rebound, never mutated, so no copies are needed
     modes_it, rho_it, n_it = modes, state.rho, state.n
 
+    factor = None   # the velocity system's LU, set by the first iterate
     for iteration in range(1, PICARD_MAX + 1):
-        u_field, v_field = basis.reconstruct(modes_it)
-        u_x, v_x = basis.reconstruct_derivative(modes_it)
+        velocity = basis.reconstruct(modes_it)
+        gradients = basis.reconstruct_derivative(modes_it)
+        u_field, v_field = velocity
+        u_x, v_x = gradients
 
         # (i) density along particle paths, then conservative remap; every
         # iterate integrates from the step start
@@ -401,9 +439,10 @@ def _attempt_step(state: FlowState, modes: np.ndarray, grid: Grid1D,
         ndot_new = (n_new - state.n) / dt + u_field * n_x_new
 
         # (iii) velocity modes, implicit in the A(n) part
-        modes_new = advance_velocity_modes(state, c, dt, grid=grid,
-                                           basis=basis, rho_new=rho_new,
-                                           n_new=n_new, ndot_new=ndot_new)
+        modes_new, factor = advance_velocity_modes(
+            state, c, dt, grid=grid, basis=basis, modes=modes_it,
+            velocity=velocity, gradients=gradients, rho_new=rho_new,
+            n_new=n_new, ndot_new=ndot_new, factor=factor)
 
         delta = max(float(np.max(np.abs(rho_new - rho_it))),
                     float(np.max(np.abs(n_new - n_it))),

@@ -373,14 +373,19 @@ def density_bound_flags(traj: diagnostics.Trajectory) -> int:
     return flags
 
 
-def resolve_output_dir(config: RunConfig, override: Optional[str] = None) -> Path:
+def resolve_output_dir(config: RunConfig, override: Optional[str] = None,
+                       ) -> tuple[Path, Optional[Path]]:
+    """Create the output directory with any missing parents; return it and
+    the outermost directory this call created (None if it existed)."""
     base = override if override is not None else config.output_dir
     if base is None:
         raise ValueError("no output directory configured")
     root = os.environ.get(OUTPUT_ROOT_ENV)
     path = Path(root) / base if root else Path(base)
+    created = next((p for p in reversed((path, *path.parents))
+                    if not p.exists()), None)
     path.mkdir(parents=True, exist_ok=True)
-    return path
+    return path, created
 
 
 def write_outputs(traj: diagnostics.Trajectory, config: RunConfig,

@@ -13,9 +13,11 @@ from nematic1d.galerkin import (DenominatorTooSmall, LagrangianDensity,
                                 SineBasis, TimeStepUnderflow,
                                 _pchip_derivative,
                                 advance_density, advance_director,
-                                galerkin_system, project_initial_velocity,
+                                advance_velocity_modes,
+                                galerkin_system, momentum_residual,
+                                project_initial_velocity,
                                 remap_density_to_grid, run, step)
-from nematic1d.harness import RunConfig, run_simulation
+from nematic1d.harness import RunConfig, build_initial_state, run_simulation
 
 PICARD_TOL = RunConfig.picard_tol   # the run default
 
@@ -114,6 +116,13 @@ def _dense_reference(state, c, dt, grid, K, rho_new, n_new, ndot_new):
     return mass, stiffness, (r_u, r_v), phi, dphi
 
 
+def _block_system(mass, stiffness, dt):
+    """The 2K x 2K velocity system M + dt S from the mass matrix and the
+    four stiffness blocks 11, 12, 21, 22."""
+    s11, s12, s21, s22 = stiffness
+    return np.kron(np.eye(2), mass) + dt * np.block([[s11, s12], [s21, s22]])
+
+
 def _rel(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
@@ -136,17 +145,25 @@ def test_transform_assembly_matches_dense_quadrature(cells, modes):
     ndot_new = rng.normal(size=m)
     dt = 1e-3
 
-    mass, stiffness, rhs = galerkin_system(
-        state, c, dt, grid=grid, basis=basis, rho_new=rho_new, n_new=n_new,
-        ndot_new=ndot_new)
+    mass, stiffness = galerkin_system(c, basis=basis, rho_new=rho_new,
+                                      n_new=n_new)
     ref_mass, ref_stiffness, ref_rhs, phi, dphi = _dense_reference(
         state, c, dt, grid, modes, rho_new, n_new, ndot_new)
 
     assert _rel(mass, ref_mass) <= 1e-12
     for block, ref in zip(stiffness, ref_stiffness):
         assert _rel(block, ref) <= 1e-12
-    for got, ref in zip(rhs, ref_rhs):
-        assert _rel(got, ref) <= 1e-12
+
+    # the transform residual is b - A x against the dense system; at x = 0
+    # it is the right-hand side itself
+    ref_system = _block_system(ref_mass, ref_stiffness, dt)
+    for x in (np.zeros((2, modes)), rng.normal(size=(2, modes))):
+        got = momentum_residual(
+            state, c, dt, grid=grid, basis=basis, rho_new=rho_new,
+            n_new=n_new, ndot_new=ndot_new, velocity=x @ phi,
+            gradients=x @ dphi)
+        ref = np.concatenate(ref_rhs) - ref_system @ x.ravel()
+        assert _rel(got.ravel(), ref) <= 1e-12
 
     f = rng.normal(size=m)
     coeffs = rng.normal(size=modes)
@@ -154,6 +171,35 @@ def test_transform_assembly_matches_dense_quadrature(cells, modes):
                 2.0 * np.trapezoid(phi * f, dx=grid.dx, axis=1)) <= 1e-12
     assert _rel(basis.reconstruct(coeffs), coeffs @ phi) <= 1e-12
     assert _rel(basis.reconstruct_derivative(coeffs), coeffs @ dphi) <= 1e-12
+
+
+def _velocity_update(state, c, basis, modes, factor=None, rho_new=None):
+    grid = basis.grid
+    return advance_velocity_modes(
+        state, c, 1e-3, grid=grid, basis=basis, modes=modes,
+        velocity=basis.reconstruct(modes),
+        gradients=basis.reconstruct_derivative(modes),
+        rho_new=state.rho if rho_new is None else rho_new, n_new=state.n,
+        ndot_new=np.zeros(grid.num_nodes), factor=factor)
+
+
+def test_velocity_update_guards(base_set, monkeypatch):
+    grid = Grid1D(32)
+    basis = SineBasis(4, grid)
+    state = make_state(grid, v=np.sin(np.pi * grid.x),
+                       n=np.full(grid.num_nodes, 0.3))
+    modes = project_initial_velocity(state.u, state.v, 4, grid)
+    _, factor = _velocity_update(state, base_set, basis, modes)
+    # the density check runs on every iterate, not only at the factorization
+    rho_bad = state.rho.copy()
+    rho_bad[5] = 0.0
+    with pytest.raises(ValueError, match="strictly positive density"):
+        _velocity_update(state, base_set, basis, modes, factor, rho_bad)
+    # a singular system is a named solver failure, not a LinAlgWarning
+    monkeypatch.setattr("nematic1d.galerkin.galerkin_system",
+                        lambda c, **kw: (np.zeros((4, 4)), np.zeros((4, 4, 4))))
+    with pytest.raises(RuntimeError, match="velocity mode solve failed"):
+        _velocity_update(state, base_set, basis, modes)
 
 
 # -----------------------------------------------------------------------------
@@ -374,6 +420,40 @@ def test_shear_step_picard_converges_quickly(base_set):
                        picard_tol=PICARD_TOL)
     assert stats.picard_iterations <= 10
     assert stats.halvings == 0
+
+
+def _direct_modes(state, c, dt, grid, basis, new_state):
+    """np.linalg.solve of the velocity system assembled at the new state's
+    (rho, n, ndot); the right-hand side is the residual at zero modes."""
+    K = basis.num_modes
+    mass, stiffness = galerkin_system(c, basis=basis, rho_new=new_state.rho,
+                                      n_new=new_state.n)
+    system = _block_system(mass, stiffness, dt)
+    zero = np.zeros((2, grid.num_nodes))
+    rhs = momentum_residual(state, c, dt, grid=grid, basis=basis,
+                            rho_new=new_state.rho, n_new=new_state.n,
+                            ndot_new=new_state.ndot, velocity=zero,
+                            gradients=zero)
+    return np.linalg.solve(system, rhs.ravel()).reshape(2, K)
+
+
+@pytest.mark.parametrize("preset", ["shear", "smooth_random"])
+def test_step_fixed_point_is_the_direct_solution(base_set, preset):
+    # the chord iterates reuse one factorization per attempt, yet the
+    # accepted modes solve the system of the accepted step
+    config = RunConfig(coefficients=base_set, grid_cells=64, modes=8,
+                       initial_preset=preset)
+    grid = Grid1D(64)
+    basis = SineBasis(8, grid)
+    state = build_initial_state(config, grid)
+    modes = project_initial_velocity(state.u, state.v, 8, grid)
+    state.u, state.v = basis.reconstruct(modes)
+    dt = 1e-3
+    new_state, new_modes, stats = step(state, modes, grid, base_set, dt=dt,
+                                       picard_tol=PICARD_TOL, basis=basis)
+    assert stats.halvings == 0 and stats.picard_iterations > 1
+    direct = _direct_modes(state, base_set, dt, grid, basis, new_state)
+    assert np.max(np.abs(new_modes - direct)) <= 10.0 * PICARD_TOL
 
 
 def test_converged_step_satisfies_director_equation(base_set):

@@ -677,6 +677,27 @@ def test_cli_sweep_inadmissible_set_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "sweep.json").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_inadmissible_set_leaves_no_directory(tmp_path, capsys, command):
+    # the scheme refuses the set after the output directory exists; the
+    # directories the command created go again, one that existed stays
+    (tmp_path / "kept").mkdir()
+    conf = tmp_path / "bad.conf"
+    body = (TEXT_CONFIG.replace("coefficients.alpha4 = 1",
+                                "coefficients.alpha4 = -1")
+            .replace("grid.cells = 64", "grid.cells = 16"))
+    for outdir, left in ((tmp_path / "out" / "nested", tmp_path / "out"),
+                         (tmp_path / "kept", None)):
+        conf.write_text(body + f"\noutput.dir = {outdir}\n")
+        assert cli_main([command, "--config", str(conf)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: coefficient set fails: ")
+        if left is None:
+            assert outdir.is_dir() and not any(outdir.iterdir())
+        else:
+            assert not left.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-4"])
 def test_cli_sweep_rejects_non_positive_workers(tmp_path, capsys, workers):
     conf = tmp_path / "sweep.conf"
@@ -795,6 +816,8 @@ def test_output_root_env_override(tmp_path, monkeypatch):
     from nematic1d.harness import resolve_output_dir
     monkeypatch.setenv("NEMATIC1D_OUT", str(tmp_path / "root"))
     cfg = shear_config(output_dir="rel/run1")
-    out = resolve_output_dir(cfg)
+    out, created = resolve_output_dir(cfg)
     assert out == tmp_path / "root" / "rel" / "run1"
     assert out.exists()
+    assert created == tmp_path / "root"
+    assert resolve_output_dir(cfg) == (out, None)
