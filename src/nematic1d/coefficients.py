@@ -154,15 +154,15 @@ def require_valid(c: LeslieSet) -> None:
 # Dissipation matrix A(n), director source, dissipation densities
 # =============================================================================
 
-def matrix_entries(c: LeslieSet, n):
-    """Vectorized entries (a11, a12, a21, a22) of A(n); `n` may be an array.
+def matrix_entries(c: LeslieSet, n, trig=None):
+    """Vectorized entries (a11, a12, a21, a22) of A(n); `n` may be an array,
+    and `trig` may carry (cos n, sin n) when the caller already holds them.
 
     This is the single source of truth for A; fluxes and diagnostics consume
     these entries rather than re-deriving them.
     """
     a0, a1, a2, a3, a4, a5, a6, a7, a8 = c.alphas()
-    cs_ = np.cos(n)
-    sn_ = np.sin(n)
+    cs_, sn_ = (np.cos(n), np.sin(n)) if trig is None else trig
     cs2 = cs_ * cs_
     csn = cs_ * sn_
     a11 = (a0 + a5 + a6 + a8) * cs2 + a1 * cs2 * cs2 + (a4 + a7)

@@ -61,13 +61,6 @@ class EnergyLedger:
         return ",".join(f"{v:.17g}" for v in self.values())
 
 
-@dataclass(frozen=True)
-class FluxDiagnostic:
-    """Components of the effective viscous flux u_x - A^-1(n) P."""
-    h1: np.ndarray
-    h2: np.ndarray
-
-
 def energy(state: FlowState, grid: Grid1D,
            gamma_ad: float) -> tuple[float, float, float]:
     """(kinetic, internal, elastic) energy parts by trapezoid quadrature."""
@@ -216,13 +209,14 @@ def director_norms(snapshots: Sequence[FlowState],
 
 
 def effective_viscous_flux(state: FlowState, c: LeslieSet,
-                           grid: Grid1D) -> FluxDiagnostic:
-    """H = (u_x, v_x)^T - A^-1(n) (rho^gamma, 0)^T per node."""
+                           grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
+    """The components (h1, h2) of H = (u_x, v_x)^T - A^-1(n) (rho^gamma, 0)^T
+    per node."""
     u_x = gradient(state.u, grid.dx)
     v_x = gradient(state.v, grid.dx)
     p = pressure(state.rho, c.gamma_ad)
     i11, _, i21, _ = inverse_matrix_entries(c, state.n)
-    return FluxDiagnostic(h1=u_x - i11 * p, h2=v_x - i21 * p)
+    return u_x - i11 * p, v_x - i21 * p
 
 
 def entropy_like(state: FlowState, grid: Grid1D) -> float:

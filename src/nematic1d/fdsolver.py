@@ -108,8 +108,7 @@ def step_fd(state: FlowState, grid: Grid1D, c: LeslieSet,
     b1_f, b2_f = director_rate_flux(c, n_face, nd_face)
 
     p_old = pressure(state.rho, c.gamma_ad)
-    elastic = elastic_coupling(
-        FlowState(state.time, rho_new, state.u, state.v, n_new), grid)
+    elastic = elastic_coupling(n_new, grid, n_x_new)
 
     def face_divergence(flux_face: np.ndarray) -> np.ndarray:
         out = np.zeros(grid.num_nodes)

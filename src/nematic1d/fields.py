@@ -138,29 +138,40 @@ def pressure(rho: np.ndarray, gamma_ad: float) -> np.ndarray:
     return np.power(np.maximum(rho, 0.0), gamma_ad)
 
 
-def director_rate_flux(c: LeslieSet, n, ndot):
+def director_rate_flux(c: LeslieSet, n, ndot, trig=None):
     """The director-rate part of the flux brackets: what remains of (f1, f2)
-    after subtracting A(n) (u_x, v_x)^T.  Depends only on (n, ndot)."""
-    csn = np.cos(n) * np.sin(n)
-    cs2 = np.cos(n) ** 2
+    after subtracting A(n) (u_x, v_x)^T.  Depends only on (n, ndot); `trig`
+    may carry (cos n, sin n) when the caller already holds them."""
+    cs_, sn_ = (np.cos(n), np.sin(n)) if trig is None else trig
+    csn = cs_ * sn_
+    cs2 = cs_ * cs_
     b1 = -(c.alpha2 + c.alpha3) * ndot * csn
     b2 = c.alpha2 * ndot * cs2 - c.alpha3 * ndot * (1.0 - cs2)
     return b1, b2
 
 
-def flux_bracket(c: LeslieSet, u_x, v_x, n, ndot):
+def flux_bracket(c: LeslieSet, u_x, v_x, n, ndot, trig=None, entries=None):
     """Pointwise flux brackets (f1, f2): A(n) (u_x, v_x)^T plus the
-    director-rate part.  Broadcasts over arrays."""
-    a11, a12, a21, a22 = matrix_entries(c, n)
-    b1, b2 = director_rate_flux(c, n, ndot)
+    director-rate part, both from one evaluation of cos n and sin n.  A
+    caller that already holds (cos n, sin n), or the entries of A(n), passes
+    them as `trig` and `entries`.  Broadcasts over arrays."""
+    if trig is None:
+        trig = np.cos(n), np.sin(n)
+    if entries is None:
+        entries = matrix_entries(c, n, trig)
+    a11, a12, a21, a22 = entries
+    b1, b2 = director_rate_flux(c, n, ndot, trig)
     return a11 * u_x + a12 * v_x + b1, a21 * u_x + a22 * v_x + b2
 
 
-def elastic_coupling(state: FlowState, grid: Grid1D) -> np.ndarray:
-    """The elastic source -n_xx n_x that enters the first momentum equation."""
-    n_x = gradient(state.n, grid.dx, neumann_ends=True)
-    n_xx = second_derivative(state.n, grid.dx, neumann_ends=True)
-    return -n_xx * n_x
+def elastic_coupling(n: np.ndarray, grid: Grid1D,
+                     n_x: Optional[np.ndarray] = None) -> np.ndarray:
+    """The elastic source -n_xx n_x of the director angle n that enters the
+    first momentum equation; `n_x` may carry the Neumann gradient of n when
+    the caller already holds it."""
+    if n_x is None:
+        n_x = gradient(n, grid.dx, neumann_ends=True)
+    return -second_derivative(n, grid.dx, neumann_ends=True) * n_x
 
 
 def director_residual(state: FlowState, c: LeslieSet,

@@ -3,22 +3,26 @@ density advanced exactly along particle paths in mass coordinates, director
 advanced by an implicit tridiagonal step, all coupled by a per-step Picard
 iteration that halves dt on non-convergence.
 
-The velocity system is assembled and LU-factored once per step attempt, at
-O(N log N + K^2 + K^3); each Picard iterate then corrects the modes by the
-factored solve of its momentum residual, an O(N log N) transform plus an
-O(K^2) back-substitution.
+Each step's iteration starts from the linear extrapolation of the last two
+accepted steps, and an attempt from that guess that fails is retried once
+from the old state before dt is halved.  The velocity system is assembled
+and LU-factored once per step attempt, at O(N log N + K^2 + K^3); each
+Picard iterate then corrects the modes by the factored solve of its
+momentum residual, an O(N log N) transform plus an O(K^2)
+back-substitution.  The dense and tridiagonal solves call LAPACK (getrf,
+getrs, gtsv) directly: at desk sizes the library wrappers cost more than
+the arithmetic.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.fft import dct, dst
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, solve_banded
+from scipy.linalg import lapack
 
 from . import diagnostics
 from .coefficients import (LeslieSet, director_source, matrix_entries,
@@ -250,14 +254,12 @@ def advance_director(state: FlowState, c: LeslieSet, dt: float,
     lower[-1] = -2.0 * idx2
 
     rhs = g1 / dt * state.n + src
-    ab = np.zeros((3, m))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
-    try:
-        return solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - misconfiguration
-        raise RuntimeError(f"director tridiagonal solve failed: {exc}") from exc
+    *_, n_new, info = lapack.dgtsv(lower, diag, upper, rhs, overwrite_dl=True,
+                                   overwrite_d=True, overwrite_du=True,
+                                   overwrite_b=True)
+    if info != 0:   # pragma: no cover - misconfiguration
+        raise RuntimeError(f"director tridiagonal solve failed: info={info}")
+    return n_new
 
 
 # =============================================================================
@@ -281,10 +283,11 @@ def _toeplitz_hankel(moments: np.ndarray,
     return windows[..., K - 1::-1, :], windows[..., K + 1:, :]
 
 
-def galerkin_system(c: LeslieSet, *, basis: SineBasis, rho_new: np.ndarray,
-                    n_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def galerkin_system(*, basis: SineBasis, rho_new: np.ndarray,
+                    entries: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Trapezoid-rule Galerkin mass matrix (K, K) and the four stiffness
-    blocks (4, K, K) of A(n) in the order 11, 12, 21, 22.
+    blocks (4, K, K) of A(n) in the order 11, 12, 21, 22, from the new
+    density and the `matrix_entries` of A at the new director.
 
     The matrices come from the cosine moments C_m of the coefficient fields
     by the product-to-sum identities
@@ -294,8 +297,7 @@ def galerkin_system(c: LeslieSet, *, basis: SineBasis, rho_new: np.ndarray,
 
     exact on the grid, at O(N log N + K^2) for all of them together.
     """
-    cos_moments = basis.cosine_moments(np.array([
-        rho_new, *matrix_entries(c, n_new)]))
+    cos_moments = basis.cosine_moments(np.array([rho_new, *entries]))
     toeplitz, hankel = _toeplitz_hankel(cos_moments, basis.num_modes)
     mass = 0.5 * (toeplitz[0] - hankel[0])
     stiffness = np.add(toeplitz[1:], hankel[1:])
@@ -303,77 +305,86 @@ def galerkin_system(c: LeslieSet, *, basis: SineBasis, rho_new: np.ndarray,
     return mass, stiffness
 
 
-def momentum_residual(state: FlowState, c: LeslieSet, dt: float, *,
-                      grid: Grid1D, basis: SineBasis, rho_new: np.ndarray,
-                      n_new: np.ndarray, ndot_new: np.ndarray,
-                      velocity: np.ndarray,
-                      gradients: np.ndarray) -> np.ndarray:
-    """The (2, K) residual b - (M + dt S) c of the u and v mode equations at
-    the modes c whose node values and x-derivatives are `velocity` and
-    `gradients`, each (2, N+1).
-
-    Transport and pressure are explicit at the old time; the elastic source
-    and the director-rate flux use the new director.  With the fields of c in
-    hand, M c is the sine moments of rho_new (u, v), and the rows of S c are
-    j pi times the cosine moments of A(n) (u_x, v_x), which `flux_bracket`
-    adds to the director-rate part: one DST and one DCT of two rows, exact
-    against the assembled matrices.
-    """
-    elastic = elastic_coupling(
-        FlowState(state.time, rho_new, state.u, state.v, n_new), grid)
-    f1, f2 = flux_bracket(c, *gradients, n_new, ndot_new)
+def old_time_rhs(state: FlowState, c: LeslieSet, dt: float,
+                 basis: SineBasis) -> np.ndarray:
+    """The (2, K) part of the u and v mode equations' right-hand side that is
+    explicit at the old time, fixed over a step attempt: the sine moments of
+    the momenta (rho u, rho v) plus dt times the moments against phi_j' of
+    the transport and pressure fluxes (rho u^2 + p(rho), rho u v)."""
     rho_u = state.rho * state.u
-    p_old = pressure(state.rho, c.gamma_ad)
-    sin_moments = basis.sine_moments(
-        np.array([rho_u + dt * elastic, state.rho * state.v])
-        - rho_new * velocity)
+    sin_moments = basis.sine_moments(np.array([rho_u, state.rho * state.v]))
     cos_moments = basis.cosine_moments(np.array([
-        rho_u * state.u + p_old - f1, rho_u * state.v - f2]))
+        rho_u * state.u + pressure(state.rho, c.gamma_ad), rho_u * state.v]))
     # integrals against phi_j' are j pi times the cosine moments
     return (sin_moments
             + dt * basis.wavenumbers * cos_moments[:, 1:basis.num_modes + 1])
 
 
-def advance_velocity_modes(state: FlowState, c: LeslieSet, dt: float, *,
-                           grid: Grid1D, basis: SineBasis, modes: np.ndarray,
-                           velocity: np.ndarray, gradients: np.ndarray,
-                           rho_new: np.ndarray, n_new: np.ndarray,
+def momentum_residual(old_rhs: np.ndarray, dt: float, *, basis: SineBasis,
+                      rho_new: np.ndarray, velocity: np.ndarray,
+                      elastic: np.ndarray, flux: tuple) -> np.ndarray:
+    """The (2, K) residual b - (M + dt S) c of the u and v mode equations at
+    the modes c whose node values are `velocity` (2, N+1).
+
+    b is `old_rhs` (`old_time_rhs`) plus the elastic source `elastic` at the
+    new director; `flux` is `flux_bracket` at c's x-derivatives and the new
+    director.  With the fields of c in hand, M c is the sine moments of
+    rho_new (u, v), and the rows of S c are j pi times the cosine moments of
+    A(n) (u_x, v_x), which the flux brackets add to the director-rate part:
+    one DST and one DCT of two rows, exact against the assembled matrices.
+    """
+    new_terms = -rho_new * velocity
+    new_terms[0] += dt * elastic
+    cos_moments = basis.cosine_moments(np.array(flux))
+    return (old_rhs + basis.sine_moments(new_terms)
+            - dt * basis.wavenumbers * cos_moments[:, 1:basis.num_modes + 1])
+
+
+def advance_velocity_modes(c: LeslieSet, dt: float, *, grid: Grid1D,
+                           basis: SineBasis, old_rhs: np.ndarray,
+                           modes: np.ndarray, velocity: np.ndarray,
+                           gradients: np.ndarray, rho_new: np.ndarray,
+                           n_new: np.ndarray, n_x_new: np.ndarray,
                            ndot_new: np.ndarray,
-                           factor: Optional[tuple] = None,
-                           ) -> tuple[np.ndarray, tuple]:
+                           factor: Optional[list] = None,
+                           ) -> tuple[np.ndarray, list]:
     """One chord correction of the (2, K) modes of (u, v) toward the weak
     form's step, modes + (M + dt S)^-1 `momentum_residual`.
 
     The second-order coefficient matrix A(n) is treated implicitly.  The
-    system M(rho) + dt S(n) is assembled and LU-factored once per step
-    attempt, at its first iterate (factor=None), and the factorization is
-    returned for the later iterates to pass back; each iterate costs the
-    transform residual and one back-substitution.  At the fixed point the
-    residual vanishes, so the modes are the direct solution at the
-    converged (rho, n, ndot).
+    system M(rho) + dt S(n) is assembled and LU-factored (LAPACK getrf) once
+    per step attempt, at its first iterate (factor=None), and the
+    factorization is returned for the later iterates to pass back; each
+    iterate costs the transform residual and one back-substitution (getrs).
+    cos n and sin n are evaluated once per iterate, and A(n)'s entries serve
+    both the assembly and the flux brackets.  At the fixed point the
+    residual vanishes, so the modes are the direct solution at the converged
+    (rho, n, ndot).
     """
     if np.min(rho_new) <= 0.0:
         raise ValueError("mass matrix requires strictly positive density")
     K = basis.num_modes
+    trig = np.cos(n_new), np.sin(n_new)
+    entries = matrix_entries(c, n_new, trig)
     if factor is None:
-        mass, stiffness = galerkin_system(c, basis=basis, rho_new=rho_new,
-                                          n_new=n_new)
+        mass, stiffness = galerkin_system(basis=basis, rho_new=rho_new,
+                                          entries=entries)
         system = np.empty((2 * K, 2 * K))
         blocks = system.reshape(2, K, 2, K).swapaxes(1, 2)   # K x K each
         np.multiply(dt, stiffness.reshape(2, 2, K, K), out=blocks)
         blocks[0, 0] += mass
         blocks[1, 1] += mass
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", LinAlgWarning)
-                factor = lu_factor(system, overwrite_a=True,
-                                   check_finite=False)
-        except LinAlgWarning as exc:
-            raise RuntimeError(f"velocity mode solve failed: {exc}") from exc
+        *factor, info = lapack.dgetrf(system, overwrite_a=True)
+        if info != 0:
+            raise RuntimeError(
+                f"velocity mode solve failed: singular system (info={info})")
     residual = momentum_residual(
-        state, c, dt, grid=grid, basis=basis, rho_new=rho_new, n_new=n_new,
-        ndot_new=ndot_new, velocity=velocity, gradients=gradients)
-    correction = lu_solve(factor, residual.ravel(), check_finite=False)
+        old_rhs, dt, basis=basis, rho_new=rho_new, velocity=velocity,
+        elastic=elastic_coupling(n_new, grid, n_x_new),
+        flux=flux_bracket(c, *gradients, n_new, ndot_new, trig, entries))
+    correction, info = lapack.dgetrs(*factor, residual.ravel())
+    if info != 0:   # pragma: no cover - misconfiguration
+        raise RuntimeError(f"velocity mode back-substitution failed: info={info}")
     return modes + correction.reshape(2, K), factor
 
 
@@ -383,6 +394,8 @@ def advance_velocity_modes(state: FlowState, c: LeslieSet, dt: float, *,
 
 @dataclass
 class StepStats:
+    """Picard iterates run for one step, over every attempt including the
+    discarded ones, and the dt halvings it took."""
     picard_iterations: int
     halvings: int
 
@@ -403,17 +416,23 @@ def _initial_ndot(state: FlowState, c: LeslieSet, grid: Grid1D,
 
 def _attempt_step(state: FlowState, modes: np.ndarray, grid: Grid1D,
                   c: LeslieSet, dt: float, picard_tol: float,
-                  basis: SineBasis) -> Optional[tuple[FlowState, np.ndarray, int]]:
-    """One Picard-coupled step at fixed dt; None when Picard stalls."""
-    # step-invariant: the particle labels, the mass, and where the
-    # mass-coordinate gradient u_x / rho is defined
+                  basis: SineBasis, start: Optional[tuple] = None,
+                  ) -> tuple[Optional[tuple[FlowState, np.ndarray]], int]:
+    """One Picard-coupled step at fixed dt, its iteration begun from
+    `start` = (modes, n), by default the old state's.  Returns the new state
+    and modes, or None when Picard stalls or the density window is left,
+    with the number of iterates run."""
+    # step-invariant: the particle labels, the mass, where the
+    # mass-coordinate gradient u_x / rho is defined, and the old-time terms
     ld = LagrangianDensity.at_step_start(state.rho, grid)
     total_mass = float(np.trapezoid(state.rho, dx=grid.dx))
     occupied = state.rho > 0.0
     rho_safe = np.where(occupied, state.rho, 1.0)
+    old_rhs = old_time_rhs(state, c, dt, basis)
 
     # iterates are rebound, never mutated, so no copies are needed
-    modes_it, rho_it, n_it = modes, state.rho, state.n
+    modes_it, n_it = (modes, state.n) if start is None else start
+    rho_it = state.rho
 
     factor = None   # the velocity system's LU, set by the first iterate
     for iteration in range(1, PICARD_MAX + 1):
@@ -424,12 +443,15 @@ def _attempt_step(state: FlowState, modes: np.ndarray, grid: Grid1D,
 
         # (i) density along particle paths, then conservative remap; every
         # iterate integrates from the step start
-        rho_particles = advance_density(
-            ld, dt * np.where(occupied, u_x / rho_safe, 0.0))
         positions = grid.x + dt * u_field
         positions[0], positions[-1] = 0.0, 1.0
-        rho_new = remap_density_to_grid(rho_particles, positions, ld.labels,
-                                        total_mass, grid)
+        try:
+            rho_particles = advance_density(
+                ld, dt * np.where(occupied, u_x / rho_safe, 0.0))
+            rho_new = remap_density_to_grid(rho_particles, positions,
+                                            ld.labels, total_mass, grid)
+        except DenominatorTooSmall:
+            return None, iteration
 
         # (ii) implicit director with lagged trig coefficients
         working = FlowState(state.time, state.rho, u_field, v_field, state.n)
@@ -440,9 +462,9 @@ def _attempt_step(state: FlowState, modes: np.ndarray, grid: Grid1D,
 
         # (iii) velocity modes, implicit in the A(n) part
         modes_new, factor = advance_velocity_modes(
-            state, c, dt, grid=grid, basis=basis, modes=modes_it,
+            c, dt, grid=grid, basis=basis, old_rhs=old_rhs, modes=modes_it,
             velocity=velocity, gradients=gradients, rho_new=rho_new,
-            n_new=n_new, ndot_new=ndot_new, factor=factor)
+            n_new=n_new, n_x_new=n_x_new, ndot_new=ndot_new, factor=factor)
 
         delta = max(float(np.max(np.abs(rho_new - rho_it))),
                     float(np.max(np.abs(n_new - n_it))),
@@ -453,34 +475,39 @@ def _attempt_step(state: FlowState, modes: np.ndarray, grid: Grid1D,
             ndot_fin = (n_it - state.n) / dt + u_final * n_x_new
             new_state = FlowState(state.time + dt, rho_it, u_final, v_final,
                                   n_it, ndot=ndot_fin)
-            return new_state, modes_it, iteration
-    return None
+            return (new_state, modes_it), iteration
+    return None, PICARD_MAX
 
 
 def step(state: FlowState, modes: np.ndarray, grid: Grid1D, c: LeslieSet, *,
          dt: float, picard_tol: float, basis: Optional[SineBasis] = None,
+         start: Optional[tuple] = None,
          ) -> tuple[FlowState, np.ndarray, StepStats]:
     """Advance one scheduled step from the (2, K) velocity modes, halving dt
     internally on Picard failure.
 
+    `start` = (modes, n) is a guess of the new modes and director angle; the
+    Picard iteration begins there in place of the old state.  An attempt
+    from a guess that fails is retried once from the old state at the same
+    dt, so a guess never causes a halving.
+
     Returns the state advanced by dt / 2^k after k halvings (its time shows
-    how far), the new modes, and the Picard count and k.  Raises
-    TimeStepUnderflow below the dt floor.
+    how far), the new modes, and the Picard count of every attempt and k.
+    Raises TimeStepUnderflow below the dt floor.
     """
     if basis is None:
         basis = SineBasis(modes.shape[-1], grid)
-    halvings = 0
+    halvings = iterations = 0
     while dt >= DT_MIN:
-        try:
-            result = _attempt_step(state, modes, grid, c, dt, picard_tol,
-                                   basis)
-        except DenominatorTooSmall:
-            result = None
+        result, spent = _attempt_step(state, modes, grid, c, dt, picard_tol,
+                                      basis, start)
+        iterations += spent
         if result is not None:
-            new_state, new_modes, iters = result
-            return new_state, new_modes, StepStats(iters, halvings)
-        dt *= 0.5
-        halvings += 1
+            return (*result, StepStats(iterations, halvings))
+        if start is None:
+            dt *= 0.5
+            halvings += 1
+        start = None
     raise TimeStepUnderflow(
         f"dt underflow at t={state.time:.6g}: "
         f"min rho={np.min(state.rho):.3e}, max |u|={np.max(np.abs(state.u)):.3e}, "
@@ -495,7 +522,9 @@ def run(initial: FlowState, num_modes: int, grid: Grid1D, c: LeslieSet, *,
 
     Deterministic for a given configuration; `diagnostics.run_schedule`
     refills each scheduled window after internal halvings so output times
-    stay on the uniform cadence.
+    stay on the uniform cadence.  Each step starts its Picard iteration from
+    the linear extrapolation of the last two accepted (modes, n), except the
+    first step and the steps after a halving or after its refill.
     """
     require_valid(c)
     if not (dt > 0.0 and picard_tol > 0.0):
@@ -512,14 +541,31 @@ def run(initial: FlowState, num_modes: int, grid: Grid1D, c: LeslieSet, *,
 
     picard_counts: list[int] = []
     total_halvings = 0
+    # (modes, n, dt) at the start of the last step, kept when that step and
+    # the one before it were accepted whole: a halved step and its refill
+    # are shorter, and extrapolating across them is no better a guess
+    previous = None
+    last_whole = True
 
     def advance(state: FlowState, step_dt: float) -> FlowState:
-        nonlocal modes, total_halvings
-        state, modes, stats = step(state, modes, grid, c, dt=step_dt,
-                                   picard_tol=picard_tol, basis=basis)
+        nonlocal modes, total_halvings, previous, last_whole
+        start = None
+        if previous is not None:
+            modes_0, n_0, dt_0 = previous
+            # 1 but for the rounding of the schedule and a short last step
+            ratio = step_dt / dt_0
+            start = (modes + ratio * (modes - modes_0),
+                     state.n + ratio * (state.n - n_0))
+        new_state, new_modes, stats = step(
+            state, modes, grid, c, dt=step_dt, picard_tol=picard_tol,
+            basis=basis, start=start)
+        whole = stats.halvings == 0
+        previous = (modes, state.n, step_dt) if whole and last_whole else None
+        last_whole = whole
+        modes = new_modes
         picard_counts.append(stats.picard_iterations)
         total_halvings += stats.halvings
-        return state
+        return new_state
 
     traj = diagnostics.run_schedule(state, advance, c, grid, dt, t_end,
                                     snapshot_every)

@@ -493,9 +493,10 @@ def _sweep_member(args: tuple) -> SweepMember:
     window = np.sin(np.pi * grid.x) ** 2
     pairs = []
     for snap in traj.snapshots:
-        h = diagnostics.effective_viscous_flux(snap, config.coefficients, grid)
-        pairs.append((diagnostics.integrate(window * snap.rho * h.h1, grid),
-                      diagnostics.integrate(window * snap.rho * h.h2, grid)))
+        h1, h2 = diagnostics.effective_viscous_flux(snap, config.coefficients,
+                                                    grid)
+        pairs.append((diagnostics.integrate(window * snap.rho * h1, grid),
+                      diagnostics.integrate(window * snap.rho * h2, grid)))
     _, max_defect = diagnostics.energy_budget(traj.ledgers)
     if subdir is not None:
         path = Path(subdir)

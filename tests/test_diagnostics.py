@@ -141,9 +141,9 @@ def test_director_norms_static():
 def test_effective_viscous_flux_example(base_set):
     grid = Grid1D(64)
     state = make_state(grid, n=np.full(grid.num_nodes, 0.6))
-    h = effective_viscous_flux(state, base_set, grid)
-    assert np.max(np.abs(h.h1 + 1.0)) < 1e-13
-    assert np.max(np.abs(h.h2)) < 1e-13
+    h1, h2 = effective_viscous_flux(state, base_set, grid)
+    assert np.max(np.abs(h1 + 1.0)) < 1e-13
+    assert np.max(np.abs(h2)) < 1e-13
 
 
 def test_effective_viscous_flux_vacuum(base_set):
@@ -151,10 +151,10 @@ def test_effective_viscous_flux_vacuum(base_set):
     x = grid.x
     state = make_state(grid, rho=np.zeros(grid.num_nodes),
                        u=np.sin(np.pi * x), v=0.5 * np.sin(2 * np.pi * x))
-    h = effective_viscous_flux(state, base_set, grid)
+    h1, h2 = effective_viscous_flux(state, base_set, grid)
     from nematic1d.fields import gradient
-    assert np.max(np.abs(h.h1 - gradient(state.u, grid.dx))) < 1e-14
-    assert np.max(np.abs(h.h2 - gradient(state.v, grid.dx))) < 1e-14
+    assert np.max(np.abs(h1 - gradient(state.u, grid.dx))) < 1e-14
+    assert np.max(np.abs(h2 - gradient(state.v, grid.dx))) < 1e-14
 
 
 def test_entropy_values():

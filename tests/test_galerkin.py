@@ -7,15 +7,15 @@ from nematic1d.coefficients import (example_set, matrix_entries,
 from nematic1d.diagnostics import (director_norms, energy_budget,
                                    high_integrability)
 from nematic1d.fields import (FlowState, Grid1D, director_rate_flux,
-                              director_residual, elastic_coupling, gradient,
-                              pressure)
+                              director_residual, elastic_coupling,
+                              flux_bracket, gradient, pressure)
 from nematic1d.galerkin import (DenominatorTooSmall, LagrangianDensity,
                                 SineBasis, TimeStepUnderflow,
                                 _pchip_derivative,
                                 advance_density, advance_director,
                                 advance_velocity_modes,
                                 galerkin_system, momentum_residual,
-                                project_initial_velocity,
+                                old_time_rhs, project_initial_velocity,
                                 remap_density_to_grid, run, step)
 from nematic1d.harness import RunConfig, build_initial_state, run_simulation
 
@@ -105,8 +105,7 @@ def _dense_reference(state, c, dt, grid, K, rho_new, n_new, ndot_new):
     mass = phi_w * rho_new @ phi.T
     stiffness = [dphi_w * a @ dphi.T for a in matrix_entries(c, n_new)]
     b1, b2 = director_rate_flux(c, n_new, ndot_new)
-    elastic = elastic_coupling(
-        FlowState(state.time, rho_new, state.u, state.v, n_new), grid)
+    elastic = elastic_coupling(n_new, grid)
     p_old = pressure(state.rho, c.gamma_ad)
     rho, u, v = state.rho, state.u, state.v
     r_u = (phi_w @ (rho * u)
@@ -145,8 +144,8 @@ def test_transform_assembly_matches_dense_quadrature(cells, modes):
     ndot_new = rng.normal(size=m)
     dt = 1e-3
 
-    mass, stiffness = galerkin_system(c, basis=basis, rho_new=rho_new,
-                                      n_new=n_new)
+    mass, stiffness = galerkin_system(basis=basis, rho_new=rho_new,
+                                      entries=matrix_entries(c, n_new))
     ref_mass, ref_stiffness, ref_rhs, phi, dphi = _dense_reference(
         state, c, dt, grid, modes, rho_new, n_new, ndot_new)
 
@@ -157,11 +156,13 @@ def test_transform_assembly_matches_dense_quadrature(cells, modes):
     # the transform residual is b - A x against the dense system; at x = 0
     # it is the right-hand side itself
     ref_system = _block_system(ref_mass, ref_stiffness, dt)
+    old_rhs = old_time_rhs(state, c, dt, basis)
+    elastic = elastic_coupling(n_new, grid)
     for x in (np.zeros((2, modes)), rng.normal(size=(2, modes))):
         got = momentum_residual(
-            state, c, dt, grid=grid, basis=basis, rho_new=rho_new,
-            n_new=n_new, ndot_new=ndot_new, velocity=x @ phi,
-            gradients=x @ dphi)
+            old_rhs, dt, basis=basis, rho_new=rho_new, velocity=x @ phi,
+            elastic=elastic,
+            flux=flux_bracket(c, *(x @ dphi), n_new, ndot_new))
         ref = np.concatenate(ref_rhs) - ref_system @ x.ravel()
         assert _rel(got.ravel(), ref) <= 1e-12
 
@@ -174,12 +175,14 @@ def test_transform_assembly_matches_dense_quadrature(cells, modes):
 
 
 def _velocity_update(state, c, basis, modes, factor=None, rho_new=None):
-    grid = basis.grid
+    grid, dt = basis.grid, 1e-3
     return advance_velocity_modes(
-        state, c, 1e-3, grid=grid, basis=basis, modes=modes,
+        c, dt, grid=grid, basis=basis,
+        old_rhs=old_time_rhs(state, c, dt, basis), modes=modes,
         velocity=basis.reconstruct(modes),
         gradients=basis.reconstruct_derivative(modes),
         rho_new=state.rho if rho_new is None else rho_new, n_new=state.n,
+        n_x_new=gradient(state.n, grid.dx, neumann_ends=True),
         ndot_new=np.zeros(grid.num_nodes), factor=factor)
 
 
@@ -195,9 +198,9 @@ def test_velocity_update_guards(base_set, monkeypatch):
     rho_bad[5] = 0.0
     with pytest.raises(ValueError, match="strictly positive density"):
         _velocity_update(state, base_set, basis, modes, factor, rho_bad)
-    # a singular system is a named solver failure, not a LinAlgWarning
+    # a singular system is a named solver failure
     monkeypatch.setattr("nematic1d.galerkin.galerkin_system",
-                        lambda c, **kw: (np.zeros((4, 4)), np.zeros((4, 4, 4))))
+                        lambda **kw: (np.zeros((4, 4)), np.zeros((4, 4, 4))))
     with pytest.raises(RuntimeError, match="velocity mode solve failed"):
         _velocity_update(state, base_set, basis, modes)
 
@@ -426,34 +429,75 @@ def _direct_modes(state, c, dt, grid, basis, new_state):
     """np.linalg.solve of the velocity system assembled at the new state's
     (rho, n, ndot); the right-hand side is the residual at zero modes."""
     K = basis.num_modes
-    mass, stiffness = galerkin_system(c, basis=basis, rho_new=new_state.rho,
-                                      n_new=new_state.n)
+    mass, stiffness = galerkin_system(
+        basis=basis, rho_new=new_state.rho,
+        entries=matrix_entries(c, new_state.n))
     system = _block_system(mass, stiffness, dt)
     zero = np.zeros((2, grid.num_nodes))
-    rhs = momentum_residual(state, c, dt, grid=grid, basis=basis,
-                            rho_new=new_state.rho, n_new=new_state.n,
-                            ndot_new=new_state.ndot, velocity=zero,
-                            gradients=zero)
+    rhs = momentum_residual(
+        old_time_rhs(state, c, dt, basis), dt, basis=basis,
+        rho_new=new_state.rho, velocity=zero,
+        elastic=elastic_coupling(new_state.n, grid),
+        flux=flux_bracket(c, *zero, new_state.n, new_state.ndot))
     return np.linalg.solve(system, rhs.ravel()).reshape(2, K)
 
 
 @pytest.mark.parametrize("preset", ["shear", "smooth_random"])
-def test_step_fixed_point_is_the_direct_solution(base_set, preset):
+def test_step_fixed_point_is_the_direct_solution(base_set, preset,
+                                                 monkeypatch):
     # the chord iterates reuse one factorization per attempt, yet the
-    # accepted modes solve the system of the accepted step
+    # accepted modes solve the system of the accepted step, also when the
+    # iteration starts from the predictor's extrapolated guess in a run
     config = RunConfig(coefficients=base_set, grid_cells=64, modes=8,
                        initial_preset=preset)
     grid = Grid1D(64)
     basis = SineBasis(8, grid)
     state = build_initial_state(config, grid)
-    modes = project_initial_velocity(state.u, state.v, 8, grid)
-    state.u, state.v = basis.reconstruct(modes)
     dt = 1e-3
+    steps = []
+
+    def recording_step(state, modes, grid, c, **kwargs):
+        result = step(state, modes, grid, c, **kwargs)
+        steps.append((state, kwargs["dt"], kwargs["start"], result))
+        return result
+
+    monkeypatch.setattr("nematic1d.galerkin.step", recording_step)
+    run(state, 8, grid, base_set, dt=dt, picard_tol=PICARD_TOL, t_end=4 * dt)
+    # the first step starts from the old state, the later ones from a guess
+    assert [start is None for _, _, start, _ in steps] == [
+        True, False, False, False]
+    for old, step_dt, _, (new_state, new_modes, stats) in steps:
+        assert stats.halvings == 0 and stats.picard_iterations > 1
+        direct = _direct_modes(old, base_set, step_dt, grid, basis, new_state)
+        assert np.max(np.abs(new_modes - direct)) <= 10.0 * PICARD_TOL
+
+
+@pytest.mark.parametrize("guess, picard_max", [
+    pytest.param(lambda modes: modes + 1e3, None, id="leaves-window"),
+    pytest.param(lambda modes: 1.5 * modes, 5, id="stalls"),  # needs 6
+])
+def test_failed_guess_is_retried_at_the_same_dt(base_set, monkeypatch,
+                                                guess, picard_max):
+    # a guessed attempt that fails is discarded and the step retried from
+    # the old state at the same dt: no halving, the unguessed step's modes,
+    # and the discarded attempt's iterates counted
+    grid = Grid1D(64)
+    state = make_state(grid, v=np.sin(np.pi * grid.x),
+                       n=np.full(grid.num_nodes, np.pi / 4),
+                       ndot=np.zeros(grid.num_nodes))
+    modes = project_initial_velocity(state.u, state.v, 8, grid)
+    dt = 1e-3
+    if picard_max is not None:
+        monkeypatch.setattr("nematic1d.galerkin.PICARD_MAX", picard_max)
+    _, plain_modes, plain = step(state, modes, grid, base_set, dt=dt,
+                                 picard_tol=PICARD_TOL)
     new_state, new_modes, stats = step(state, modes, grid, base_set, dt=dt,
-                                       picard_tol=PICARD_TOL, basis=basis)
-    assert stats.halvings == 0 and stats.picard_iterations > 1
-    direct = _direct_modes(state, base_set, dt, grid, basis, new_state)
-    assert np.max(np.abs(new_modes - direct)) <= 10.0 * PICARD_TOL
+                                       picard_tol=PICARD_TOL,
+                                       start=(guess(modes), state.n))
+    assert new_state.time == dt and stats.halvings == 0
+    assert np.max(np.abs(new_modes - plain_modes)) <= 10.0 * PICARD_TOL
+    discarded = 1 if picard_max is None else picard_max
+    assert stats.picard_iterations == plain.picard_iterations + discarded
 
 
 def test_converged_step_satisfies_director_equation(base_set):
@@ -620,7 +664,12 @@ def test_shear_run_invariants(base_set):
         assert np.min(snap.rho) > 0.0
         assert snap.u[0] == 0.0 and snap.u[-1] == 0.0
         assert snap.v[0] == 0.0 and snap.v[-1] == 0.0
-    assert max(traj.metadata["picard_iterations"]) <= 10
+    counts = traj.metadata["picard_iterations"]
+    assert max(counts) <= 10
+    # iterate-count guard: the extrapolated start measured 3.70 iterates per
+    # step here (185 over 50 steps), against 5.00 when every step started
+    # from the old state; 0.3 of margin, still well below 5
+    assert np.mean(counts) <= 3.7 + 0.3
 
 
 def halving_config(**overrides):
@@ -634,7 +683,8 @@ def halving_config(**overrides):
 @pytest.mark.parametrize("every", [1, 2])
 def test_halved_steps_keep_the_cadence(every):
     traj = run_simulation(halving_config(snapshot_every=every))
-    assert traj.metadata["dt_halvings"] > 0
+    # a guess never adds a halving: the same two as without the predictor
+    assert traj.metadata["dt_halvings"] == 2
     times = [led.time for led in traj.ledgers]
     assert times == pytest.approx(np.arange(0.0, 2.0 + 1e-9, every),
                                   abs=1e-13)
