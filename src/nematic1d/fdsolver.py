@@ -7,7 +7,7 @@ same implicit director step; robustness over sharpness.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 from . import diagnostics
 from .coefficients import LeslieSet, matrix_entries, require_valid
@@ -57,11 +57,11 @@ def _viscous_tridiag_solve(rho_new: np.ndarray, coeff_face: np.ndarray,
     lower[-1] = 0.0
     b = rhs.copy()
     b[0] = b[-1] = 0.0
-    ab = np.zeros((3, m))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
-    q = solve_banded((1, 1), ab, b)
+    *_, q, info = lapack.dgtsv(lower, diag, upper, b, overwrite_dl=True,
+                               overwrite_d=True, overwrite_du=True,
+                               overwrite_b=True)
+    if info != 0:
+        raise RuntimeError(f"viscous tridiagonal solve failed: info={info}")
     q[0] = q[-1] = 0.0   # pivoting can leave round-off in the Dirichlet rows
     return q
 

@@ -3,21 +3,22 @@ density advanced exactly along particle paths in mass coordinates, director
 advanced by an implicit tridiagonal step, all coupled by a per-step Picard
 iteration that halves dt on non-convergence.
 
-Each step's iteration starts from the linear extrapolation of the last two
-accepted steps, and an attempt from that guess that fails is retried once
-from the old state before dt is halved.  The velocity system is assembled
-and LU-factored once per step attempt, at O(N log N + K^2 + K^3); each
-Picard iterate then corrects the modes by the factored solve of its
-momentum residual, an O(N log N) transform plus an O(K^2)
-back-substitution.  The dense and tridiagonal solves call LAPACK (getrf,
-getrs, gtsv) directly: at desk sizes the library wrappers cost more than
-the arithmetic.
+Each step's iteration starts from the degree-4 extrapolation in time of
+the last five accepted states, and an attempt from that guess that fails
+is retried once from the old state before dt is halved.  The velocity
+system is assembled and LU-factored once per step attempt, at
+O(N log N + K^2 + K^3); each Picard iterate then corrects the modes by the
+factored solve of its momentum residual, an O(N log N) transform plus an
+O(K^2) back-substitution.  The dense and tridiagonal solves call LAPACK
+(getrf, getrs, gtsv) directly: at desk sizes the library wrappers cost
+more than the arithmetic.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -47,6 +48,10 @@ class TimeStepUnderflow(RuntimeError):
 PICARD_MAX = 50
 DENOMINATOR_GUARD = 1.0
 DT_MIN = 1e-12
+# Accepted states the predictor extrapolates from.  Extrapolation multiplies
+# each state's Picard-tolerance error by the weights' absolute sum, 2^p - 1
+# for p equally spaced points, so more points stop paying off.
+PREDICTOR_POINTS = 5
 
 
 # =============================================================================
@@ -514,6 +519,21 @@ def step(state: FlowState, modes: np.ndarray, grid: Grid1D, c: LeslieSet, *,
         f"max |modes|={np.max(np.abs(modes)):.3e}")
 
 
+def _extrapolate(history: Sequence[tuple],
+                 time: float) -> Optional[tuple]:
+    """Lagrange extrapolation to `time` of the (modes, n) in `history`, a
+    sequence of (time, modes, n) at distinct times; None from fewer than two
+    states."""
+    if len(history) < 2:
+        return None
+    times = np.array([t for t, _, _ in history])
+    weights = [np.prod((time - np.delete(times, i))
+                       / (t_i - np.delete(times, i)))
+               for i, t_i in enumerate(times)]
+    return (sum(w * modes for w, (_, modes, _) in zip(weights, history)),
+            sum(w * n for w, (_, _, n) in zip(weights, history)))
+
+
 def run(initial: FlowState, num_modes: int, grid: Grid1D, c: LeslieSet, *,
         dt: float, picard_tol: float, t_end: float,
         snapshot_every: int = 1) -> diagnostics.Trajectory:
@@ -523,8 +543,9 @@ def run(initial: FlowState, num_modes: int, grid: Grid1D, c: LeslieSet, *,
     Deterministic for a given configuration; `diagnostics.run_schedule`
     refills each scheduled window after internal halvings so output times
     stay on the uniform cadence.  Each step starts its Picard iteration from
-    the linear extrapolation of the last two accepted (modes, n), except the
-    first step and the steps after a halving or after its refill.
+    the extrapolation of (modes, n) through its start and up to four
+    accepted states before it, except the first step and the refill after
+    a halving.
     """
     require_valid(c)
     if not (dt > 0.0 and picard_tol > 0.0):
@@ -541,27 +562,19 @@ def run(initial: FlowState, num_modes: int, grid: Grid1D, c: LeslieSet, *,
 
     picard_counts: list[int] = []
     total_halvings = 0
-    # (modes, n, dt) at the start of the last step, kept when that step and
-    # the one before it were accepted whole: a halved step and its refill
-    # are shorter, and extrapolating across them is no better a guess
-    previous = None
-    last_whole = True
+    # accepted (time, modes, n); the weights come from the stored times, so
+    # schedule rounding and a short last step need no special case
+    history = deque(maxlen=PREDICTOR_POINTS)
 
     def advance(state: FlowState, step_dt: float) -> FlowState:
-        nonlocal modes, total_halvings, previous, last_whole
-        start = None
-        if previous is not None:
-            modes_0, n_0, dt_0 = previous
-            # 1 but for the rounding of the schedule and a short last step
-            ratio = step_dt / dt_0
-            start = (modes + ratio * (modes - modes_0),
-                     state.n + ratio * (state.n - n_0))
+        nonlocal modes, total_halvings
+        history.append((state.time, modes, state.n))
         new_state, new_modes, stats = step(
             state, modes, grid, c, dt=step_dt, picard_tol=picard_tol,
-            basis=basis, start=start)
-        whole = stats.halvings == 0
-        previous = (modes, state.n, step_dt) if whole and last_whole else None
-        last_whole = whole
+            basis=basis, start=_extrapolate(history, state.time + step_dt))
+        if stats.halvings:
+            # extrapolating across a halved step is no better a guess
+            history.clear()
         modes = new_modes
         picard_counts.append(stats.picard_iterations)
         total_halvings += stats.halvings

@@ -422,6 +422,7 @@ def write_outputs(traj: diagnostics.Trajectory, config: RunConfig,
     picard = traj.metadata.get("picard_iterations")
     if picard:
         summary["metadata"]["picard_iterations_max"] = int(max(picard))
+        summary["metadata"]["picard_iterations_mean"] = float(np.mean(picard))
     (outdir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary

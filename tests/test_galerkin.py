@@ -10,8 +10,8 @@ from nematic1d.fields import (FlowState, Grid1D, director_rate_flux,
                               director_residual, elastic_coupling,
                               flux_bracket, gradient, pressure)
 from nematic1d.galerkin import (DenominatorTooSmall, LagrangianDensity,
-                                SineBasis, TimeStepUnderflow,
-                                _pchip_derivative,
+                                SineBasis, TimeStepUnderflow, _attempt_step,
+                                _extrapolate, _pchip_derivative,
                                 advance_density, advance_director,
                                 advance_velocity_modes,
                                 galerkin_system, momentum_residual,
@@ -447,7 +447,8 @@ def test_step_fixed_point_is_the_direct_solution(base_set, preset,
                                                  monkeypatch):
     # the chord iterates reuse one factorization per attempt, yet the
     # accepted modes solve the system of the accepted step, also when the
-    # iteration starts from the predictor's extrapolated guess in a run
+    # iteration starts from the predictor's extrapolated guess in a run,
+    # with five points from the fifth step on
     config = RunConfig(coefficients=base_set, grid_cells=64, modes=8,
                        initial_preset=preset)
     grid = Grid1D(64)
@@ -462,14 +463,33 @@ def test_step_fixed_point_is_the_direct_solution(base_set, preset,
         return result
 
     monkeypatch.setattr("nematic1d.galerkin.step", recording_step)
-    run(state, 8, grid, base_set, dt=dt, picard_tol=PICARD_TOL, t_end=4 * dt)
+    run(state, 8, grid, base_set, dt=dt, picard_tol=PICARD_TOL, t_end=6 * dt)
     # the first step starts from the old state, the later ones from a guess
+    # through two to five accepted states
     assert [start is None for _, _, start, _ in steps] == [
-        True, False, False, False]
+        True, False, False, False, False, False]
     for old, step_dt, _, (new_state, new_modes, stats) in steps:
         assert stats.halvings == 0 and stats.picard_iterations > 1
         direct = _direct_modes(old, base_set, step_dt, grid, basis, new_state)
         assert np.max(np.abs(new_modes - direct)) <= 10.0 * PICARD_TOL
+
+
+def test_extrapolation_is_exact_on_quartics():
+    # five unequal times, the last interval short as after a refill: a
+    # degree-4 polynomial in time is reproduced to round-off, and a single
+    # state gives no guess
+    times = [0.0, 1e-3, 2e-3, 3e-3, 3.4e-3]
+    target = 4.4e-3
+    coeffs = np.random.default_rng(7).standard_normal((5, 2, 3))
+
+    def poly(t):
+        return sum(a * t**k for k, a in enumerate(coeffs))
+
+    history = [(t, poly(t), 2.0 * poly(t)[0]) for t in times]
+    modes, n = _extrapolate(history, target)
+    assert np.max(np.abs(modes - poly(target))) <= 1e-12
+    assert np.max(np.abs(n - 2.0 * poly(target)[0])) <= 1e-12
+    assert _extrapolate(history[:1], target) is None
 
 
 @pytest.mark.parametrize("guess, picard_max", [
@@ -666,10 +686,23 @@ def test_shear_run_invariants(base_set):
         assert snap.v[0] == 0.0 and snap.v[-1] == 0.0
     counts = traj.metadata["picard_iterations"]
     assert max(counts) <= 10
-    # iterate-count guard: the extrapolated start measured 3.70 iterates per
-    # step here (185 over 50 steps), against 5.00 when every step started
-    # from the old state; 0.3 of margin, still well below 5
-    assert np.mean(counts) <= 3.7 + 0.3
+    # iterate-count guard: the five-point extrapolated start measured 2.10
+    # iterates per step here (105 over 50 steps), against 3.70 from the
+    # two-point one and 5.00 when every step started from the old state
+    assert np.mean(counts) <= 2.1 + 0.3
+
+
+def test_rough_run_iterate_count():
+    # iterate-count guard on near-vacuum data: the five-point extrapolated
+    # start measured 6.94 iterates per step here (347 over 50 steps),
+    # against 9.28 from the two-point one
+    traj = run_simulation(RunConfig(
+        coefficients=example_set(), grid_cells=128, modes=16, dt=1e-3,
+        t_end=0.05, initial_preset="rough_density",
+        initial_params={"profile": "sawtooth"}, mollify_delta=0.05))
+    counts = traj.metadata["picard_iterations"]
+    assert len(counts) == 50 and traj.metadata["dt_halvings"] == 0
+    assert np.mean(counts) <= 6.94 + 0.3
 
 
 def halving_config(**overrides):
@@ -691,6 +724,33 @@ def test_halved_steps_keep_the_cadence(every):
     mass0 = traj.ledgers[0].mass
     for led in traj.ledgers:
         assert abs(led.mass - mass0) <= 1e-13 * mass0
+
+
+def test_predictor_restarts_after_a_halving(monkeypatch):
+    # the refill after a halved step starts from the old state, a later
+    # step from a guess again, and no guessed attempt is discarded
+    steps, attempts = [], []
+
+    def recording_step(*args, **kwargs):
+        result = step(*args, **kwargs)
+        steps.append((kwargs["start"], result[2]))
+        return result
+
+    def recording_attempt(*args):
+        result = _attempt_step(*args)
+        attempts.append((args[-1] is not None, result[0] is not None))
+        return result
+
+    monkeypatch.setattr("nematic1d.galerkin.step", recording_step)
+    monkeypatch.setattr("nematic1d.galerkin._attempt_step", recording_attempt)
+    traj = run_simulation(halving_config())
+    assert traj.metadata["dt_halvings"] == 2
+    halved = [i for i, (_, stats) in enumerate(steps) if stats.halvings]
+    assert halved and halved[-1] + 1 < len(steps)
+    for i in halved:
+        assert steps[i + 1][0] is None
+    assert any(start is not None for start, _ in steps)
+    assert all(accepted for guessed, accepted in attempts if guessed)
 
 
 def test_dt_floor_raises_underflow(monkeypatch):

@@ -346,6 +346,9 @@ def test_run_outputs_and_determinism(tmp_path):
                       "D_1,D_2,D_3,D_4,D_5,mass,entropy,rho2gamma")
     echo = json.loads((out_a / "summary.json").read_text())["config"]
     assert echo["grid"]["cells"] == 64
+    picard = traj.metadata["picard_iterations"]
+    assert summary["metadata"]["picard_iterations_max"] == max(picard)
+    assert summary["metadata"]["picard_iterations_mean"] == np.mean(picard)
     assert summary["max_defect"] < 1e-4
 
     traj2 = run_simulation(cfg)
