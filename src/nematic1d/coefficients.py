@@ -68,10 +68,10 @@ class LeslieSet:
         return self.alpha6 - self.alpha5
 
 
-def example_set(gamma_ad: float = 2.0) -> LeslieSet:
+def example_set() -> LeslieSet:
     """The standard admissible example: alpha2 = -1, alpha3 = alpha4 = 1,
     all other coefficients zero.  Gives gamma1 = 2, gamma2 = 0 and A(n) = I."""
-    return LeslieSet(alpha2=-1.0, alpha3=1.0, alpha4=1.0, gamma_ad=gamma_ad)
+    return LeslieSet(alpha2=-1.0, alpha3=1.0, alpha4=1.0)
 
 
 @dataclass(frozen=True)
@@ -232,21 +232,20 @@ def dissipation_parts(c: LeslieSet, n, u_x, v_x, ndot):
 class DerivedViscosities:
     """A certified two-sided eigenvalue range for sym A(n).
 
-    lambda_closed_form is the closed-form candidate bound
+    lambda_lo, the value diagnostics use, is the smaller of the closed-form
+    candidate bound
 
         min{ (a4+a7) - (a1 + g2^2/g1)/4,
              (2a4+a5+a6 - g2^2/g1) - (a0+a1+a5+a6+a8) }
 
-    which for general admissible sets can exceed the true minimum eigenvalue
-    (only its second branch divided by 4 is provable from the sum-of-squares
-    expansion).  lambda_lo is the certified value actually used by
-    diagnostics: the smaller of the closed form and a dense eigenvalue sweep
-    with a Lipschitz safety margin, floored at the provable bound.
+    and a dense eigenvalue sweep with a Lipschitz safety margin, floored at
+    the provable bound.  The closed form alone can exceed the true minimum
+    eigenvalue for general admissible sets: only its second branch divided
+    by 4 is provable from the sum-of-squares expansion.
     """
 
     lambda_lo: float
     lambda_hi: float
-    lambda_closed_form: float
 
 
 def _sym_eig_range(c: LeslieSet) -> tuple[float, float, float]:
@@ -292,23 +291,21 @@ def derive_viscosities(c: LeslieSet) -> DerivedViscosities:
     emin_cert, emax_cert, cap = _sym_eig_range(c)
     lam_lo = min(closed_form, max(emin_cert, provable))
     lam_hi = min(emax_cert, cap)
-    return DerivedViscosities(lambda_lo=float(lam_lo), lambda_hi=float(lam_hi),
-                              lambda_closed_form=float(closed_form))
+    return DerivedViscosities(lambda_lo=float(lam_lo), lambda_hi=float(lam_hi))
 
 
 # =============================================================================
 # Random admissible sets (used by the verification suite and property tests)
 # =============================================================================
 
-def random_valid_set(rng: np.random.Generator, gamma_ad: float = 2.0,
-                     max_tries: int = 500) -> LeslieSet:
+def random_valid_set(rng: np.random.Generator) -> LeslieSet:
     """Draw an admissible coefficient set.
 
     Samples gamma1, gamma2 and the free coefficients, then sizes alpha4 to
     clear every inequality group with slack; rejection-checks at the end so
     the returned set always passes validate().
     """
-    for _ in range(max_tries):
+    for _ in range(500):
         g1 = rng.uniform(0.3, 3.0)
         g2 = rng.uniform(-0.9, 0.9) * g1
         a2 = 0.5 * (g2 - g1)
@@ -332,7 +329,7 @@ def random_valid_set(rng: np.random.Generator, gamma_ad: float = 2.0,
             (a0 + a1 + a5 + a6 + a8 + g2 * g2 / g1 - a5 - a6) / 2.0,
         )
         a4 = need + rng.uniform(0.05, 2.0)
-        cand = LeslieSet(a0, a1, a2, a3, a4, a5, a6, a7, a8, gamma_ad)
+        cand = LeslieSet(a0, a1, a2, a3, a4, a5, a6, a7, a8)
         if validate(cand).is_valid:
             return cand
     raise RuntimeError("failed to draw an admissible coefficient set")

@@ -145,11 +145,12 @@ def standard_profiles() -> list[TrigProfile]:
 # Identity checks
 # =============================================================================
 
-def _richardson_dx(f, x: np.ndarray, h: float = RICHARDSON_BASE_STEP) -> np.ndarray:
+def _richardson_dx(f, x: np.ndarray) -> np.ndarray:
     """Three-level Richardson extrapolation of d/dx for a vectorized f(x)."""
     def central(step):
         return (f(x + step) - f(x - step)) / (2.0 * step)
 
+    h = RICHARDSON_BASE_STEP
     d0, d1, d2 = central(h), central(h / 2), central(h / 4)
     r0 = (4.0 * d1 - d0) / 3.0
     r1 = (4.0 * d2 - d1) / 3.0

@@ -15,8 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coefficients import (LeslieSet, dissipation_parts,
-                           inverse_matrix_entries, quadratic_form)
+from .coefficients import LeslieSet, dissipation_parts, inverse_matrix_entries
 from .fields import FlowState, Grid1D, gradient, pressure, second_derivative
 
 
@@ -93,20 +92,6 @@ def dissipation(state: FlowState, c: LeslieSet,
     return total, parts
 
 
-def dissipation_direct(state: FlowState, c: LeslieSet,
-                       grid: Grid1D) -> float:
-    """The same dissipation via the direct quadratic form (cross-check)."""
-    ndot = state.require_ndot()
-    u_x = gradient(state.u, grid.dx)
-    v_x = gradient(state.v, grid.dx)
-    s2n, c2n = np.sin(2.0 * state.n), np.cos(2.0 * state.n)
-    g1, g2 = c.gamma1, c.gamma2
-    integrand = (g1 * ndot * ndot - g2 * u_x * ndot * s2n
-                 - (g1 - g2 * c2n) * v_x * ndot
-                 + quadratic_form(c, state.n, u_x, v_x))
-    return integrate(integrand, grid)
-
-
 def make_ledger(state: FlowState, c: LeslieSet, grid: Grid1D) -> EnergyLedger:
     kin, internal, elastic = energy(state, grid, c.gamma_ad)
     total, parts = dissipation(state, c, grid)
@@ -171,7 +156,10 @@ def energy_budget(ledgers: Sequence[EnergyLedger]) -> tuple[np.ndarray, float]:
 
     Each D(t_k) is weighted by the interval that ends at t_k (right-endpoint
     rule, matching the implicit Euler stepping), so output times need not be
-    uniform: an off-cadence final snapshot weighs its shorter interval.
+    uniform: an off-cadence final snapshot weighs its shorter interval.  D
+    is known at the output times alone, so the defect converges at first
+    order in dt only when every step is an output time (snapshot_every = 1);
+    a coarser cadence adds the rectangle rule's error over its intervals.
     """
     times = np.array([led.time for led in ledgers])
     e = np.array([led.total for led in ledgers])
@@ -198,7 +186,7 @@ def director_norms(snapshots: Sequence[FlowState],
     """
     sq_xx, sq_t = [], []
     for s in snapshots:
-        n_xx = second_derivative(s.n, grid.dx, neumann_ends=True)
+        n_xx = second_derivative(s.n, grid.dx)
         n_x = gradient(s.n, grid.dx, neumann_ends=True)
         n_t = s.require_ndot() - s.u * n_x
         sq_xx.append(integrate(n_xx * n_xx, grid))

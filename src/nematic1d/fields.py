@@ -114,17 +114,13 @@ def gradient(f: np.ndarray, dx: float, neumann_ends: bool = False) -> np.ndarray
     return g
 
 
-def second_derivative(f: np.ndarray, dx: float,
-                      neumann_ends: bool = False) -> np.ndarray:
-    """Second-order second derivative; Neumann ends use the mirrored ghost."""
+def second_derivative(f: np.ndarray, dx: float) -> np.ndarray:
+    """Second-order second derivative of a field with homogeneous Neumann
+    ends, which use the mirrored ghost node."""
     g = np.empty_like(f)
     g[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (dx * dx)
-    if neumann_ends:
-        g[0] = 2.0 * (f[1] - f[0]) / (dx * dx)
-        g[-1] = 2.0 * (f[-2] - f[-1]) / (dx * dx)
-    else:
-        g[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / (dx * dx)
-        g[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / (dx * dx)
+    g[0] = 2.0 * (f[1] - f[0]) / (dx * dx)
+    g[-1] = 2.0 * (f[-2] - f[-1]) / (dx * dx)
     return g
 
 
@@ -165,13 +161,10 @@ def flux_bracket(c: LeslieSet, u_x, v_x, n, ndot, trig=None, entries=None):
 
 
 def elastic_coupling(n: np.ndarray, grid: Grid1D,
-                     n_x: Optional[np.ndarray] = None) -> np.ndarray:
+                     n_x: np.ndarray) -> np.ndarray:
     """The elastic source -n_xx n_x of the director angle n that enters the
-    first momentum equation; `n_x` may carry the Neumann gradient of n when
-    the caller already holds it."""
-    if n_x is None:
-        n_x = gradient(n, grid.dx, neumann_ends=True)
-    return -second_derivative(n, grid.dx, neumann_ends=True) * n_x
+    first momentum equation, given its Neumann gradient `n_x`."""
+    return -second_derivative(n, grid.dx) * n_x
 
 
 def director_residual(state: FlowState, c: LeslieSet,
@@ -181,6 +174,6 @@ def director_residual(state: FlowState, c: LeslieSet,
     ndot = state.require_ndot()
     u_x = gradient(state.u, grid.dx)
     v_x = gradient(state.v, grid.dx)
-    n_xx = second_derivative(state.n, grid.dx, neumann_ends=True)
+    n_xx = second_derivative(state.n, grid.dx)
     return (c.gamma1 * ndot
             - director_source(c.gamma1, c.gamma2, state.n, u_x, v_x) - n_xx)

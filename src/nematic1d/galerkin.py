@@ -414,7 +414,7 @@ def _initial_ndot(state: FlowState, c: LeslieSet, grid: Grid1D,
         u_x = gradient(state.u, grid.dx)
     if v_x is None:
         v_x = gradient(state.v, grid.dx)
-    n_xx = second_derivative(state.n, grid.dx, neumann_ends=True)
+    n_xx = second_derivative(state.n, grid.dx)
     src = director_source(c.gamma1, c.gamma2, state.n, u_x, v_x)
     return (n_xx + src) / c.gamma1
 
@@ -485,11 +485,11 @@ def _attempt_step(state: FlowState, modes: np.ndarray, grid: Grid1D,
 
 
 def step(state: FlowState, modes: np.ndarray, grid: Grid1D, c: LeslieSet, *,
-         dt: float, picard_tol: float, basis: Optional[SineBasis] = None,
+         dt: float, picard_tol: float, basis: SineBasis,
          start: Optional[tuple] = None,
          ) -> tuple[FlowState, np.ndarray, StepStats]:
-    """Advance one scheduled step from the (2, K) velocity modes, halving dt
-    internally on Picard failure.
+    """Advance one scheduled step from the (2, K) velocity modes on `basis`,
+    halving dt internally on Picard failure.
 
     `start` = (modes, n) is a guess of the new modes and director angle; the
     Picard iteration begins there in place of the old state.  An attempt
@@ -500,8 +500,6 @@ def step(state: FlowState, modes: np.ndarray, grid: Grid1D, c: LeslieSet, *,
     how far), the new modes, and the Picard count of every attempt and k.
     Raises TimeStepUnderflow below the dt floor.
     """
-    if basis is None:
-        basis = SineBasis(modes.shape[-1], grid)
     halvings = iterations = 0
     while dt >= DT_MIN:
         result, spent = _attempt_step(state, modes, grid, c, dt, picard_tol,

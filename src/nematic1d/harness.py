@@ -154,7 +154,11 @@ def parse_config(path: str | Path) -> RunConfig:
     text = Path(path).read_text()
     stripped = text.lstrip()
     if str(path).endswith(".json") or stripped.startswith("{"):
-        flat = _flat_items(json.loads(text))
+        tree = json.loads(text)
+        if not isinstance(tree, dict):
+            raise ValueError("a JSON config must be an object of settings, "
+                             f"not {type(tree).__name__}")
+        flat = _flat_items(tree)
     else:
         flat = {}
         for raw_line in text.splitlines():

@@ -70,6 +70,8 @@ def test_pressure_clamps_negative():
 
 @pytest.mark.parametrize("neumann", [False, True])
 def test_derivatives_second_order(neumann):
+    # the one-sided gradient ends on a general field; the second derivative
+    # only on a Neumann field, the one case it serves
     errs = []
     for cells in (64, 128, 256):
         grid = Grid1D(cells)
@@ -77,13 +79,12 @@ def test_derivatives_second_order(neumann):
         f = np.cos(np.pi * x) if neumann else np.sin(np.pi * x) + 0.3 * x
         fx = -np.pi * np.sin(np.pi * x) if neumann \
             else np.pi * np.cos(np.pi * x) + 0.3
-        fxx = -np.pi**2 * np.cos(np.pi * x) if neumann \
-            else -np.pi**2 * np.sin(np.pi * x)
-        e1 = np.max(np.abs(gradient(f, grid.dx, neumann_ends=neumann) - fx))
-        e2 = np.max(np.abs(
-            second_derivative(f, grid.dx, neumann_ends=neumann) - fxx))
-        errs.append((e1, e2))
-    for k in (0, 1):
+        err = [np.max(np.abs(gradient(f, grid.dx, neumann_ends=neumann) - fx))]
+        if neumann:
+            fxx = -np.pi**2 * np.cos(np.pi * x)
+            err.append(np.max(np.abs(second_derivative(f, grid.dx) - fxx)))
+        errs.append(err)
+    for k in range(len(errs[0])):
         assert errs[0][k] / errs[1][k] > 3.4
         assert errs[1][k] / errs[2][k] > 3.4
 
@@ -186,10 +187,14 @@ def test_flux_decomposition_rate_part(rng):
 # elastic coupling
 # -----------------------------------------------------------------------------
 
+def coupling(n, grid):
+    return elastic_coupling(n, grid, gradient(n, grid.dx, neumann_ends=True))
+
+
 def test_elastic_coupling_constant_director():
     grid = Grid1D(64)
     state = make_state(grid, n=np.full(grid.num_nodes, 1.1))
-    assert np.max(np.abs(elastic_coupling(state.n, grid))) == 0.0
+    assert np.max(np.abs(coupling(state.n, grid))) == 0.0
 
 
 def test_elastic_coupling_trig_profile():
@@ -198,7 +203,7 @@ def test_elastic_coupling_trig_profile():
         grid = Grid1D(cells)
         x = grid.x
         state = make_state(grid, n=np.cos(np.pi * x))
-        got = elastic_coupling(state.n, grid)
+        got = coupling(state.n, grid)
         want = -np.pi**3 * np.cos(np.pi * x) * np.sin(np.pi * x)
         errs.append(np.max(np.abs(got - want)))
     assert errs[0] / errs[1] > 3.0
@@ -208,7 +213,7 @@ def test_elastic_coupling_trig_profile():
 def test_elastic_coupling_linear_interior():
     grid = Grid1D(64)
     state = make_state(grid, n=0.5 * grid.x)
-    out = elastic_coupling(state.n, grid)
+    out = coupling(state.n, grid)
     assert np.max(np.abs(out[2:-2])) < 1e-12
 
 

@@ -625,6 +625,23 @@ def test_cli_rejected_config_exits_2(tmp_path, capsys, command, bad_line):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep",
+                                     "validate-coefficients"])
+@pytest.mark.parametrize("body", ["[1, 2]", '"text"', "3", "null"])
+def test_cli_json_config_not_an_object_exits_2(tmp_path, capsys, monkeypatch,
+                                               command, body):
+    conf = tmp_path / "bad.json"
+    conf.write_text(body + "\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("NEMATIC1D_OUT", str(tmp_path / "root"))
+    assert cli_main([command, "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert "JSON config must be an object" in err
+    assert list(tmp_path.iterdir()) == [conf]
+
+
 def test_cli_sweep_rejects_malformed_deltas(tmp_path, capsys):
     conf = tmp_path / "sweep.conf"
     conf.write_text(TEXT_CONFIG + f"\noutput.dir = {tmp_path / 'out'}\n")
@@ -824,3 +841,11 @@ def test_output_root_env_override(tmp_path, monkeypatch):
     assert out.exists()
     assert created == tmp_path / "root"
     assert resolve_output_dir(cfg) == (out, None)
+    # an absolute directory is used as given, not placed under the root
+    absolute = tmp_path / "abs" / "run2"
+    out, created = resolve_output_dir(shear_config(output_dir=str(absolute)))
+    assert (out, created) == (absolute, tmp_path / "abs")
+    assert out.is_dir()
+    out, _ = resolve_output_dir(cfg, override=str(tmp_path / "given"))
+    assert out == tmp_path / "given"
+    assert not (tmp_path / "root" / "abs").exists()
