@@ -19,8 +19,14 @@ from .coefficients import LeslieSet, dissipation_parts, inverse_matrix_entries
 from .fields import FlowState, Grid1D, gradient, pressure, second_derivative
 
 
-def integrate(values: np.ndarray, grid: Grid1D) -> float:
-    return float(np.trapezoid(values, dx=grid.dx))
+# Round-off allowed in comparing a run's time with a scheduled output time.
+TIME_ROUNDOFF = 1e-13
+
+
+def integrate(values, grid: Grid1D):
+    """Trapezoid integral along the last axis: a float, or for stacked rows
+    a list of floats, each equal to the row's own integral."""
+    return np.trapezoid(values, dx=grid.dx, axis=-1).tolist()
 
 
 @dataclass(frozen=True)
@@ -60,14 +66,38 @@ class EnergyLedger:
         return ",".join(f"{v:.17g}" for v in self.values())
 
 
+def _energy_densities(state: FlowState, grid: Grid1D,
+                      gamma_ad: float) -> tuple[np.ndarray, ...]:
+    """Kinetic, internal and elastic energy densities at the nodes."""
+    n_x = gradient(state.n, grid.dx, neumann_ends=True)
+    return (0.5 * state.rho * (state.u ** 2 + state.v ** 2),
+            pressure(state.rho, gamma_ad) / (gamma_ad - 1.0),
+            0.5 * n_x * n_x)
+
+
 def energy(state: FlowState, grid: Grid1D,
            gamma_ad: float) -> tuple[float, float, float]:
     """(kinetic, internal, elastic) energy parts by trapezoid quadrature."""
-    kinetic = 0.5 * integrate(state.rho * (state.u ** 2 + state.v ** 2), grid)
-    internal = integrate(pressure(state.rho, gamma_ad), grid) / (gamma_ad - 1.0)
-    n_x = gradient(state.n, grid.dx, neumann_ends=True)
-    elastic = 0.5 * integrate(n_x * n_x, grid)
-    return kinetic, internal, elastic
+    return tuple(integrate(_energy_densities(state, grid, gamma_ad), grid))
+
+
+def _dissipation_densities(state: FlowState, c: LeslieSet,
+                           grid: Grid1D) -> tuple[np.ndarray, ...]:
+    ndot = state.require_ndot()
+    u_x = gradient(state.u, grid.dx)
+    v_x = gradient(state.v, grid.dx)
+    return dissipation_parts(c, state.n, u_x, v_x, ndot)
+
+
+def _checked_total(parts: Sequence[float]) -> float:
+    """The sum of the five dissipation integrals, checked as `dissipation`
+    says."""
+    total = float(sum(parts))
+    scale = 1.0 + sum(abs(p) for p in parts)
+    if total < -1e-10 * scale:
+        raise ValueError(f"negative dissipation {total:.3e}; "
+                         "coefficient set admissibility is suspect")
+    return total
 
 
 def dissipation(state: FlowState, c: LeslieSet,
@@ -79,30 +109,23 @@ def dissipation(state: FlowState, c: LeslieSet,
     -1e-10 * scale signals an inadmissible set or a broken formula and
     raises.
     """
-    ndot = state.require_ndot()
-    u_x = gradient(state.u, grid.dx)
-    v_x = gradient(state.v, grid.dx)
-    parts = tuple(integrate(p, grid)
-                  for p in dissipation_parts(c, state.n, u_x, v_x, ndot))
-    total = float(sum(parts))
-    scale = 1.0 + sum(abs(p) for p in parts)
-    if total < -1e-10 * scale:
-        raise ValueError(f"negative dissipation {total:.3e}; "
-                         "coefficient set admissibility is suspect")
-    return total, parts
+    parts = integrate(_dissipation_densities(state, c, grid), grid)
+    return _checked_total(parts), tuple(parts)
 
 
 def make_ledger(state: FlowState, c: LeslieSet, grid: Grid1D) -> EnergyLedger:
-    kin, internal, elastic = energy(state, grid, c.gamma_ad)
-    total, parts = dissipation(state, c, grid)
+    """The ledger row of one state, every integral taken in one pass."""
+    gamma_ad = c.gamma_ad
+    kin, internal, elastic, *parts, mass, rho2gamma, entropy = integrate(
+        (*_energy_densities(state, grid, gamma_ad),
+         *_dissipation_densities(state, c, grid), state.rho,
+         pressure(state.rho, 2.0 * gamma_ad), _entropy_density(state)), grid)
     led = EnergyLedger(
         time=state.time,
         kinetic=kin, internal=internal, elastic=elastic,
         total=kin + internal + elastic,
-        dissipation=total, dissipation_parts=parts,
-        mass=integrate(state.rho, grid),
-        rho2gamma=integrate(pressure(state.rho, 2.0 * c.gamma_ad), grid),
-        entropy=entropy_like(state, grid),
+        dissipation=_checked_total(parts), dissipation_parts=tuple(parts),
+        mass=mass, rho2gamma=rho2gamma, entropy=entropy,
     )
     if not np.all(np.isfinite(led.values())):
         raise ValueError(f"non-finite ledger entry at t={state.time:g}")
@@ -141,9 +164,9 @@ def run_schedule(initial: FlowState,
 
     for k in range(1, num_steps + 1):
         target = min(k * dt, t_end)
-        while state.time < target - 1e-13:
+        while state.time < target - TIME_ROUNDOFF:
             state = advance(state, min(dt, target - state.time))
-        if k % snapshot_every == 0 or state.time >= t_end - 1e-13:
+        if k % snapshot_every == 0 or state.time >= t_end - TIME_ROUNDOFF:
             snapshots.append(state.copy())
             ledgers.append(make_ledger(state, c, grid))
 
@@ -207,8 +230,13 @@ def effective_viscous_flux(state: FlowState, c: LeslieSet,
     return u_x - i11 * p, v_x - i21 * p
 
 
+def _entropy_density(state: FlowState) -> np.ndarray:
+    """rho log rho with the continuous extension 0 log 0 := 0."""
+    rho = np.maximum(state.rho, 0.0)
+    return np.where(rho > 0.0, rho * np.log(np.where(rho > 0.0, rho, 1.0)),
+                    0.0)
+
+
 def entropy_like(state: FlowState, grid: Grid1D) -> float:
     """Integral of rho log rho with the continuous extension 0 log 0 := 0."""
-    rho = np.maximum(state.rho, 0.0)
-    vals = np.where(rho > 0.0, rho * np.log(np.where(rho > 0.0, rho, 1.0)), 0.0)
-    return integrate(vals, grid)
+    return integrate(_entropy_density(state), grid)

@@ -4,14 +4,19 @@ advanced by an implicit tridiagonal step, all coupled by a per-step Picard
 iteration that halves dt on non-convergence.
 
 Each step's iteration starts from the degree-4 extrapolation in time of
-the last five accepted states, and an attempt from that guess that fails
-is retried once from the old state before dt is halved.  The velocity
-system is assembled and LU-factored once per step attempt, at
-O(N log N + K^2 + K^3); each Picard iterate then corrects the modes by the
-factored solve of its momentum residual, an O(N log N) transform plus an
-O(K^2) back-substitution.  The dense and tridiagonal solves call LAPACK
-(getrf, getrs, gtsv) directly: at desk sizes the library wrappers cost
-more than the arithmetic.
+the density, modes and director of the last five accepted states, and an
+attempt from that guess that fails is retried once from the old state
+before dt is halved.  The velocity update is a chord iteration: each
+Picard iterate corrects the modes by the factored solve of its momentum
+residual, an O(N log N) transform plus an O(K^2) back-substitution, and
+the fixed point is the zero of that residual whatever matrix corrects it.
+So a run assembles and LU-factors the velocity system, at
+O(N log N + K^2 + K^3), once at its first attempt and holds the
+factorization while steps converge at the same dt; a changed dt or a
+failed attempt factors afresh.  The dense and tridiagonal solves call
+LAPACK (getrf, getrs, gtsv) directly: at desk sizes the library wrappers
+cost more than the arithmetic, as do numpy's Python-level helpers (diff,
+clip, trapezoid) in the per-iterate density work.
 """
 
 from __future__ import annotations
@@ -157,9 +162,10 @@ def advance_density(ld: LagrangianDensity,
     two-sided density bounds hold; outside it the caller halves dt.
     """
     window = ld.rho0 * uX_increment
-    if np.max(np.abs(window)) > 0.5 * DENOMINATOR_GUARD:
+    peak = abs(window).max()
+    if peak > 0.5 * DENOMINATOR_GUARD:
         raise DenominatorTooSmall(
-            f"density window |rho0 int u_X| = {np.max(np.abs(window)):.3e} "
+            f"density window |rho0 int u_X| = {peak:.3e} "
             f"> {0.5 * DENOMINATOR_GUARD:.3e}")
     return ld.rho0 / (1.0 + window)
 
@@ -169,26 +175,34 @@ def _pchip_derivative(x: np.ndarray, y: np.ndarray,
     """Derivative at `xq` of the monotone cubic Hermite interpolant of
     (x, y) with Fritsch-Carlson slopes (SIAM J. Numer. Anal. 1980); x is
     strictly increasing with at least three knots."""
-    h = np.diff(x)
-    m = np.diff(y) / h
-    sg = np.sign(m)
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
     # interior: weighted harmonic mean of the adjacent secants where they
-    # share a nonzero sign, zero where they change sign or either vanishes
-    ok = (sg[1:] == sg[:-1]) & (sg[1:] != 0.0)
-    hl, hr, ml, mr = h[:-1][ok], h[1:][ok], m[:-1][ok], m[1:][ok]
+    # share a nonzero sign, zero where they change sign or either vanishes;
+    # written over a common denominator and evaluated only where the signs
+    # agree, so a flat secant is never divided by
+    hl, hr, ml, mr = h[:-1], h[1:], m[:-1], m[1:]
     w1, w2 = 2.0 * hr + hl, hr + 2.0 * hl
     d = np.zeros_like(y)
-    d[1:-1][ok] = 1.0 / ((w1 / ml + w2 / mr) / (w1 + w2))
+    np.divide((w1 + w2) * ml * mr, w1 * mr + w2 * ml, out=d[1:-1],
+              where=ml * mr > 0.0)
     # ends: one-sided three-point slope, zeroed or clamped to keep the shape
-    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
-    e = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    clamp = (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0))
-    d[[0, -1]] = np.where(np.sign(e) != np.sign(m0), 0.0,
-                          np.where(clamp, 3.0 * m0, e))
-    k = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
-    t = (d[k] + d[k + 1] - 2.0 * m[k]) / h[k]
+    for end, (h0, h1), (m0, m1) in ((0, h[:2].tolist(), m[:2].tolist()),
+                                    (-1, h[:-3:-1].tolist(),
+                                     m[:-3:-1].tolist())):
+        e = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if e * m0 <= 0.0:
+            e = 0.0
+        elif m0 * m1 <= 0.0 and abs(e) > 3.0 * abs(m0):
+            e = 3.0 * m0
+        d[end] = e
+    k = np.searchsorted(x, xq, side="right") - 1
+    np.maximum(k, 0, out=k)
+    np.minimum(k, x.size - 2, out=k)
+    dk, hk, mk = d[k], h[k], m[k]
+    t = (dk + d[k + 1] - 2.0 * mk) / hk
     s = xq - x[k]
-    return d[k] + s * (2.0 * ((m[k] - d[k]) / h[k] - t) + 3.0 * (t / h[k]) * s)
+    return dk + s * (2.0 * ((mk - dk) / hk - t) + 3.0 * (t / hk) * s)
 
 
 def remap_density_to_grid(rho_particles: np.ndarray, positions: np.ndarray,
@@ -201,7 +215,7 @@ def remap_density_to_grid(rho_particles: np.ndarray, positions: np.ndarray,
     differentiates it on the grid, and a final rescale restores the exact
     trapezoid mass.
     """
-    if np.any(np.diff(positions) <= 0.0):
+    if (positions[1:] <= positions[:-1]).any():
         raise DenominatorTooSmall("particle map lost monotonicity")
     rho = total_mass * _pchip_derivative(positions, labels, grid.x)
     # the wall particles are pinned to the wall nodes, so their closed-form
@@ -209,8 +223,8 @@ def remap_density_to_grid(rho_particles: np.ndarray, positions: np.ndarray,
     # can clamp to zero spuriously when the wall density is small
     rho[0] = rho_particles[0]
     rho[-1] = rho_particles[-1]
-    rho = np.maximum(rho, 0.0)
-    current = np.trapezoid(rho, dx=grid.dx)
+    np.maximum(rho, 0.0, out=rho)
+    current = grid.dx * (rho.sum() - 0.5 * (rho[0] + rho[-1]))   # trapezoid
     if current <= 0.0:
         raise DenominatorTooSmall("remapped density lost all mass")
     return rho * (total_mass / current)
@@ -356,17 +370,18 @@ def advance_velocity_modes(c: LeslieSet, dt: float, *, grid: Grid1D,
     """One chord correction of the (2, K) modes of (u, v) toward the weak
     form's step, modes + (M + dt S)^-1 `momentum_residual`.
 
-    The second-order coefficient matrix A(n) is treated implicitly.  The
-    system M(rho) + dt S(n) is assembled and LU-factored (LAPACK getrf) once
-    per step attempt, at its first iterate (factor=None), and the
-    factorization is returned for the later iterates to pass back; each
-    iterate costs the transform residual and one back-substitution (getrs).
-    cos n and sin n are evaluated once per iterate, and A(n)'s entries serve
-    both the assembly and the flux brackets.  At the fixed point the
-    residual vanishes, so the modes are the direct solution at the converged
-    (rho, n, ndot).
+    The second-order coefficient matrix A(n) is treated implicitly.  When
+    handed no factorization (factor=None), the system M(rho) + dt S(n) is
+    assembled at this iterate's (rho, n) and LU-factored (LAPACK getrf);
+    the factorization is returned for later iterates, and later steps at
+    the same dt, to pass back.  Each call then costs the transform residual
+    and one back-substitution (getrs).  cos n and sin n are evaluated once
+    per call, and A(n)'s entries serve both the assembly and the flux
+    brackets.  At the fixed point the residual vanishes, so the modes are
+    the direct solution at the converged (rho, n, ndot), whichever system
+    was factored.
     """
-    if np.min(rho_new) <= 0.0:
+    if rho_new.min() <= 0.0:
         raise ValueError("mass matrix requires strictly positive density")
     K = basis.num_modes
     trig = np.cos(n_new), np.sin(n_new)
@@ -400,9 +415,11 @@ def advance_velocity_modes(c: LeslieSet, dt: float, *, grid: Grid1D,
 @dataclass
 class StepStats:
     """Picard iterates run for one step, over every attempt including the
-    discarded ones, and the dt halvings it took."""
+    discarded ones, the dt halvings it took, and the velocity systems it
+    LU-factored."""
     picard_iterations: int
     halvings: int
+    factorizations: int
 
 
 def _initial_ndot(state: FlowState, c: LeslieSet, grid: Grid1D,
@@ -421,12 +438,16 @@ def _initial_ndot(state: FlowState, c: LeslieSet, grid: Grid1D,
 
 def _attempt_step(state: FlowState, modes: np.ndarray, grid: Grid1D,
                   c: LeslieSet, dt: float, picard_tol: float,
-                  basis: SineBasis, start: Optional[tuple] = None,
-                  ) -> tuple[Optional[tuple[FlowState, np.ndarray]], int]:
+                  basis: SineBasis, factor: Optional[list] = None,
+                  start: Optional[tuple] = None,
+                  ) -> tuple[Optional[tuple[FlowState, np.ndarray]], int,
+                             Optional[list]]:
     """One Picard-coupled step at fixed dt, its iteration begun from
-    `start` = (modes, n), by default the old state's.  Returns the new state
-    and modes, or None when Picard stalls or the density window is left,
-    with the number of iterates run."""
+    `start` = (modes, n, rho), by default the old state's, and its velocity
+    corrections made with the LU `factor` of a velocity system at dt, by
+    default factored at the first iterate.  Returns the new state and modes,
+    or None when Picard stalls or the density window is left, with the
+    number of iterates run and the LU used (None if none was made)."""
     # step-invariant: the particle labels, the mass, where the
     # mass-coordinate gradient u_x / rho is defined, and the old-time terms
     ld = LagrangianDensity.at_step_start(state.rho, grid)
@@ -435,11 +456,11 @@ def _attempt_step(state: FlowState, modes: np.ndarray, grid: Grid1D,
     rho_safe = np.where(occupied, state.rho, 1.0)
     old_rhs = old_time_rhs(state, c, dt, basis)
 
-    # iterates are rebound, never mutated, so no copies are needed
-    modes_it, n_it = (modes, state.n) if start is None else start
-    rho_it = state.rho
+    # iterates are rebound, never mutated, so no copies are needed; the
+    # density is an input of the stop test only, not of the Picard map
+    modes_it, n_it, rho_it = ((modes, state.n, state.rho) if start is None
+                              else start)
 
-    factor = None   # the velocity system's LU, set by the first iterate
     for iteration in range(1, PICARD_MAX + 1):
         velocity = basis.reconstruct(modes_it)
         gradients = basis.reconstruct_derivative(modes_it)
@@ -456,7 +477,7 @@ def _attempt_step(state: FlowState, modes: np.ndarray, grid: Grid1D,
             rho_new = remap_density_to_grid(rho_particles, positions,
                                             ld.labels, total_mass, grid)
         except DenominatorTooSmall:
-            return None, iteration
+            return None, iteration, factor
 
         # (ii) implicit director with lagged trig coefficients
         working = FlowState(state.time, state.rho, u_field, v_field, state.n)
@@ -471,42 +492,48 @@ def _attempt_step(state: FlowState, modes: np.ndarray, grid: Grid1D,
             velocity=velocity, gradients=gradients, rho_new=rho_new,
             n_new=n_new, n_x_new=n_x_new, ndot_new=ndot_new, factor=factor)
 
-        delta = max(float(np.max(np.abs(rho_new - rho_it))),
-                    float(np.max(np.abs(n_new - n_it))),
-                    float(np.max(np.abs(modes_new - modes_it))))
+        delta = max(abs(rho_new - rho_it).max(), abs(n_new - n_it).max(),
+                    abs(modes_new - modes_it).max())
         rho_it, n_it, modes_it = rho_new, n_new, modes_new
         if delta < picard_tol:
             u_final, v_final = basis.reconstruct(modes_it)
             ndot_fin = (n_it - state.n) / dt + u_final * n_x_new
             new_state = FlowState(state.time + dt, rho_it, u_final, v_final,
                                   n_it, ndot=ndot_fin)
-            return (new_state, modes_it), iteration
-    return None, PICARD_MAX
+            return (new_state, modes_it), iteration, factor
+    return None, PICARD_MAX, factor
 
 
 def step(state: FlowState, modes: np.ndarray, grid: Grid1D, c: LeslieSet, *,
          dt: float, picard_tol: float, basis: SineBasis,
-         start: Optional[tuple] = None,
-         ) -> tuple[FlowState, np.ndarray, StepStats]:
+         start: Optional[tuple] = None, factor: Optional[list] = None,
+         ) -> tuple[FlowState, np.ndarray, StepStats, list]:
     """Advance one scheduled step from the (2, K) velocity modes on `basis`,
     halving dt internally on Picard failure.
 
-    `start` = (modes, n) is a guess of the new modes and director angle; the
-    Picard iteration begins there in place of the old state.  An attempt
-    from a guess that fails is retried once from the old state at the same
-    dt, so a guess never causes a halving.
+    `start` = (modes, n, rho) is a guess of the new modes, director angle
+    and density; the Picard iteration begins there in place of the old
+    state.  An attempt from a guess that fails is retried once from the old
+    state at the same dt, so a guess never causes a halving.  `factor` is
+    the LU of a velocity system at dt (from an earlier step's return) for
+    the first attempt to correct with; a failed attempt drops it, so the
+    retry and every halved attempt factor afresh.
 
     Returns the state advanced by dt / 2^k after k halvings (its time shows
-    how far), the new modes, and the Picard count of every attempt and k.
-    Raises TimeStepUnderflow below the dt floor.
+    how far), the new modes, the Picard count of every attempt, k and the
+    factorizations made, and the LU the accepted attempt used, which
+    belongs to dt / 2^k.  Raises TimeStepUnderflow below the dt floor.
     """
-    halvings = iterations = 0
+    halvings = iterations = factorizations = 0
     while dt >= DT_MIN:
-        result, spent = _attempt_step(state, modes, grid, c, dt, picard_tol,
-                                      basis, start)
+        result, spent, used = _attempt_step(state, modes, grid, c, dt,
+                                            picard_tol, basis, factor, start)
         iterations += spent
+        factorizations += used is not factor
         if result is not None:
-            return (*result, StepStats(iterations, halvings))
+            return (*result, StepStats(iterations, halvings, factorizations),
+                    used)
+        factor = None
         if start is None:
             dt *= 0.5
             halvings += 1
@@ -519,17 +546,20 @@ def step(state: FlowState, modes: np.ndarray, grid: Grid1D, c: LeslieSet, *,
 
 def _extrapolate(history: Sequence[tuple],
                  time: float) -> Optional[tuple]:
-    """Lagrange extrapolation to `time` of the (modes, n) in `history`, a
-    sequence of (time, modes, n) at distinct times; None from fewer than two
-    states."""
+    """Lagrange extrapolation to `time` of the (modes, n, rho) in `history`,
+    a sequence of (time, modes, n, rho) at distinct times; None from fewer
+    than two states."""
     if len(history) < 2:
         return None
-    times = np.array([t for t, _, _ in history])
-    weights = [np.prod((time - np.delete(times, i))
-                       / (t_i - np.delete(times, i)))
-               for i, t_i in enumerate(times)]
-    return (sum(w * modes for w, (_, modes, _) in zip(weights, history)),
-            sum(w * n for w, (_, _, n) in zip(weights, history)))
+    times = [entry[0] for entry in history]
+    weights = []
+    for i, t_i in enumerate(times):
+        w = 1.0
+        for t_j in times[:i] + times[i + 1:]:
+            w *= (time - t_j) / (t_i - t_j)
+        weights.append(w)
+    return tuple(sum(w * entry[f] for w, entry in zip(weights, history))
+                 for f in (1, 2, 3))
 
 
 def run(initial: FlowState, num_modes: int, grid: Grid1D, c: LeslieSet, *,
@@ -541,9 +571,12 @@ def run(initial: FlowState, num_modes: int, grid: Grid1D, c: LeslieSet, *,
     Deterministic for a given configuration; `diagnostics.run_schedule`
     refills each scheduled window after internal halvings so output times
     stay on the uniform cadence.  Each step starts its Picard iteration from
-    the extrapolation of (modes, n) through its start and up to four
+    the extrapolation of (modes, n, rho) through its start and up to four
     accepted states before it, except the first step and the refill after
-    a halving.
+    a halving.  The velocity system's LU is held across steps: a step
+    whose dt matches the held one's within the schedule's time round-off
+    corrects with it, and is factored afresh otherwise or after a failed
+    attempt, so a run without either factors once.
     """
     require_valid(c)
     if not (dt > 0.0 and picard_tol > 0.0):
@@ -559,28 +592,37 @@ def run(initial: FlowState, num_modes: int, grid: Grid1D, c: LeslieSet, *,
         state.ndot = _initial_ndot(state, c, grid, u_x=u_x, v_x=v_x)
 
     picard_counts: list[int] = []
-    total_halvings = 0
-    # accepted (time, modes, n); the weights come from the stored times, so
-    # schedule rounding and a short last step need no special case
+    total_halvings = factorizations = 0
+    # accepted (time, modes, n, rho); the weights come from the stored
+    # times, so schedule rounding and a short last step need no special case
     history = deque(maxlen=PREDICTOR_POINTS)
+    # the velocity system's LU and the dt it was factored at
+    factor, factor_dt = None, dt
 
     def advance(state: FlowState, step_dt: float) -> FlowState:
-        nonlocal modes, total_halvings
-        history.append((state.time, modes, state.n))
-        new_state, new_modes, stats = step(
+        nonlocal modes, total_halvings, factorizations, factor, factor_dt
+        history.append((state.time, modes, state.n, state.rho))
+        # scheduled steps are min(dt, target - time): equal to dt up to the
+        # schedule's time round-off
+        held = abs(step_dt - factor_dt) <= diagnostics.TIME_ROUNDOFF
+        new_state, new_modes, stats, factor = step(
             state, modes, grid, c, dt=step_dt, picard_tol=picard_tol,
-            basis=basis, start=_extrapolate(history, state.time + step_dt))
+            basis=basis, start=_extrapolate(history, state.time + step_dt),
+            factor=factor if held else None)
+        factor_dt = step_dt * 0.5 ** stats.halvings
         if stats.halvings:
             # extrapolating across a halved step is no better a guess
             history.clear()
         modes = new_modes
         picard_counts.append(stats.picard_iterations)
         total_halvings += stats.halvings
+        factorizations += stats.factorizations
         return new_state
 
     traj = diagnostics.run_schedule(state, advance, c, grid, dt, t_end,
                                     snapshot_every)
     traj.metadata = {"scheme": "galerkin", "num_modes": num_modes, "dt": dt,
                      "picard_iterations": picard_counts,
-                     "dt_halvings": total_halvings}
+                     "dt_halvings": total_halvings,
+                     "velocity_factorizations": factorizations}
     return traj

@@ -399,15 +399,16 @@ def write_outputs(traj: diagnostics.Trajectory, config: RunConfig,
     lines += [led.csv_row() for led in traj.ledgers]
     (outdir / "energy.csv").write_text("\n".join(lines) + "\n")
 
-    x = traj.grid.x
+    x_column = ["%.17g," % x for x in traj.grid.x.tolist()]   # once per run
     for idx, snap in enumerate(traj.snapshots):
-        table = np.column_stack((x, snap.rho, snap.u, snap.v, snap.n))
+        table = np.column_stack((snap.rho, snap.u, snap.v, snap.n))
         text = "x,rho,u,v,n\n" + "".join(
-            "%.17g,%.17g,%.17g,%.17g,%.17g\n" % tuple(row)
-            for row in table.tolist())
+            x + "%.17g,%.17g,%.17g,%.17g\n" % tuple(row)
+            for x, row in zip(x_column, table.tolist()))
         (outdir / f"fields_{idx:04d}.csv").write_text(text)
 
     _, max_defect = diagnostics.energy_budget(traj.ledgers)
+    n_xx_norm, n_t_norm = diagnostics.director_norms(traj.snapshots, traj.grid)
     totals = np.array([led.total for led in traj.ledgers])
     final = traj.ledgers[-1]
     summary = {
@@ -418,6 +419,8 @@ def write_outputs(traj: diagnostics.Trajectory, config: RunConfig,
             np.all(np.diff(totals) <= config.energy_tol)),
         "density_bound_flags": density_bound_flags(traj),
         "min_rho": float(min(np.min(s.rho) for s in traj.snapshots)),
+        "n_xx_spacetime": n_xx_norm,
+        "n_t_spacetime": n_t_norm,
         "final": {k: v for k, v in asdict(final).items()
                   if k != "dissipation_parts"},
         "metadata": {k: v for k, v in traj.metadata.items()
@@ -442,6 +445,8 @@ class SweepMember:
     final_energy: float
     max_defect: float
     rho2gamma_spacetime: float
+    n_xx_spacetime: float          # space-time L^2 norms of n_xx and n_t
+    n_t_spacetime: float
     entropy_series: list
     h_pair_series: list            # [(pair1, pair2), ...] per snapshot
     initial_errors: dict
@@ -507,11 +512,14 @@ def _sweep_member(args: tuple) -> SweepMember:
         path = Path(subdir)
         path.mkdir(parents=True, exist_ok=True)
         write_outputs(traj, config, path)
+    n_xx_norm, n_t_norm = diagnostics.director_norms(traj.snapshots, grid)
     return SweepMember(
         delta=delta,
         final_energy=traj.ledgers[-1].total,
         max_defect=max_defect,
         rho2gamma_spacetime=diagnostics.high_integrability(traj.ledgers),
+        n_xx_spacetime=n_xx_norm,
+        n_t_spacetime=n_t_norm,
         entropy_series=[led.entropy for led in traj.ledgers],
         h_pair_series=pairs,
         initial_errors=_initial_data_errors(raw, state, grid,

@@ -391,9 +391,9 @@ def test_static_state_is_fixed_point(base_set):
     state = make_state(grid, n=np.full(grid.num_nodes, 0.4),
                        ndot=np.zeros(grid.num_nodes))
     modes = project_initial_velocity(state.u, state.v, 8, grid)
-    new_state, new_modes, stats = step(state, modes, grid, base_set,
-                                       dt=1e-3, picard_tol=PICARD_TOL,
-                                       basis=SineBasis(8, grid))
+    new_state, new_modes, stats, _ = step(state, modes, grid, base_set,
+                                          dt=1e-3, picard_tol=PICARD_TOL,
+                                          basis=SineBasis(8, grid))
     assert stats.picard_iterations == 1
     assert np.max(np.abs(new_state.rho - 1.0)) < 1e-13
     assert np.max(np.abs(new_state.n - 0.4)) < 1e-13
@@ -410,9 +410,9 @@ def test_single_mode_viscous_decay(base_set):
                        n=np.full(grid.num_nodes, 0.6))
     state.ndot = np.zeros(grid.num_nodes)
     modes = project_initial_velocity(state.u, state.v, 1, grid)
-    new_state, new_modes, _ = step(state, modes, grid, base_set,
-                                   dt=dt, picard_tol=PICARD_TOL,
-                                   basis=SineBasis(1, grid))
+    new_state, new_modes, _, _ = step(state, modes, grid, base_set,
+                                      dt=dt, picard_tol=PICARD_TOL,
+                                      basis=SineBasis(1, grid))
     expected = modes[0][0] / (1.0 + np.pi**2 * dt)
     assert new_modes[0][0] == pytest.approx(expected, rel=2e-3)
 
@@ -423,8 +423,8 @@ def test_shear_step_picard_converges_quickly(base_set):
                        n=np.full(grid.num_nodes, np.pi / 4))
     state.ndot = np.zeros(grid.num_nodes)
     modes = project_initial_velocity(state.u, state.v, 16, grid)
-    _, _, stats = step(state, modes, grid, base_set, dt=1e-3,
-                       picard_tol=PICARD_TOL, basis=SineBasis(16, grid))
+    _, _, stats, _ = step(state, modes, grid, base_set, dt=1e-3,
+                          picard_tol=PICARD_TOL, basis=SineBasis(16, grid))
     assert stats.picard_iterations <= 10
     assert stats.halvings == 0
 
@@ -450,10 +450,10 @@ def _direct_modes(state, c, dt, grid, basis, new_state):
 @pytest.mark.parametrize("preset", ["shear", "smooth_random"])
 def test_step_fixed_point_is_the_direct_solution(base_set, preset,
                                                  monkeypatch):
-    # the chord iterates reuse one factorization per attempt, yet the
-    # accepted modes solve the system of the accepted step, also when the
-    # iteration starts from the predictor's extrapolated guess in a run,
-    # with five points from the fifth step on
+    # the chord iterates reuse the run's one factorization, made at the
+    # first step, yet the accepted modes solve the system of each accepted
+    # step, also when the iteration starts from the predictor's
+    # extrapolated guess, with five points from the fifth step on
     config = RunConfig(coefficients=base_set, grid_cells=64, modes=8,
                        initial_preset=preset)
     grid = Grid1D(64)
@@ -464,16 +464,24 @@ def test_step_fixed_point_is_the_direct_solution(base_set, preset,
 
     def recording_step(state, modes, grid, c, **kwargs):
         result = step(state, modes, grid, c, **kwargs)
-        steps.append((state, kwargs["dt"], kwargs["start"], result))
+        steps.append((state, kwargs["dt"], kwargs["start"], kwargs["factor"],
+                      result))
         return result
 
     monkeypatch.setattr("nematic1d.galerkin.step", recording_step)
-    run(state, 8, grid, base_set, dt=dt, picard_tol=PICARD_TOL, t_end=6 * dt)
+    traj = run(state, 8, grid, base_set, dt=dt, picard_tol=PICARD_TOL,
+               t_end=12 * dt)
     # the first step starts from the old state, the later ones from a guess
     # through two to five accepted states
-    assert [start is None for _, _, start, _ in steps] == [
-        True, False, False, False, False, False]
-    for old, step_dt, _, (new_state, new_modes, stats) in steps:
+    assert [start is None for _, _, start, _, _ in steps] == [True] + [False] * 11
+    # the first step factors, every later one gets that LU back
+    first_lu = steps[0][4][3]
+    assert steps[0][3] is None and steps[0][4][2].factorizations == 1
+    for _, _, _, factor, (_, _, stats, lu) in steps[1:]:
+        assert factor is first_lu and lu is first_lu
+        assert stats.factorizations == 0
+    assert traj.metadata["velocity_factorizations"] == 1
+    for old, step_dt, _, _, (new_state, new_modes, stats, _) in steps:
         assert stats.halvings == 0 and stats.picard_iterations > 1
         direct = _direct_modes(old, base_set, step_dt, grid, basis, new_state)
         assert np.max(np.abs(new_modes - direct)) <= 10.0 * PICARD_TOL
@@ -490,10 +498,12 @@ def test_extrapolation_is_exact_on_quartics():
     def poly(t):
         return sum(a * t**k for k, a in enumerate(coeffs))
 
-    history = [(t, poly(t), 2.0 * poly(t)[0]) for t in times]
-    modes, n = _extrapolate(history, target)
+    history = [(t, poly(t), 2.0 * poly(t)[0], 3.0 + poly(t)[1])
+               for t in times]
+    modes, n, rho = _extrapolate(history, target)
     assert np.max(np.abs(modes - poly(target))) <= 1e-12
     assert np.max(np.abs(n - 2.0 * poly(target)[0])) <= 1e-12
+    assert np.max(np.abs(rho - (3.0 + poly(target)[1]))) <= 1e-12
     assert _extrapolate(history[:1], target) is None
 
 
@@ -505,7 +515,8 @@ def test_failed_guess_is_retried_at_the_same_dt(base_set, monkeypatch,
                                                 guess, picard_max):
     # a guessed attempt that fails is discarded and the step retried from
     # the old state at the same dt: no halving, the unguessed step's modes,
-    # and the discarded attempt's iterates counted
+    # and the discarded attempt's iterates counted; the held LU it was
+    # handed is dropped, so the retry factors afresh
     grid = Grid1D(64)
     state = make_state(grid, v=np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, np.pi / 4),
@@ -515,15 +526,17 @@ def test_failed_guess_is_retried_at_the_same_dt(base_set, monkeypatch,
     if picard_max is not None:
         monkeypatch.setattr("nematic1d.galerkin.PICARD_MAX", picard_max)
     basis = SineBasis(8, grid)
-    _, plain_modes, plain = step(state, modes, grid, base_set, dt=dt,
-                                 picard_tol=PICARD_TOL, basis=basis)
-    new_state, new_modes, stats = step(state, modes, grid, base_set, dt=dt,
-                                       picard_tol=PICARD_TOL, basis=basis,
-                                       start=(guess(modes), state.n))
+    _, plain_modes, plain, held = step(state, modes, grid, base_set, dt=dt,
+                                       picard_tol=PICARD_TOL, basis=basis)
+    new_state, new_modes, stats, lu = step(
+        state, modes, grid, base_set, dt=dt, picard_tol=PICARD_TOL,
+        basis=basis, start=(guess(modes), state.n, state.rho), factor=held)
     assert new_state.time == dt and stats.halvings == 0
     assert np.max(np.abs(new_modes - plain_modes)) <= 10.0 * PICARD_TOL
     discarded = 1 if picard_max is None else picard_max
     assert stats.picard_iterations == plain.picard_iterations + discarded
+    assert plain.factorizations == stats.factorizations == 1
+    assert lu is not held
 
 
 def test_converged_step_satisfies_director_equation(base_set):
@@ -537,9 +550,9 @@ def test_converged_step_satisfies_director_equation(base_set):
                            n=np.full(grid.num_nodes, np.pi / 4))
         state.ndot = np.zeros(grid.num_nodes)
         modes = project_initial_velocity(state.u, state.v, 16, grid)
-        new_state, _, _ = step(state, modes, grid, base_set, dt=1e-3,
-                               picard_tol=PICARD_TOL,
-                               basis=SineBasis(16, grid))
+        new_state, _, _, _ = step(state, modes, grid, base_set, dt=1e-3,
+                                  picard_tol=PICARD_TOL,
+                                  basis=SineBasis(16, grid))
         res = director_residual(new_state, base_set, grid)
         maxima.append(np.max(np.abs(res)))
         assert maxima[-1] < 100.0 * grid.dx**2
@@ -630,8 +643,8 @@ def test_picard_limit_insensitive_to_tolerance(base_set):
                            n=np.full(grid.num_nodes, np.pi / 4))
         state.ndot = np.zeros(grid.num_nodes)
         modes = project_initial_velocity(state.u, state.v, 8, grid)
-        new_state, _, _ = step(state, modes, grid, base_set, dt=1e-3,
-                               picard_tol=tol, basis=SineBasis(8, grid))
+        new_state, _, _, _ = step(state, modes, grid, base_set, dt=1e-3,
+                                  picard_tol=tol, basis=SineBasis(8, grid))
         results.append(new_state)
     for name in ("rho", "u", "v", "n"):
         a = getattr(results[0], name)
@@ -693,10 +706,15 @@ def test_shear_run_invariants(base_set):
         assert snap.v[0] == 0.0 and snap.v[-1] == 0.0
     counts = traj.metadata["picard_iterations"]
     assert max(counts) <= 10
-    # iterate-count guard: the five-point extrapolated start measured 2.10
-    # iterates per step here (105 over 50 steps), against 3.70 from the
-    # two-point one and 5.00 when every step started from the old state
-    assert np.mean(counts) <= 2.1 + 0.3
+    # iterate-count guard: the five-point extrapolated start of (modes, n,
+    # rho) measured 1.54 iterates per step here (77 over 50 steps), against
+    # 2.10 when the density started from the old state, 3.70 from the
+    # two-point start of (modes, n) and 5.00 when every step started from
+    # the old state
+    assert np.mean(counts) <= 1.54 + 0.3
+    # no attempt failed and dt never changed: the first step's LU served
+    # the whole run
+    assert traj.metadata["velocity_factorizations"] == 1
 
 
 def test_rough_run_iterate_count():
@@ -745,7 +763,8 @@ def test_predictor_restarts_after_a_halving(monkeypatch):
 
     def recording_attempt(*args):
         result = _attempt_step(*args)
-        attempts.append((args[-1] is not None, result[0] is not None))
+        attempts.append((args[-1] is not None, result[0] is not None,
+                         args[-2] is not None))
         return result
 
     monkeypatch.setattr("nematic1d.galerkin.step", recording_step)
@@ -757,7 +776,15 @@ def test_predictor_restarts_after_a_halving(monkeypatch):
     for i in halved:
         assert steps[i + 1][0] is None
     assert any(start is not None for start, _ in steps)
-    assert all(accepted for guessed, accepted in attempts if guessed)
+    assert all(accepted for guessed, accepted, _ in attempts if guessed)
+    # no attempt after a failed one is handed an LU: the halved attempt
+    # factors afresh.  The run factors at the accepted quarter step, at its
+    # three-quarter refill and at the next full step, the dt changing each
+    # time
+    assert not any(handed for (_, accepted, _), (_, _, handed)
+                   in zip(attempts, attempts[1:]) if not accepted)
+    assert not attempts[0][2] and not attempts[0][1]
+    assert traj.metadata["velocity_factorizations"] == 3
 
 
 def test_dt_floor_raises_underflow(monkeypatch):

@@ -16,6 +16,7 @@ import nematic1d.coefficients as coefficients_module
 import nematic1d.harness as harness_module
 from nematic1d.cli import main as cli_main
 from nematic1d.coefficients import InvalidCoefficients, LeslieSet, example_set
+from nematic1d.diagnostics import director_norms
 from nematic1d.fields import Grid1D, gradient
 from nematic1d.harness import (RunConfig, _flat_items, build_initial_state,
                                build_raw_initial_data, config_from_flat,
@@ -349,6 +350,10 @@ def test_run_outputs_and_determinism(tmp_path):
     picard = traj.metadata["picard_iterations"]
     assert summary["metadata"]["picard_iterations_max"] == max(picard)
     assert summary["metadata"]["picard_iterations_mean"] == np.mean(picard)
+    # no failed attempt, one dt: one velocity factorization for the run
+    assert summary["metadata"]["velocity_factorizations"] == 1
+    assert (summary["n_xx_spacetime"], summary["n_t_spacetime"]) == \
+        director_norms(traj.snapshots, traj.grid)
     assert summary["max_defect"] < 1e-4
 
     traj2 = run_simulation(cfg)
@@ -463,6 +468,12 @@ def test_sweep_report_serializable(tmp_path):
     blob = json.dumps(asdict(report))
     assert "entropy" in blob
     assert (tmp_path / "delta_0.1" / "summary.json").exists()
+    # each member reports its run's director norms
+    for member in report.members:
+        summary = json.loads(
+            (tmp_path / f"delta_{member.delta:g}" / "summary.json").read_text())
+        assert member.n_xx_spacetime == summary["n_xx_spacetime"] > 0.0
+        assert member.n_t_spacetime == summary["n_t_spacetime"] > 0.0
     assert (tmp_path / "delta_0.05" / "energy.csv").exists()
 
 
