@@ -59,16 +59,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        traj = harness.run_simulation(config, state)
+        with harness.field_writer(config, outdir) as on_snapshot:
+            traj = harness.run_simulation(config, state, on_snapshot)
     except InvalidCoefficients as exc:
         return _refuse_coefficients(exc, outdir, created)
+    except OSError as exc:  # the solve does no I/O; the field writer does
+        print(f"output failed: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:  # solver abort
         print(f"solver abort: {exc}", file=sys.stderr)
         return 1
     try:
-        summary = harness.write_outputs(traj, config, outdir)
+        summary = harness.write_outputs(traj, config, outdir,
+                                        field_files=on_snapshot is None)
     except (OSError, ValueError) as exc:
-        print(f"output failed after the solve: {exc}", file=sys.stderr)
+        print(f"output failed: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {outdir} (max defect {summary['max_defect']:.3e}, "
           f"final E {summary['final']['total']:.6g})")

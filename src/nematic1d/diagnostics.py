@@ -11,7 +11,7 @@ second-order stencils used elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -142,33 +142,48 @@ class Trajectory:
     metadata: dict = field(default_factory=dict)
 
 
+def _scheduled_steps(dt: float, t_end: float) -> int:
+    """t_end/dt, rounded if within 1e-9 relative of a whole number, else up."""
+    num_steps = int(round(t_end / dt)) if t_end > 0 else 0
+    if t_end > 0 and abs(num_steps * dt - t_end) > 1e-9 * max(t_end, 1.0):
+        num_steps = int(np.ceil(t_end / dt))
+    return num_steps
+
+
+def snapshot_count(dt: float, t_end: float, snapshot_every: int) -> int:
+    """How many snapshots run_schedule records: the initial state, every
+    snapshot_every-th scheduled step, and the last one."""
+    return 1 - (-_scheduled_steps(dt, t_end) // snapshot_every)
+
+
 def run_schedule(initial: FlowState,
                  advance: Callable[[FlowState, float], FlowState],
                  c: LeslieSet, grid: Grid1D, dt: float, t_end: float,
-                 snapshot_every: int = 1) -> Trajectory:
+                 snapshot_every: int = 1,
+                 on_snapshot: Optional[Callable[[FlowState], None]] = None,
+                 ) -> Trajectory:
     """Step a scheme from its set-up initial state to t_end, ledgering every
-    snapshot_every-th scheduled step and the final state.
+    snapshot_every-th scheduled step and the last one.
 
     Scheduled step k ends at min(k dt, t_end); `advance(state, dt_k)` is
     called with dt_k = min(dt, time left to that target) until it gets
     there, so a step shortened by a dt halving is refilled and output times
-    stay on the cadence.  The caller validates c and fills the metadata.
+    stay on the cadence.  Each recorded snapshot, once ledgered, is also
+    handed to on_snapshot if given.  The caller validates c and fills the
+    metadata.
     """
     state = initial
-    snapshots = [state.copy()]
-    ledgers = [make_ledger(state, c, grid)]
-
-    num_steps = int(round(t_end / dt)) if t_end > 0 else 0
-    if t_end > 0 and abs(num_steps * dt - t_end) > 1e-9 * max(t_end, 1.0):
-        num_steps = int(np.ceil(t_end / dt))
-
-    for k in range(1, num_steps + 1):
+    snapshots, ledgers = [], []
+    num_steps = _scheduled_steps(dt, t_end)
+    for k in range(num_steps + 1):   # step 0 ends where it starts, at t = 0
         target = min(k * dt, t_end)
         while state.time < target - TIME_ROUNDOFF:
             state = advance(state, min(dt, target - state.time))
-        if k % snapshot_every == 0 or state.time >= t_end - TIME_ROUNDOFF:
+        if k % snapshot_every == 0 or k == num_steps:
             snapshots.append(state.copy())
             ledgers.append(make_ledger(state, c, grid))
+            if on_snapshot is not None:
+                on_snapshot(snapshots[-1])
 
     return Trajectory(grid=grid, snapshots=snapshots, ledgers=ledgers)
 

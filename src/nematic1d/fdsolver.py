@@ -6,6 +6,8 @@ same implicit director step; robustness over sharpness.
 
 from __future__ import annotations
 
+from typing import Callable, Optional
+
 import numpy as np
 from scipy.linalg import lapack
 
@@ -142,8 +144,11 @@ def step_fd(state: FlowState, grid: Grid1D, c: LeslieSet,
 
 
 def run_fd(initial: FlowState, grid: Grid1D, c: LeslieSet, dt: float,
-           t_end: float, snapshot_every: int = 1) -> diagnostics.Trajectory:
-    """Integrate with the oracle scheme at fixed dt, ledgering snapshots."""
+           t_end: float, snapshot_every: int = 1,
+           on_snapshot: Optional[Callable[[FlowState], None]] = None,
+           ) -> diagnostics.Trajectory:
+    """Integrate with the oracle scheme at fixed dt, ledgering snapshots and
+    handing each to on_snapshot if given."""
     require_valid(c)
     state = initial.copy()
     check_state(state, grid)
@@ -151,6 +156,6 @@ def run_fd(initial: FlowState, grid: Grid1D, c: LeslieSet, dt: float,
         state.ndot = _initial_ndot(state, c, grid)
     traj = diagnostics.run_schedule(
         state, lambda s, step_dt: step_fd(s, grid, c, step_dt),
-        c, grid, dt, t_end, snapshot_every)
+        c, grid, dt, t_end, snapshot_every, on_snapshot)
     traj.metadata = {"scheme": "fd", "dt": dt}
     return traj

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -564,9 +564,12 @@ def _extrapolate(history: Sequence[tuple],
 
 def run(initial: FlowState, num_modes: int, grid: Grid1D, c: LeslieSet, *,
         dt: float, picard_tol: float, t_end: float,
-        snapshot_every: int = 1) -> diagnostics.Trajectory:
+        snapshot_every: int = 1,
+        on_snapshot: Optional[Callable[[FlowState], None]] = None,
+        ) -> diagnostics.Trajectory:
     """Integrate from the initial state to t_end in scheduled steps of dt,
-    recording every snapshot_every-th one.
+    recording every snapshot_every-th one and handing each recorded state
+    to on_snapshot if given.
 
     Deterministic for a given configuration; `diagnostics.run_schedule`
     refills each scheduled window after internal halvings so output times
@@ -620,7 +623,7 @@ def run(initial: FlowState, num_modes: int, grid: Grid1D, c: LeslieSet, *,
         return new_state
 
     traj = diagnostics.run_schedule(state, advance, c, grid, dt, t_end,
-                                    snapshot_every)
+                                    snapshot_every, on_snapshot)
     traj.metadata = {"scheme": "galerkin", "num_modes": num_modes, "dt": dt,
                      "picard_iterations": picard_counts,
                      "dt_halvings": total_halvings,

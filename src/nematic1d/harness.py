@@ -1,6 +1,7 @@
 """Run configuration, initial-data construction (including mollification of
 rough data), output persistence, and the vanishing-regularization sweep
-study.
+study.  A run's field files are written while it goes by field_writer's
+child process, or by write_outputs, both in fieldfile's format.
 
 Config files are flat ``key = value`` text with dotted section keys; JSON
 with the same (possibly nested) keys is accepted as an alternative.
@@ -10,15 +11,17 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import diagnostics, fdsolver, galerkin
+from . import diagnostics, fdsolver, fieldfile, galerkin
 from .coefficients import LeslieSet, require_valid
 from .coefficients import derive_viscosities, validate  # noqa: F401  (perfbench/tracer.py wraps these harness names)
 from .fields import FlowState, Grid1D, gradient
@@ -344,10 +347,12 @@ def build_initial_state(config: RunConfig, grid: Grid1D) -> FlowState:
 # Running and persistence
 # =============================================================================
 
-def run_simulation(config: RunConfig,
-                   state: Optional[FlowState] = None) -> diagnostics.Trajectory:
+def run_simulation(config: RunConfig, state: Optional[FlowState] = None,
+                   on_snapshot: Optional[Callable[[FlowState], None]] = None,
+                   ) -> diagnostics.Trajectory:
     """Integrate the initial state, built from the config unless given, with
-    the configured (validating) scheme."""
+    the configured (validating) scheme, handing each recorded snapshot to
+    on_snapshot if given."""
     grid = Grid1D(config.grid_cells)
     if state is None:
         state = build_initial_state(config, grid)
@@ -355,18 +360,20 @@ def run_simulation(config: RunConfig,
         return galerkin.run(state, config.modes, grid, config.coefficients,
                             dt=config.dt, picard_tol=config.picard_tol,
                             t_end=config.t_end,
-                            snapshot_every=config.snapshot_every)
+                            snapshot_every=config.snapshot_every,
+                            on_snapshot=on_snapshot)
     return fdsolver.run_fd(state, grid, config.coefficients, config.dt,
-                           config.t_end, config.snapshot_every)
+                           config.t_end, config.snapshot_every, on_snapshot)
 
 
-def density_bound_flags(traj: diagnostics.Trajectory) -> int:
+def density_bound_flags(traj: diagnostics.Trajectory) -> Optional[int]:
     """Count snapshots whose density leaves the exponential-in-time envelope
-    implied by the initial bounds, widened by DENSITY_ENVELOPE_FACTOR."""
+    implied by the initial bounds, widened by DENSITY_ENVELOPE_FACTOR; None
+    when the initial density touches zero, which bounds no envelope."""
     rho0 = traj.snapshots[0].rho
     rho0_min = float(np.min(rho0))
     if rho0_min <= 0.0:
-        return 0
+        return None
     c1 = max(float(np.max(rho0)), 1.0 / rho0_min)
     flags = 0
     for snap in traj.snapshots:
@@ -392,20 +399,64 @@ def resolve_output_dir(config: RunConfig, override: Optional[str] = None,
     return path, created
 
 
+def _field_bytes(snap: FlowState) -> bytes:
+    """A snapshot's fields as fieldfile reads them."""
+    return np.column_stack((snap.rho, snap.u, snap.v, snap.n)).tobytes()
+
+
+@contextmanager
+def field_writer(config: RunConfig, outdir: Optional[Path]):
+    """Yield the run's snapshot hook, which sends each recorded snapshot to
+    a standard-library child process that writes its field file in outdir
+    while the solve goes on; or None, leaving the files to write_outputs, if
+    there is no outdir or only the initial and final states are recorded.
+    Leaving reaps the child; a write it failed raises OSError unless the
+    block raised first."""
+    if outdir is None or diagnostics.snapshot_count(
+            config.dt, config.t_end, config.snapshot_every) <= 2:
+        yield None
+        return
+    nodes = Grid1D(config.grid_cells).x
+    # by file path, with neither site nor the package __init__ (numpy)
+    child = subprocess.Popen(
+        [sys.executable, "-I", "-S", fieldfile.__file__, str(outdir),
+         str(nodes.size)], stdin=subprocess.PIPE, stderr=subprocess.PIPE)
+    # Linux: a 1 MiB pipe (the unprivileged maximum) holds what is sent while
+    # the child starts or falls behind, so that the solve need not wait
+    with suppress(ImportError, AttributeError, OSError):
+        import fcntl
+        fcntl.fcntl(child.stdin, fcntl.F_SETPIPE_SZ, 1 << 20)
+
+    def send(block: bytes) -> None:
+        child.stdin.write(block)
+        child.stdin.flush()
+
+    broken = False
+    try:
+        send(nodes.tobytes())
+        yield lambda snap: send(_field_bytes(snap))
+    except BrokenPipeError:   # the child exited early; it says why
+        broken = True
+    finally:
+        _, err = child.communicate()
+    if broken or child.returncode:
+        lines = err.decode(errors="replace").strip().splitlines()
+        raise OSError("field writer: " + (
+            lines[-1] if lines else f"exit status {child.returncode}"))
+
+
 def write_outputs(traj: diagnostics.Trajectory, config: RunConfig,
-                  outdir: Path) -> dict:
-    """Write energy.csv, per-snapshot field files, and summary.json."""
+                  outdir: Path, field_files: bool = True) -> dict:
+    """Write energy.csv, summary.json and, unless field_writer has written
+    them (field_files False), the per-snapshot field files."""
     lines = [diagnostics.EnergyLedger.CSV_HEADER]
     lines += [led.csv_row() for led in traj.ledgers]
     (outdir / "energy.csv").write_text("\n".join(lines) + "\n")
 
-    x_column = ["%.17g," % x for x in traj.grid.x.tolist()]   # once per run
-    for idx, snap in enumerate(traj.snapshots):
-        table = np.column_stack((snap.rho, snap.u, snap.v, snap.n))
-        text = "x,rho,u,v,n\n" + "".join(
-            x + "%.17g,%.17g,%.17g,%.17g\n" % tuple(row)
-            for x, row in zip(x_column, table.tolist()))
-        (outdir / f"fields_{idx:04d}.csv").write_text(text)
+    if field_files:
+        text = fieldfile.template(traj.grid.x.tobytes())
+        for idx, snap in enumerate(traj.snapshots):
+            fieldfile.write(outdir, idx, text, _field_bytes(snap))
 
     _, max_defect = diagnostics.energy_budget(traj.ledgers)
     n_xx_norm, n_t_norm = diagnostics.director_norms(traj.snapshots, traj.grid)
@@ -498,7 +549,10 @@ def _sweep_member(args: tuple) -> SweepMember:
     grid = Grid1D(config.grid_cells)
     raw = build_raw_initial_data(config, grid)
     state = mollify_initial_data(raw, delta, grid)
-    traj = run_simulation(config, state)
+    if subdir is not None:
+        subdir.mkdir(parents=True, exist_ok=True)
+    with field_writer(config, subdir) as on_snapshot:
+        traj = run_simulation(config, state, on_snapshot)
 
     window = np.sin(np.pi * grid.x) ** 2
     pairs = []
@@ -509,9 +563,7 @@ def _sweep_member(args: tuple) -> SweepMember:
                       diagnostics.integrate(window * snap.rho * h2, grid)))
     _, max_defect = diagnostics.energy_budget(traj.ledgers)
     if subdir is not None:
-        path = Path(subdir)
-        path.mkdir(parents=True, exist_ok=True)
-        write_outputs(traj, config, path)
+        write_outputs(traj, config, subdir, field_files=on_snapshot is None)
     n_xx_norm, n_t_norm = diagnostics.director_norms(traj.snapshots, grid)
     return SweepMember(
         delta=delta,
@@ -566,8 +618,7 @@ def run_sweep(config: RunConfig, deltas: Sequence[float],
     # an inadmissible set is a config error, not a member failure
     require_valid(config.coefficients)
 
-    payload = [(config, d,
-                None if outdir is None else str(outdir / f"delta_{d:g}"))
+    payload = [(config, d, None if outdir is None else outdir / f"delta_{d:g}")
                for d in deltas]
     members = []
     pool = (ProcessPoolExecutor(max_workers=workers) if workers > 1

@@ -9,7 +9,8 @@ from nematic1d.derivation import check_energy_identity
 from nematic1d.diagnostics import (EnergyLedger, director_norms, dissipation,
                                    effective_viscous_flux, energy,
                                    energy_budget, entropy_like,
-                                   high_integrability, integrate, make_ledger)
+                                   high_integrability, integrate, make_ledger,
+                                   snapshot_count)
 from nematic1d.fields import FlowState, Grid1D, gradient
 from nematic1d.harness import RunConfig, run_simulation
 
@@ -207,3 +208,18 @@ def test_record_times_follow_the_schedule(scheme, every, steps):
     assert abs(times[-1] - t_end) <= 1e-12
     off_cadence_final = steps % every != 0
     assert len(times) == 1 + steps // every + off_cadence_final
+    # the count a caller can know before the run, from its input alone
+    assert snapshot_count(dt, t_end, every) == len(times)
+
+
+def test_last_scheduled_step_is_recorded_off_cadence():
+    # t_end is within the schedule's 1e-9 rounding of ten steps but above
+    # the time round-off, so the run ends at step 10, off the cadence of 3:
+    # that last state is recorded like any final one
+    dt, t_end = 0.01, 0.1000000005
+    traj = run_simulation(RunConfig(
+        coefficients=example_set(), grid_cells=16, modes=4, dt=dt,
+        t_end=t_end, snapshot_every=3))
+    times = [s.time for s in traj.snapshots]
+    assert len(times) == snapshot_count(dt, t_end, 3) == 5
+    assert times[-1] == pytest.approx(0.1, abs=1e-12)

@@ -13,16 +13,17 @@ import pytest
 
 import nematic1d
 import nematic1d.coefficients as coefficients_module
+import nematic1d.galerkin as galerkin_module
 import nematic1d.harness as harness_module
 from nematic1d.cli import main as cli_main
 from nematic1d.coefficients import InvalidCoefficients, LeslieSet, example_set
-from nematic1d.diagnostics import director_norms
-from nematic1d.fields import Grid1D, gradient
+from nematic1d.diagnostics import Trajectory, director_norms
+from nematic1d.fields import FlowState, Grid1D, gradient
 from nematic1d.harness import (RunConfig, _flat_items, build_initial_state,
                                build_raw_initial_data, config_from_flat,
-                               density_bound_flags, mollify_initial_data,
-                               parse_config, run_simulation, run_sweep,
-                               write_outputs)
+                               density_bound_flags, field_writer,
+                               mollify_initial_data, parse_config,
+                               run_simulation, run_sweep, write_outputs)
 
 TEXT_CONFIG = """
 # shear preset at desk scale
@@ -41,6 +42,20 @@ output.snapshot_every = 1
 tolerances.picard = 1e-10
 tolerances.energy = 1e-8
 """
+
+
+@pytest.fixture
+def writers(monkeypatch):
+    """Every field-writer process the test starts."""
+    started = []
+    real = subprocess.Popen
+
+    def spawn(*args, **kwargs):
+        started.append(real(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(harness_module.subprocess, "Popen", spawn)
+    return started
 
 
 def shear_config(**overrides):
@@ -394,12 +409,29 @@ def test_field_file_exact_text(tmp_path):
     snap.n[3], snap.n[4] = 123456789.123456789, -2.0 / 3.0
     write_outputs(traj, cfg, tmp_path)
     assert (tmp_path / "fields_0000.csv").read_text() == FIELDS_0000
+    # the writer process formats the same text
+    streamed = tmp_path / "streamed"
+    streamed.mkdir()
+    with field_writer(shear_config(grid_cells=8, modes=2, t_end=1.0),
+                      streamed) as writer:
+        writer(snap)
+    assert (streamed / "fields_0000.csv").read_text() == FIELDS_0000
 
 
 def test_density_bound_monitor():
     cfg = shear_config(t_end=0.005)
     traj = run_simulation(cfg)
     assert density_bound_flags(traj) == 0
+
+
+def test_density_bound_monitor_not_applicable_at_vacuum():
+    # an initial density that touches zero bounds no envelope: the monitor
+    # reports None (null in summary.json), not a clean zero count
+    grid = Grid1D(8)
+    zero = np.zeros(grid.num_nodes)
+    snap = FlowState(time=0.0, rho=np.minimum(grid.x, 1.0 - grid.x),
+                     u=zero, v=zero, n=zero)
+    assert density_bound_flags(Trajectory(grid, [snap], [])) is None
 
 
 def test_static_run_summary_defect(tmp_path):
@@ -539,6 +571,90 @@ def test_cli_run_off_cadence_final_snapshot(tmp_path, scheme, cadence):
     # t = 0 plus 11 steps, or t = 0, steps 3, 6, 9 and the final step 10
     snapshots = 12 if partial else 5
     assert len(list((tmp_path / "out").glob("fields_*.csv"))) == snapshots
+
+
+@pytest.mark.parametrize("scheme", ["galerkin", "fd"])
+@pytest.mark.parametrize("every", [1, 3])
+@pytest.mark.parametrize("t_end", ["0.01", "0.0105"])
+def test_streamed_field_files_match_write_outputs(tmp_path, writers, scheme,
+                                                  every, t_end):
+    # the run command streams its field files to a writer process; each is
+    # byte for byte the file write_outputs writes from the same trajectory
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    conf = tmp_path / "run.conf"
+    conf.write_text(TEXT_CONFIG.replace("scheme = galerkin", f"scheme = {scheme}")
+                    .replace("t_end = 0.01", f"t_end = {t_end}")
+                    + f"\noutput.snapshot_every = {every}\noutput.dir = {out}\n")
+    assert cli_main(["run", "--config", str(conf)]) == 0
+    assert len(writers) == 1 and writers[0].returncode == 0
+    cfg = parse_config(conf)
+    traj = run_simulation(cfg)
+    ref.mkdir()
+    write_outputs(traj, cfg, ref)
+    names = sorted(p.name for p in ref.glob("fields_*.csv"))
+    assert len(names) == len(traj.snapshots) > 2
+    assert sorted(p.name for p in out.glob("fields_*.csv")) == names
+    for name in names:
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+
+def test_cli_run_of_two_snapshots_starts_no_writer(tmp_path, monkeypatch):
+    # the initial and final states only: written in process
+    def refuse(*args, **kwargs):
+        raise AssertionError("started a field writer")
+
+    monkeypatch.setattr(harness_module.subprocess, "Popen", refuse)
+    conf = tmp_path / "run.conf"
+    conf.write_text(TEXT_CONFIG + "\noutput.snapshot_every = 10\n"
+                    + f"output.dir = {tmp_path / 'out'}\n")
+    assert cli_main(["run", "--config", str(conf)]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").glob("fields_*.csv")) \
+        == ["fields_0000.csv", "fields_0001.csv"]
+
+
+def test_cli_run_field_writer_failure(tmp_path, capsys, writers):
+    # the writer cannot create fields_0001.csv: one line naming the file,
+    # exit 1, and no writer process left behind
+    out = tmp_path / "out"
+    (out / "fields_0001.csv").mkdir(parents=True)
+    conf = tmp_path / "run.conf"
+    conf.write_text(TEXT_CONFIG + f"\noutput.dir = {out}\n")
+    assert cli_main(["run", "--config", str(conf)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("output failed: ")
+    assert str(out / "fields_0001.csv") in err[0]
+    assert len(writers) == 1 and writers[0].poll() is not None
+
+
+@pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt])
+def test_cli_run_abort_keeps_recorded_snapshots(tmp_path, capsys, monkeypatch,
+                                                writers, failure):
+    # the fourth step fails: the initial state and three steps were
+    # recorded, and their field files are written before the command returns
+    real, calls = galerkin_module.step, []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 4:
+            raise failure("injected step failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(galerkin_module, "step", failing)
+    out = tmp_path / "out"
+    conf = tmp_path / "run.conf"
+    conf.write_text(TEXT_CONFIG + f"\noutput.dir = {out}\n")
+    if failure is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            cli_main(["run", "--config", str(conf)])
+    else:
+        assert cli_main(["run", "--config", str(conf)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "solver abort: injected step failure"]
+    assert sorted(p.name for p in out.glob("fields_*.csv")) == [
+        f"fields_{i:04d}.csv" for i in range(4)]
+    assert not (out / "summary.json").exists()
+    assert len(writers) == 1 and writers[0].poll() is not None
 
 
 def test_cli_invalid_coefficients_exit_code(tmp_path, capsys):
