@@ -232,8 +232,8 @@ def dissipation_parts(c: LeslieSet, n, u_x, v_x, ndot):
 class DerivedViscosities:
     """A certified two-sided eigenvalue range for sym A(n).
 
-    lambda_lo, the value diagnostics use, is the smaller of the closed-form
-    candidate bound
+    lambda_lo, the lower end `verify` checks on the example set, is the
+    smaller of the closed-form candidate bound
 
         min{ (a4+a7) - (a1 + g2^2/g1)/4,
              (2a4+a5+a6 - g2^2/g1) - (a0+a1+a5+a6+a8) }

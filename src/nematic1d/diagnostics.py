@@ -66,65 +66,39 @@ class EnergyLedger:
         return ",".join(f"{v:.17g}" for v in self.values())
 
 
-def _energy_densities(state: FlowState, grid: Grid1D,
-                      gamma_ad: float) -> tuple[np.ndarray, ...]:
-    """Kinetic, internal and elastic energy densities at the nodes."""
+def make_ledger(state: FlowState, c: LeslieSet, grid: Grid1D) -> EnergyLedger:
+    """The ledger row of one state, every integral taken in one stacked pass.
+
+    For an admissible coefficient set the dissipation is pointwise
+    nonnegative even though the anisotropy remainder alone may go negative;
+    a total below -1e-10 * scale signals an inadmissible set or a broken
+    formula and raises, as does a non-finite entry.
+    """
+    gamma_ad = c.gamma_ad
     n_x = gradient(state.n, grid.dx, neumann_ends=True)
-    return (0.5 * state.rho * (state.u ** 2 + state.v ** 2),
-            pressure(state.rho, gamma_ad) / (gamma_ad - 1.0),
-            0.5 * n_x * n_x)
-
-
-def energy(state: FlowState, grid: Grid1D,
-           gamma_ad: float) -> tuple[float, float, float]:
-    """(kinetic, internal, elastic) energy parts by trapezoid quadrature."""
-    return tuple(integrate(_energy_densities(state, grid, gamma_ad), grid))
-
-
-def _dissipation_densities(state: FlowState, c: LeslieSet,
-                           grid: Grid1D) -> tuple[np.ndarray, ...]:
     ndot = state.require_ndot()
     u_x = gradient(state.u, grid.dx)
     v_x = gradient(state.v, grid.dx)
-    return dissipation_parts(c, state.n, u_x, v_x, ndot)
-
-
-def _checked_total(parts: Sequence[float]) -> float:
-    """The sum of the five dissipation integrals, checked as `dissipation`
-    says."""
-    total = float(sum(parts))
-    scale = 1.0 + sum(abs(p) for p in parts)
-    if total < -1e-10 * scale:
-        raise ValueError(f"negative dissipation {total:.3e}; "
-                         "coefficient set admissibility is suspect")
-    return total
-
-
-def dissipation(state: FlowState, c: LeslieSet,
-                grid: Grid1D) -> tuple[float, tuple[float, ...]]:
-    """Total dissipation and its five components.
-
-    For an admissible coefficient set the sum is pointwise nonnegative even
-    though the anisotropy remainder alone may go negative; a total below
-    -1e-10 * scale signals an inadmissible set or a broken formula and
-    raises.
-    """
-    parts = integrate(_dissipation_densities(state, c, grid), grid)
-    return _checked_total(parts), tuple(parts)
-
-
-def make_ledger(state: FlowState, c: LeslieSet, grid: Grid1D) -> EnergyLedger:
-    """The ledger row of one state, every integral taken in one pass."""
-    gamma_ad = c.gamma_ad
+    # rho log rho with the continuous extension 0 log 0 := 0
+    rho = np.maximum(state.rho, 0.0)
+    rho_log_rho = np.where(rho > 0.0,
+                           rho * np.log(np.where(rho > 0.0, rho, 1.0)), 0.0)
     kin, internal, elastic, *parts, mass, rho2gamma, entropy = integrate(
-        (*_energy_densities(state, grid, gamma_ad),
-         *_dissipation_densities(state, c, grid), state.rho,
-         pressure(state.rho, 2.0 * gamma_ad), _entropy_density(state)), grid)
+        (0.5 * state.rho * (state.u ** 2 + state.v ** 2),
+         pressure(state.rho, gamma_ad) / (gamma_ad - 1.0),
+         0.5 * n_x * n_x,
+         *dissipation_parts(c, state.n, u_x, v_x, ndot), state.rho,
+         pressure(state.rho, 2.0 * gamma_ad), rho_log_rho), grid)
+    total_dissipation = float(sum(parts))
+    scale = 1.0 + sum(abs(p) for p in parts)
+    if total_dissipation < -1e-10 * scale:
+        raise ValueError(f"negative dissipation {total_dissipation:.3e}; "
+                         "coefficient set admissibility is suspect")
     led = EnergyLedger(
         time=state.time,
         kinetic=kin, internal=internal, elastic=elastic,
         total=kin + internal + elastic,
-        dissipation=_checked_total(parts), dissipation_parts=tuple(parts),
+        dissipation=total_dissipation, dissipation_parts=tuple(parts),
         mass=mass, rho2gamma=rho2gamma, entropy=entropy,
     )
     if not np.all(np.isfinite(led.values())):
@@ -159,8 +133,8 @@ def snapshot_count(dt: float, t_end: float, snapshot_every: int) -> int:
 def run_schedule(initial: FlowState,
                  advance: Callable[[FlowState, float], FlowState],
                  c: LeslieSet, grid: Grid1D, dt: float, t_end: float,
-                 snapshot_every: int = 1,
-                 on_snapshot: Optional[Callable[[FlowState], None]] = None,
+                 snapshot_every: int,
+                 on_snapshot: Optional[Callable[[FlowState], None]],
                  ) -> Trajectory:
     """Step a scheme from its set-up initial state to t_end, ledgering every
     snapshot_every-th scheduled step and the last one.
@@ -243,15 +217,3 @@ def effective_viscous_flux(state: FlowState, c: LeslieSet,
     p = pressure(state.rho, c.gamma_ad)
     i11, _, i21, _ = inverse_matrix_entries(c, state.n)
     return u_x - i11 * p, v_x - i21 * p
-
-
-def _entropy_density(state: FlowState) -> np.ndarray:
-    """rho log rho with the continuous extension 0 log 0 := 0."""
-    rho = np.maximum(state.rho, 0.0)
-    return np.where(rho > 0.0, rho * np.log(np.where(rho > 0.0, rho, 1.0)),
-                    0.0)
-
-
-def entropy_like(state: FlowState, grid: Grid1D) -> float:
-    """Integral of rho log rho with the continuous extension 0 log 0 := 0."""
-    return integrate(_entropy_density(state), grid)

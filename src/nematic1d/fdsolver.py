@@ -15,7 +15,8 @@ from . import diagnostics
 from .coefficients import LeslieSet, matrix_entries, require_valid
 from .fields import (FlowState, Grid1D, check_state, director_rate_flux,
                      elastic_coupling, gradient, pressure)
-from .galerkin import _initial_ndot, advance_director
+from .fields import initial_ndot as _initial_ndot  # perfbench/tracer.py wraps this fdsolver name
+from .galerkin import advance_director
 
 
 class CFLViolation(RuntimeError):

@@ -1,7 +1,7 @@
 """Discrete state on the unit interval and the right-hand-side expressions of
 the coupled density / momentum / director system: pressure, the two viscous
 flux brackets (whose x-derivatives drive the momentum equations), the elastic
-coupling, and the director-equation residual.
+coupling, and the director equation's rate and residual.
 """
 
 from __future__ import annotations
@@ -167,13 +167,23 @@ def elastic_coupling(n: np.ndarray, grid: Grid1D,
     return -second_derivative(n, grid.dx) * n_x
 
 
+def initial_ndot(state: FlowState, c: LeslieSet, grid: Grid1D,
+                 u_x: Optional[np.ndarray] = None,
+                 v_x: Optional[np.ndarray] = None) -> np.ndarray:
+    """Material director rate (n_xx + director_source) / gamma1 that solves
+    the scalar director equation; seeds the ledger at t = 0.  A caller that
+    already holds the velocity gradients passes them as `u_x` and `v_x`."""
+    if u_x is None:
+        u_x = gradient(state.u, grid.dx)
+    if v_x is None:
+        v_x = gradient(state.v, grid.dx)
+    n_xx = second_derivative(state.n, grid.dx)
+    src = director_source(c.gamma1, c.gamma2, state.n, u_x, v_x)
+    return (n_xx + src) / c.gamma1
+
+
 def director_residual(state: FlowState, c: LeslieSet,
                       grid: Grid1D) -> np.ndarray:
-    """Residual gamma1 ndot - director_source - n_xx of the scalar director
+    """Residual gamma1 (ndot - initial_ndot) of the scalar director
     equation, which a consistent state satisfies to scheme accuracy."""
-    ndot = state.require_ndot()
-    u_x = gradient(state.u, grid.dx)
-    v_x = gradient(state.v, grid.dx)
-    n_xx = second_derivative(state.n, grid.dx)
-    return (c.gamma1 * ndot
-            - director_source(c.gamma1, c.gamma2, state.n, u_x, v_x) - n_xx)
+    return c.gamma1 * (state.require_ndot() - initial_ndot(state, c, grid))

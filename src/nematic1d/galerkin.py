@@ -34,8 +34,9 @@ from . import diagnostics
 from .coefficients import (LeslieSet, director_source, matrix_entries,
                            require_valid)
 from .fields import (FlowState, Grid1D, check_state, elastic_coupling,
-                     flux_bracket, gradient, pressure, second_derivative)
-from .fields import director_rate_flux  # noqa: F401  (perfbench/tracer.py wraps this galerkin name)
+                     flux_bracket, gradient, pressure)
+from .fields import director_rate_flux, second_derivative  # noqa: F401  (perfbench/tracer.py wraps these galerkin names)
+from .fields import initial_ndot as _initial_ndot  # perfbench/tracer.py wraps this galerkin name
 
 
 class DenominatorTooSmall(RuntimeError):
@@ -420,20 +421,6 @@ class StepStats:
     picard_iterations: int
     halvings: int
     factorizations: int
-
-
-def _initial_ndot(state: FlowState, c: LeslieSet, grid: Grid1D,
-                  u_x: Optional[np.ndarray] = None,
-                  v_x: Optional[np.ndarray] = None) -> np.ndarray:
-    """Material director rate consistent with the director equation; used to
-    seed the ledger at t = 0."""
-    if u_x is None:
-        u_x = gradient(state.u, grid.dx)
-    if v_x is None:
-        v_x = gradient(state.v, grid.dx)
-    n_xx = second_derivative(state.n, grid.dx)
-    src = director_source(c.gamma1, c.gamma2, state.n, u_x, v_x)
-    return (n_xx + src) / c.gamma1
 
 
 def _attempt_step(state: FlowState, modes: np.ndarray, grid: Grid1D,

@@ -101,8 +101,8 @@ class RunConfig:
             raise ValueError("dt must be positive and finite")
         if not 0.0 <= self.t_end < np.inf:
             raise ValueError("t_end must be nonnegative and finite")
-        if not self.mollify_delta >= 0.0:
-            raise ValueError("mollify_delta must be nonnegative")
+        if not 0.0 <= self.mollify_delta < np.inf:
+            raise ValueError("mollify_delta must be nonnegative and finite")
         if self.scheme not in ("galerkin", "fd"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.initial_preset not in PRESETS:
@@ -597,11 +597,12 @@ def _observed_order(deltas: Sequence[float], errors: Sequence[float]) -> float:
 
 def check_deltas(deltas: Sequence[float]) -> list[float]:
     """The smoothing radii as floats; raises ValueError unless they are
-    positive and strictly decreasing."""
+    positive, finite and strictly decreasing."""
     deltas = [float(d) for d in deltas]
-    if any(d <= 0.0 for d in deltas):
-        raise ValueError("all deltas must be positive")
-    if any(b >= a for a, b in zip(deltas, deltas[1:])):
+    # negated comparisons, so NaN fails them too
+    if not all(0.0 < d < np.inf for d in deltas):
+        raise ValueError("all deltas must be positive and finite")
+    if not all(b < a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
     return deltas
 

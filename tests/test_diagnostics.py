@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from nematic1d.coefficients import LeslieSet, example_set, random_valid_set
 from nematic1d.derivation import check_energy_identity
-from nematic1d.diagnostics import (EnergyLedger, director_norms, dissipation,
-                                   effective_viscous_flux, energy,
-                                   energy_budget, entropy_like,
+from nematic1d.diagnostics import (EnergyLedger, director_norms,
+                                   effective_viscous_flux, energy_budget,
                                    high_integrability, integrate, make_ledger,
                                    snapshot_count)
 from nematic1d.fields import FlowState, Grid1D, gradient
@@ -25,27 +24,39 @@ def make_state(grid, rho=None, u=None, v=None, n=None, ndot=None, time=0.0):
                      ndot=z.copy() if ndot is None else ndot)
 
 
-def test_energy_constant_state():
+def energy_parts(state, c, grid):
+    """(kinetic, internal, elastic) as the ledger integrates them."""
+    led = make_ledger(state, c, grid)
+    return led.kinetic, led.internal, led.elastic
+
+
+def dissipation(state, c, grid):
+    """(total, five parts) as the ledger integrates them."""
+    led = make_ledger(state, c, grid)
+    return led.dissipation, led.dissipation_parts
+
+
+def test_energy_constant_state(base_set):
     grid = Grid1D(64)
     state = make_state(grid, n=np.full(grid.num_nodes, 0.9))
-    kin, internal, elastic = energy(state, grid, 2.0)
+    kin, internal, elastic = energy_parts(state, base_set, grid)
     assert kin == 0.0
     assert internal == pytest.approx(1.0, abs=1e-14)
     assert elastic == 0.0
 
 
-def test_energy_kinetic_quarter():
+def test_energy_kinetic_quarter(base_set):
     grid = Grid1D(128)
     state = make_state(grid, u=np.sin(np.pi * grid.x))
-    kin, internal, elastic = energy(state, grid, 2.0)
+    kin, internal, elastic = energy_parts(state, base_set, grid)
     assert kin == pytest.approx(0.25, abs=1e-12)
     assert kin + internal + elastic == pytest.approx(1.25, abs=1e-12)
 
 
-def test_energy_elastic_quarter_pi_squared():
+def test_energy_elastic_quarter_pi_squared(base_set):
     grid = Grid1D(256)
     state = make_state(grid, n=np.cos(np.pi * grid.x))
-    _, _, elastic = energy(state, grid, 2.0)
+    _, _, elastic = energy_parts(state, base_set, grid)
     assert elastic == pytest.approx(np.pi**2 / 4.0, rel=2e-3)
 
 
@@ -95,7 +106,7 @@ def test_dissipation_negative_raises():
     grid = Grid1D(64)
     state = make_state(grid, u=np.sin(np.pi * grid.x))
     with pytest.raises(ValueError, match="dissipation"):
-        dissipation(state, bad, grid)
+        make_ledger(state, bad, grid)
 
 
 def test_energy_budget_static(base_set):
@@ -162,22 +173,26 @@ def test_effective_viscous_flux_vacuum(base_set):
     assert np.max(np.abs(h2 - gradient(state.v, grid.dx))) < 1e-14
 
 
-def test_entropy_values():
+def test_entropy_values(base_set):
     grid = Grid1D(64)
-    assert entropy_like(make_state(grid), grid) == pytest.approx(0.0, abs=1e-15)
+
+    def entropy(state):
+        return make_ledger(state, base_set, grid).entropy
+    assert entropy(make_state(grid)) == pytest.approx(0.0, abs=1e-15)
     state_e = make_state(grid, rho=np.full(grid.num_nodes, np.e))
-    assert entropy_like(state_e, grid) == pytest.approx(np.e, rel=1e-13)
+    assert entropy(state_e) == pytest.approx(np.e, rel=1e-13)
     state_v = make_state(grid, rho=np.zeros(grid.num_nodes))
-    assert entropy_like(state_v, grid) == 0.0
+    assert entropy(state_v) == 0.0
 
 
-def test_entropy_jensen_bound(rng):
+def test_entropy_jensen_bound(base_set, rng):
     grid = Grid1D(128)
     for _ in range(10):
         rho = 0.5 + rng.uniform(0.0, 2.0) * rng.random(grid.num_nodes)
         state = make_state(grid, rho=rho)
         mass = np.trapezoid(rho, dx=grid.dx)
-        assert entropy_like(state, grid) >= mass * np.log(mass) - 1e-12
+        entropy = make_ledger(state, base_set, grid).entropy
+        assert entropy >= mass * np.log(mass) - 1e-12
 
 
 def test_ledger_total_is_sum(base_set):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from nematic1d.coefficients import random_valid_set
+from nematic1d.fdsolver import run_fd
 from nematic1d.fields import (FlowState, Grid1D, director_rate_flux,
                               director_residual, elastic_coupling,
-                              flux_bracket, gradient, pressure,
+                              flux_bracket, gradient, initial_ndot, pressure,
                               second_derivative)
+from nematic1d.galerkin import SineBasis, project_initial_velocity, run
 
 
 def make_state(grid, rho=None, u=None, v=None, n=None, ndot=None):
@@ -256,6 +258,32 @@ def test_director_residual_manufactured_solution(base_set):
         errs.append(np.max(np.abs(got - want)))
     assert errs[0] / errs[1] > 3.0
     assert errs[1] < 5e-3
+
+
+@pytest.mark.parametrize("scheme", ["galerkin", "fd"])
+def test_initial_snapshot_carries_the_director_equation_rate(rng, scheme):
+    # each run seeds the t = 0 director rate from the director equation:
+    # the fd run at its grid gradients, the Galerkin run at the spectral
+    # gradients of its projected modes
+    c = random_valid_set(rng)
+    grid = Grid1D(64)
+    x = grid.x
+    state = make_state(grid, u=0.3 * np.sin(np.pi * x),
+                       v=0.2 * np.sin(2 * np.pi * x),
+                       n=0.4 * np.cos(np.pi * x) + 0.1)
+    if scheme == "fd":
+        first = run_fd(state, grid, c, dt=1e-4, t_end=1e-4).snapshots[0]
+        res = director_residual(first, c, grid)
+        scale = np.max(np.abs(c.gamma1 * first.ndot))
+        assert np.max(np.abs(res)) <= 1e-14 * scale
+    else:
+        first = run(state, 8, grid, c, dt=1e-4, picard_tol=1e-10,
+                    t_end=1e-4).snapshots[0]
+        modes = project_initial_velocity(state.u, state.v, 8, grid)
+        u_x, v_x = SineBasis(8, grid).reconstruct_derivative(modes)
+        want = initial_ndot(first, c, grid, u_x=u_x, v_x=v_x)
+        np.testing.assert_array_equal(first.ndot, want)
+    assert first.time == 0.0
 
 
 def test_double_angle_equivalence(rng):

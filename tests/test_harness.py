@@ -175,7 +175,7 @@ def test_config_validation():
     for name, value in (("snapshot_every", -2), ("picard_tol", -1e-10),
                         ("picard_tol", nan), ("energy_tol", nan),
                         ("dt", nan), ("dt", inf), ("t_end", inf),
-                        ("mollify_delta", nan)):
+                        ("mollify_delta", nan), ("mollify_delta", inf)):
         with pytest.raises(ValueError, match="must be"):
             shear_config(**{name: value})
     # zero energy tolerance is usable: a dissipating run is still monotone
@@ -732,12 +732,13 @@ def test_cli_run_builds_initial_state_once(tmp_path, monkeypatch):
     "grid.cells = 64.7", "initial.preset = smooth_random\ninitial.sed = 3",
     "initial.seed = 3",
     "initial.preset = smooth_random\ninitial.seed = abc",
-    "initial.preset = rough_density\ninitial.profile = bogus"],
+    "initial.preset = rough_density\ninitial.profile = bogus",
+    "mollify_delta = inf"],
     ids=["aliased_modes", "non_numeric", "no_equals", "missing_value",
          "zero_cadence", "negative_cadence", "zero_picard_tol",
          "negative_energy_tol", "boolean_float", "boolean_int",
          "fractional_int", "misspelt_param", "undeclared_param",
-         "non_numeric_param", "unknown_profile"])
+         "non_numeric_param", "unknown_profile", "infinite_mollify_delta"])
 def test_cli_rejected_config_exits_2(tmp_path, capsys, command, bad_line):
     conf = tmp_path / "bad.conf"
     # appended, so the bad line is the last value of each key it sets
@@ -779,8 +780,10 @@ def test_cli_sweep_rejects_malformed_deltas(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("deltas", ["0.05,0.1", "0.1,-0.05"],
-                         ids=["increasing", "non_positive"])
+@pytest.mark.parametrize("deltas", ["0.05,0.1", "0.1,-0.05", "nan", "0.1,nan",
+                                    "inf,0.1"],
+                         ids=["increasing", "non_positive", "nan", "trailing_nan",
+                              "infinite"])
 def test_cli_sweep_rejects_bad_delta_order(tmp_path, capsys, deltas):
     conf = tmp_path / "sweep.conf"
     conf.write_text(TEXT_CONFIG + f"\noutput.dir = {tmp_path / 'out'}\n")
