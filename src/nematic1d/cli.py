@@ -6,17 +6,14 @@ coefficient set.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import json
 import sys
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 
 from . import harness
-from .coefficients import (InvalidCoefficients, derive_viscosities,
-                           example_set, matrix_entries, validate)
+from .coefficients import (derive_viscosities, example_set, matrix_entries,
+                           require_valid, validate)
 from .derivation import SuiteRow, run_identity_suite, samples_per_set
 from .fields import Grid1D
 
@@ -30,39 +27,24 @@ def _load_config(path: str) -> harness.RunConfig | None:
         return None
 
 
-def _refuse_coefficients(exc: InvalidCoefficients, outdir: Path,
-                         created: Path | None) -> int:
-    """Report an inadmissible set and remove the directories the command
-    created for its outputs: the scheme validates before writing any."""
-    print(f"error: {exc}", file=sys.stderr)
-    if created is not None:
-        with contextlib.suppress(OSError):   # left in place if not empty
-            for path in (outdir, *outdir.parents):
-                path.rmdir()
-                if path == created:
-                    break
-    return 2
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     if config is None:
         return 2
-    try:  # unusable initial data is a config error: no directory yet
+    try:  # an inadmissible set or unusable initial data: no directory yet
+        require_valid(config.coefficients)
         state = harness.build_initial_state(config, Grid1D(config.grid_cells))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:  # before the solve, so a missing directory wastes no work
-        outdir, created = harness.resolve_output_dir(config, args.output)
+        outdir = harness.resolve_output_dir(config, args.output)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
         with harness.field_writer(config, outdir) as on_snapshot:
             traj = harness.run_simulation(config, state, on_snapshot)
-    except InvalidCoefficients as exc:
-        return _refuse_coefficients(exc, outdir, created)
     except OSError as exc:  # the solve does no I/O; the field writer does
         print(f"output failed: {exc}", file=sys.stderr)
         return 1
@@ -70,8 +52,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"solver abort: {exc}", file=sys.stderr)
         return 1
     try:
-        summary = harness.write_outputs(traj, config, outdir,
-                                        field_files=on_snapshot is None)
+        summary = harness.write_outputs(traj, config, outdir)
     except (OSError, ValueError) as exc:
         print(f"output failed: {exc}", file=sys.stderr)
         return 1
@@ -84,21 +65,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     if config is None:
         return 2
-    try:
+    try:  # an inadmissible set or bad deltas: no directory yet
+        require_valid(config.coefficients)
         deltas = harness.check_deltas(args.deltas)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:  # before the solve, so a missing directory wastes no work
-        outdir, created = harness.resolve_output_dir(config, args.output)
+        outdir = harness.resolve_output_dir(config, args.output)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
         report = harness.run_sweep(config, deltas, workers=args.workers,
                                    outdir=outdir)
-    except InvalidCoefficients as exc:
-        return _refuse_coefficients(exc, outdir, created)
     except harness.SweepAborted as exc:
         harness.write_sweep(exc.partial, config, outdir)
         print(f"sweep abort ({exc}); partial report written to "
@@ -163,7 +143,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         return 2
     report = validate(config.coefficients)
     if args.json:
-        print(json.dumps(asdict(report), indent=2, sort_keys=True))
+        print(harness.json_text(asdict(report)), end="")
     else:
         print(report.as_text())
     return 0 if report.is_valid else 1

@@ -1,7 +1,8 @@
 """Run configuration, initial-data construction (including mollification of
 rough data), output persistence, and the vanishing-regularization sweep
-study.  A run's field files are written while it goes by field_writer's
-child process, or by write_outputs, both in fieldfile's format.
+study.  A run's field files, in fieldfile's format, are written as each
+snapshot is recorded by the hook field_writer yields; write_outputs then
+writes energy.csv and summary.json from the finished record.
 
 Config files are flat ``key = value`` text with dotted section keys; JSON
 with the same (possibly nested) keys is accepted as an alternative.
@@ -16,6 +17,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, dataclass, field, fields
+from itertools import count
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -121,6 +123,8 @@ class RunConfig:
         if profile not in ROUGH_PROFILES:
             raise ValueError(f"config key initial.profile = {profile!r}: "
                              f"not one of {', '.join(ROUGH_PROFILES)}")
+        if self.initial_params.get("seed", 0) < 0:
+            raise ValueError("initial.seed must be >= 0")
         if self.snapshot_every < 1:
             raise ValueError("output.snapshot_every must be >= 1")
         if not self.picard_tol > 0.0:
@@ -385,18 +389,22 @@ def density_bound_flags(traj: diagnostics.Trajectory) -> Optional[int]:
 
 
 def resolve_output_dir(config: RunConfig, override: Optional[str] = None,
-                       ) -> tuple[Path, Optional[Path]]:
-    """Create the output directory with any missing parents; return it and
-    the outermost directory this call created (None if it existed)."""
+                       ) -> Path:
+    """Create the output directory with any missing parents and return it."""
     base = override if override is not None else config.output_dir
     if base is None:
         raise ValueError("no output directory configured")
     root = os.environ.get(OUTPUT_ROOT_ENV)
     path = Path(root) / base if root else Path(base)
-    created = next((p for p in reversed((path, *path.parents))
-                    if not p.exists()), None)
     path.mkdir(parents=True, exist_ok=True)
-    return path, created
+    return path
+
+
+def json_text(obj) -> str:
+    """obj as strict JSON, indented with sorted keys and a final newline; a
+    NaN or infinite float, which JSON cannot write, is written null."""
+    finite = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+    return json.dumps(finite, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _field_bytes(snap: FlowState) -> bytes:
@@ -406,17 +414,22 @@ def _field_bytes(snap: FlowState) -> bytes:
 
 @contextmanager
 def field_writer(config: RunConfig, outdir: Optional[Path]):
-    """Yield the run's snapshot hook, which sends each recorded snapshot to
-    a standard-library child process that writes its field file in outdir
-    while the solve goes on; or None, leaving the files to write_outputs, if
-    there is no outdir or only the initial and final states are recorded.
-    Leaving reaps the child; a write it failed raises OSError unless the
-    block raised first."""
-    if outdir is None or diagnostics.snapshot_count(
-            config.dt, config.t_end, config.snapshot_every) <= 2:
+    """Yield the run's snapshot hook, which writes each recorded snapshot's
+    field file in outdir, or None if there is no outdir.  A run that records
+    only its initial and final states writes them in process; any longer
+    run sends each snapshot to a standard-library child process that writes
+    its file while the solve goes on.  Leaving reaps the child; a write it
+    failed raises OSError unless the block raised first."""
+    if outdir is None:
         yield None
         return
     nodes = Grid1D(config.grid_cells).x
+    if diagnostics.snapshot_count(config.dt, config.t_end,
+                                  config.snapshot_every) <= 2:
+        text, index = fieldfile.template(nodes.tobytes()), count()
+        yield lambda snap: fieldfile.write(outdir, next(index), text,
+                                           _field_bytes(snap))
+        return
     # by file path, with neither site nor the package __init__ (numpy)
     child = subprocess.Popen(
         [sys.executable, "-I", "-S", fieldfile.__file__, str(outdir),
@@ -445,19 +458,9 @@ def field_writer(config: RunConfig, outdir: Optional[Path]):
             lines[-1] if lines else f"exit status {child.returncode}"))
 
 
-def write_outputs(traj: diagnostics.Trajectory, config: RunConfig,
-                  outdir: Path, field_files: bool = True) -> dict:
-    """Write energy.csv, summary.json and, unless field_writer has written
-    them (field_files False), the per-snapshot field files."""
-    lines = [diagnostics.EnergyLedger.CSV_HEADER]
-    lines += [led.csv_row() for led in traj.ledgers]
-    (outdir / "energy.csv").write_text("\n".join(lines) + "\n")
-
-    if field_files:
-        text = fieldfile.template(traj.grid.x.tobytes())
-        for idx, snap in enumerate(traj.snapshots):
-            fieldfile.write(outdir, idx, text, _field_bytes(snap))
-
+def _run_summary(traj: diagnostics.Trajectory, config: RunConfig) -> dict:
+    """The run's summary.json: its budget defect, director norms, density
+    and monotonicity checks, final ledger and metadata."""
     _, max_defect = diagnostics.energy_budget(traj.ledgers)
     n_xx_norm, n_t_norm = diagnostics.director_norms(traj.snapshots, traj.grid)
     totals = np.array([led.total for led in traj.ledgers])
@@ -481,8 +484,17 @@ def write_outputs(traj: diagnostics.Trajectory, config: RunConfig,
     if picard:
         summary["metadata"]["picard_iterations_max"] = int(max(picard))
         summary["metadata"]["picard_iterations_mean"] = float(np.mean(picard))
-    (outdir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    return summary
+
+
+def write_outputs(traj: diagnostics.Trajectory, config: RunConfig,
+                  outdir: Path) -> dict:
+    """Write energy.csv and summary.json; return the summary."""
+    lines = [diagnostics.EnergyLedger.CSV_HEADER]
+    lines += [led.csv_row() for led in traj.ledgers]
+    (outdir / "energy.csv").write_text("\n".join(lines) + "\n")
+    summary = _run_summary(traj, config)
+    (outdir / "summary.json").write_text(json_text(summary))
     return summary
 
 
@@ -561,17 +573,15 @@ def _sweep_member(args: tuple) -> SweepMember:
                                                     grid)
         pairs.append((diagnostics.integrate(window * snap.rho * h1, grid),
                       diagnostics.integrate(window * snap.rho * h2, grid)))
-    _, max_defect = diagnostics.energy_budget(traj.ledgers)
-    if subdir is not None:
-        write_outputs(traj, config, subdir, field_files=on_snapshot is None)
-    n_xx_norm, n_t_norm = diagnostics.director_norms(traj.snapshots, grid)
+    summary = (_run_summary(traj, config) if subdir is None
+               else write_outputs(traj, config, subdir))
     return SweepMember(
         delta=delta,
-        final_energy=traj.ledgers[-1].total,
-        max_defect=max_defect,
+        final_energy=summary["final"]["total"],
+        max_defect=summary["max_defect"],
         rho2gamma_spacetime=diagnostics.high_integrability(traj.ledgers),
-        n_xx_spacetime=n_xx_norm,
-        n_t_spacetime=n_t_norm,
+        n_xx_spacetime=summary["n_xx_spacetime"],
+        n_t_spacetime=summary["n_t_spacetime"],
         entropy_series=[led.entropy for led in traj.ledgers],
         h_pair_series=pairs,
         initial_errors=_initial_data_errors(raw, state, grid,
@@ -675,5 +685,4 @@ def _assemble_report(members: list) -> SweepReport:
 
 def write_sweep(report: SweepReport, config: RunConfig, outdir: Path) -> None:
     (outdir / "sweep.json").write_text(
-        json.dumps({"config": config.to_dict(), **asdict(report)},
-                   indent=2, sort_keys=True) + "\n")
+        json_text({"config": config.to_dict(), **asdict(report)}))

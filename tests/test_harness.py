@@ -15,6 +15,7 @@ import nematic1d
 import nematic1d.coefficients as coefficients_module
 import nematic1d.galerkin as galerkin_module
 import nematic1d.harness as harness_module
+from nematic1d import fieldfile
 from nematic1d.cli import main as cli_main
 from nematic1d.coefficients import InvalidCoefficients, LeslieSet, example_set
 from nematic1d.diagnostics import Trajectory, director_norms
@@ -56,6 +57,21 @@ def writers(monkeypatch):
 
     monkeypatch.setattr(harness_module.subprocess, "Popen", spawn)
     return started
+
+
+def run_into(cfg, outdir):
+    """Run cfg as the run command does: field files through field_writer's
+    hook, then the other outputs.  Returns the trajectory and summary."""
+    with field_writer(cfg, outdir) as on_snapshot:
+        traj = run_simulation(cfg, on_snapshot=on_snapshot)
+    return traj, write_outputs(traj, cfg, outdir)
+
+
+def strict_json(text):
+    """Parse text, refusing NaN and Infinity, which JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
 
 
 def shear_config(**overrides):
@@ -350,10 +366,9 @@ def test_vacuum_without_mollification_rejected():
 
 def test_run_outputs_and_determinism(tmp_path):
     cfg = shear_config(t_end=0.005, output_dir=str(tmp_path / "a"))
-    traj = run_simulation(cfg)
     out_a = tmp_path / "a"
     out_a.mkdir(parents=True, exist_ok=True)
-    summary = write_outputs(traj, cfg, out_a)
+    traj, summary = run_into(cfg, out_a)
     assert (out_a / "energy.csv").exists()
     assert (out_a / "fields_0000.csv").exists()
     assert (out_a / "summary.json").exists()
@@ -371,10 +386,9 @@ def test_run_outputs_and_determinism(tmp_path):
         director_norms(traj.snapshots, traj.grid)
     assert summary["max_defect"] < 1e-4
 
-    traj2 = run_simulation(cfg)
     out_b = tmp_path / "b"
     out_b.mkdir()
-    write_outputs(traj2, cfg, out_b)
+    run_into(cfg, out_b)
     assert (out_a / "energy.csv").read_bytes() == \
         (out_b / "energy.csv").read_bytes()
     last = sorted(out_a.glob("fields_*.csv"))[-1].name
@@ -407,7 +421,9 @@ def test_field_file_exact_text(tmp_path):
     snap.u[1], snap.u[2] = 0.1, -0.0
     snap.v[2] = 1e-300
     snap.n[3], snap.n[4] = 123456789.123456789, -2.0 / 3.0
-    write_outputs(traj, cfg, tmp_path)
+    # a run of the initial state alone writes its file in process
+    with field_writer(cfg, tmp_path) as writer:
+        writer(snap)
     assert (tmp_path / "fields_0000.csv").read_text() == FIELDS_0000
     # the writer process formats the same text
     streamed = tmp_path / "streamed"
@@ -579,7 +595,8 @@ def test_cli_run_off_cadence_final_snapshot(tmp_path, scheme, cadence):
 def test_streamed_field_files_match_write_outputs(tmp_path, writers, scheme,
                                                   every, t_end):
     # the run command streams its field files to a writer process; each is
-    # byte for byte the file write_outputs writes from the same trajectory
+    # byte for byte the file fieldfile writes in process from the same
+    # trajectory
     out, ref = tmp_path / "out", tmp_path / "ref"
     conf = tmp_path / "run.conf"
     conf.write_text(TEXT_CONFIG.replace("scheme = galerkin", f"scheme = {scheme}")
@@ -587,10 +604,12 @@ def test_streamed_field_files_match_write_outputs(tmp_path, writers, scheme,
                     + f"\noutput.snapshot_every = {every}\noutput.dir = {out}\n")
     assert cli_main(["run", "--config", str(conf)]) == 0
     assert len(writers) == 1 and writers[0].returncode == 0
-    cfg = parse_config(conf)
-    traj = run_simulation(cfg)
+    traj = run_simulation(parse_config(conf))
     ref.mkdir()
-    write_outputs(traj, cfg, ref)
+    text = fieldfile.template(traj.grid.x.tobytes())
+    for idx, snap in enumerate(traj.snapshots):
+        fieldfile.write(ref, idx, text, np.column_stack(
+            (snap.rho, snap.u, snap.v, snap.n)).tobytes())
     names = sorted(p.name for p in ref.glob("fields_*.csv"))
     assert len(names) == len(traj.snapshots) > 2
     assert sorted(p.name for p in out.glob("fields_*.csv")) == names
@@ -614,24 +633,33 @@ def test_cli_run_of_two_snapshots_starts_no_writer(tmp_path, monkeypatch):
 
 def test_cli_run_field_writer_failure(tmp_path, capsys, writers):
     # the writer cannot create fields_0001.csv: one line naming the file,
-    # exit 1, and no writer process left behind
-    out = tmp_path / "out"
-    (out / "fields_0001.csv").mkdir(parents=True)
-    conf = tmp_path / "run.conf"
-    conf.write_text(TEXT_CONFIG + f"\noutput.dir = {out}\n")
-    assert cli_main(["run", "--config", str(conf)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("output failed: ")
-    assert str(out / "fields_0001.csv") in err[0]
+    # exit 1, and no writer process left behind; the same when a run of two
+    # snapshots writes in process
+    for every in (1, 10):
+        out = tmp_path / f"out{every}"
+        (out / "fields_0001.csv").mkdir(parents=True)
+        conf = tmp_path / "run.conf"
+        conf.write_text(TEXT_CONFIG + f"\noutput.snapshot_every = {every}\n"
+                        f"output.dir = {out}\n")
+        assert cli_main(["run", "--config", str(conf)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("output failed: ")
+        assert str(out / "fields_0001.csv") in err[0]
     assert len(writers) == 1 and writers[0].poll() is not None
 
 
-@pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt])
+@pytest.mark.parametrize("failure,every", [
+    (RuntimeError, 1), (KeyboardInterrupt, 1),
+    (RuntimeError, 10), (KeyboardInterrupt, 10)],
+    ids=["RuntimeError", "KeyboardInterrupt", "RuntimeError-every10",
+         "KeyboardInterrupt-every10"])
 def test_cli_run_abort_keeps_recorded_snapshots(tmp_path, capsys, monkeypatch,
-                                                writers, failure):
-    # the fourth step fails: the initial state and three steps were
-    # recorded, and their field files are written before the command returns
+                                                writers, failure, every):
+    # the fourth step fails: the initial state and, at every step, three
+    # steps were recorded; their field files are written before the command
+    # returns, by the writer process or, for a run of two snapshots, in
+    # process
     real, calls = galerkin_module.step, []
 
     def failing(*args, **kwargs):
@@ -643,7 +671,8 @@ def test_cli_run_abort_keeps_recorded_snapshots(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(galerkin_module, "step", failing)
     out = tmp_path / "out"
     conf = tmp_path / "run.conf"
-    conf.write_text(TEXT_CONFIG + f"\noutput.dir = {out}\n")
+    conf.write_text(TEXT_CONFIG + f"\noutput.snapshot_every = {every}\n"
+                    f"output.dir = {out}\n")
     if failure is KeyboardInterrupt:
         with pytest.raises(KeyboardInterrupt):
             cli_main(["run", "--config", str(conf)])
@@ -651,10 +680,12 @@ def test_cli_run_abort_keeps_recorded_snapshots(tmp_path, capsys, monkeypatch,
         assert cli_main(["run", "--config", str(conf)]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "solver abort: injected step failure"]
+    recorded = 4 if every == 1 else 1
     assert sorted(p.name for p in out.glob("fields_*.csv")) == [
-        f"fields_{i:04d}.csv" for i in range(4)]
+        f"fields_{i:04d}.csv" for i in range(recorded)]
     assert not (out / "summary.json").exists()
-    assert len(writers) == 1 and writers[0].poll() is not None
+    assert len(writers) == (every == 1)
+    assert all(writer.poll() is not None for writer in writers)
 
 
 def test_cli_invalid_coefficients_exit_code(tmp_path, capsys):
@@ -671,17 +702,18 @@ def test_cli_invalid_coefficients_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("scheme", ["galerkin", "fd"])
 def test_cli_run_validates_once(tmp_path, monkeypatch, scheme):
-    # the scheme validates its coefficient set before its set-up, and
-    # nothing else on the run path does
-    calls = []
+    # the command validates the coefficient set once, before the output
+    # directory exists, and the scheme once more before its set-up, for its
+    # library callers; nothing else on the run path does
+    out, calls = tmp_path / "out", []
     real = coefficients_module.validate
     monkeypatch.setattr(coefficients_module, "validate",
-                        lambda c: calls.append(c) or real(c))
+                        lambda c: calls.append(out.exists()) or real(c))
     conf = tmp_path / "run.conf"
     conf.write_text(TEXT_CONFIG.replace("scheme = galerkin", f"scheme = {scheme}")
-                    + f"\noutput.dir = {tmp_path / 'out'}\n")
+                    + f"\noutput.dir = {out}\n")
     assert cli_main(["run", "--config", str(conf)]) == 0
-    assert len(calls) == 1
+    assert calls == [False, True]
 
 
 def test_cli_run_default_coefficients_exits_2(tmp_path, capsys):
@@ -733,12 +765,13 @@ def test_cli_run_builds_initial_state_once(tmp_path, monkeypatch):
     "initial.seed = 3",
     "initial.preset = smooth_random\ninitial.seed = abc",
     "initial.preset = rough_density\ninitial.profile = bogus",
-    "mollify_delta = inf"],
+    "mollify_delta = inf", "initial.preset = smooth_random\ninitial.seed = -1"],
     ids=["aliased_modes", "non_numeric", "no_equals", "missing_value",
          "zero_cadence", "negative_cadence", "zero_picard_tol",
          "negative_energy_tol", "boolean_float", "boolean_int",
          "fractional_int", "misspelt_param", "undeclared_param",
-         "non_numeric_param", "unknown_profile", "infinite_mollify_delta"])
+         "non_numeric_param", "unknown_profile", "infinite_mollify_delta",
+         "negative_seed"])
 def test_cli_rejected_config_exits_2(tmp_path, capsys, command, bad_line):
     conf = tmp_path / "bad.conf"
     # appended, so the bad line is the last value of each key it sets
@@ -828,9 +861,10 @@ def test_cli_sweep_inadmissible_set_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
-def test_cli_inadmissible_set_leaves_no_directory(tmp_path, capsys, command):
-    # the scheme refuses the set after the output directory exists; the
-    # directories the command created go again, one that existed stays
+def test_cli_inadmissible_set_leaves_no_directory(tmp_path, capsys, writers,
+                                                  command):
+    # the command refuses the set before it creates the output directory or
+    # starts a field writer; a directory that existed stays, empty
     (tmp_path / "kept").mkdir()
     conf = tmp_path / "bad.conf"
     body = (TEXT_CONFIG.replace("coefficients.alpha4 = 1",
@@ -846,6 +880,7 @@ def test_cli_inadmissible_set_leaves_no_directory(tmp_path, capsys, command):
             assert outdir.is_dir() and not any(outdir.iterdir())
         else:
             assert not left.exists()
+    assert writers == []
 
 
 @pytest.mark.parametrize("workers", ["0", "-4"])
@@ -962,20 +997,46 @@ def test_cli_sweep(tmp_path):
     assert (tmp_path / "out" / "sweep.json").exists()
 
 
+def test_outputs_are_strict_json(tmp_path, capsys):
+    # a non-finite float is written null: a one-delta sweep fits no order
+    # (NaN), and static data has initial errors of zero (infinite order)
+    conf = tmp_path / "run.conf"
+    for preset, deltas in (("rough_density", "0.1"), ("static", "0.1,0.05")):
+        out = tmp_path / preset
+        conf.write_text(TEXT_CONFIG
+                        .replace("initial.preset = shear",
+                                 f"initial.preset = {preset}")
+                        .replace("t_end = 0.01", "t_end = 0.002")
+                        + f"\noutput.dir = {out}\n")
+        assert cli_main(["sweep", "--config", str(conf),
+                         "--deltas", deltas]) == 0
+        report = strict_json((out / "sweep.json").read_text())
+        assert None in report["observed_orders"].values()
+        for summary in out.glob("delta_*/summary.json"):
+            strict_json(summary.read_text())
+    # gamma1 <= 0 leaves the margins that divide by it at minus infinity
+    conf.write_text(TEXT_CONFIG.replace("coefficients.alpha3 = 1",
+                                        "coefficients.alpha3 = -1"))
+    capsys.readouterr()
+    assert cli_main(["validate-coefficients", "--config", str(conf),
+                     "--json"]) == 1
+    report = strict_json(capsys.readouterr().out)
+    assert any(check["margin"] is None for check in report["checks"])
+
+
 def test_output_root_env_override(tmp_path, monkeypatch):
     from nematic1d.harness import resolve_output_dir
     monkeypatch.setenv("NEMATIC1D_OUT", str(tmp_path / "root"))
     cfg = shear_config(output_dir="rel/run1")
-    out, created = resolve_output_dir(cfg)
+    out = resolve_output_dir(cfg)
     assert out == tmp_path / "root" / "rel" / "run1"
     assert out.exists()
-    assert created == tmp_path / "root"
-    assert resolve_output_dir(cfg) == (out, None)
+    assert resolve_output_dir(cfg) == out
     # an absolute directory is used as given, not placed under the root
     absolute = tmp_path / "abs" / "run2"
-    out, created = resolve_output_dir(shear_config(output_dir=str(absolute)))
-    assert (out, created) == (absolute, tmp_path / "abs")
+    out = resolve_output_dir(shear_config(output_dir=str(absolute)))
+    assert out == absolute
     assert out.is_dir()
-    out, _ = resolve_output_dir(cfg, override=str(tmp_path / "given"))
+    out = resolve_output_dir(cfg, override=str(tmp_path / "given"))
     assert out == tmp_path / "given"
     assert not (tmp_path / "root" / "abs").exists()
