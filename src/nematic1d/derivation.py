@@ -39,11 +39,10 @@ class KinematicSample:
 
 @dataclass(frozen=True)
 class StressSample:
-    """Assembled pointwise quantities: the stress matrix sigma (..., 2, 2), the
-    transport vector g (..., 2) and the constraint multiplier lambda_n (..., 2)."""
+    """Assembled pointwise quantities: the stress matrix sigma (..., 2, 2) and
+    the transport vector g (..., 2)."""
     sigma: np.ndarray
     g: np.ndarray
-    lambda_n: np.ndarray
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -64,8 +63,8 @@ def assemble_stress(s: KinematicSample, c: LeslieSet) -> StressSample:
     gradient for fields depending on x alone; N is the director rate
     relative to the rotating frame.  Broadcasts over array samples.
     """
-    n, n_x, u_x, v_x, ndot = np.broadcast_arrays(
-        *(np.asarray(f, dtype=float) for f in (s.n, s.n_x, s.u_x, s.v_x, s.ndot)))
+    n, u_x, v_x, ndot = np.broadcast_arrays(
+        *(np.asarray(f, dtype=float) for f in (s.n, s.u_x, s.v_x, s.ndot)))
     cs, sn = np.cos(n), np.sin(n)
     nvec = np.stack([cs, sn], axis=-1)
     D = np.stack([np.stack([u_x, 0.5 * v_x], axis=-1),
@@ -90,8 +89,7 @@ def assemble_stress(s: KinematicSample, c: LeslieSet) -> StressSample:
     g1 = a3 - a2
     g2 = a6 - a5
     g = g1 * N + g2 * Dn - g2 * nDn[..., 0] * nvec
-    lambda_n = (n_x * n_x)[..., None] * nvec
-    return StressSample(sigma=sigma, g=g, lambda_n=lambda_n)
+    return StressSample(sigma=sigma, g=g)
 
 
 # =============================================================================

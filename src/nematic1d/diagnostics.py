@@ -154,10 +154,10 @@ def run_schedule(initial: FlowState,
         while state.time < target - TIME_ROUNDOFF:
             state = advance(state, min(dt, target - state.time))
         if k % snapshot_every == 0 or k == num_steps:
-            snapshots.append(state.copy())
+            snapshots.append(state)
             ledgers.append(make_ledger(state, c, grid))
             if on_snapshot is not None:
-                on_snapshot(snapshots[-1])
+                on_snapshot(state)
 
     return Trajectory(grid=grid, snapshots=snapshots, ledgers=ledgers)
 

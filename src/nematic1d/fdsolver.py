@@ -6,6 +6,7 @@ same implicit director step; robustness over sharpness.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -151,12 +152,11 @@ def run_fd(initial: FlowState, grid: Grid1D, c: LeslieSet, dt: float,
     """Integrate with the oracle scheme at fixed dt, ledgering snapshots and
     handing each to on_snapshot if given."""
     require_valid(c)
-    state = initial.copy()
-    check_state(state, grid)
-    if state.ndot is None:
-        state.ndot = _initial_ndot(state, c, grid)
+    check_state(initial, grid)
+    if initial.ndot is None:
+        initial = replace(initial, ndot=_initial_ndot(initial, c, grid))
     traj = diagnostics.run_schedule(
-        state, lambda s, step_dt: step_fd(s, grid, c, step_dt),
+        initial, lambda s, step_dt: step_fd(s, grid, c, step_dt),
         c, grid, dt, t_end, snapshot_every, on_snapshot)
     traj.metadata = {"scheme": "fd", "dt": dt}
     return traj

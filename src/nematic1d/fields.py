@@ -2,6 +2,10 @@
 the coupled density / momentum / director system: pressure, the two viscous
 flux brackets (whose x-derivatives drive the momentum equations), the elastic
 coupling, and the director equation's rate and residual.
+
+A FlowState is frozen, and nothing writes into its arrays: a new state is
+built from fresh arrays or by dataclasses.replace, so states and snapshots
+share arrays and none is ever copied.
 """
 
 from __future__ import annotations
@@ -48,14 +52,14 @@ class Grid1D:
         return x
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowState:
     """Grid-sampled fields at one time instant.
 
     rho >= 0 everywhere, u and v vanish at both endpoint nodes, and n is a
     director angle with homogeneous Neumann ends.  ndot is the material
-    derivative n_t + u n_x supplied by the solver for the current step;
-    treat instances as immutable once constructed.
+    derivative n_t + u n_x supplied by the solver for the current step.
+    The arrays stay writeable, as they may be the caller's.
     """
 
     time: float
@@ -64,11 +68,6 @@ class FlowState:
     v: np.ndarray
     n: np.ndarray
     ndot: Optional[np.ndarray] = None
-
-    def copy(self) -> "FlowState":
-        return FlowState(self.time, self.rho.copy(), self.u.copy(),
-                         self.v.copy(), self.n.copy(),
-                         None if self.ndot is None else self.ndot.copy())
 
     def require_ndot(self) -> np.ndarray:
         if self.ndot is None:

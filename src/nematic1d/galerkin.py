@@ -12,17 +12,18 @@ residual, an O(N log N) transform plus an O(K^2) back-substitution, and
 the fixed point is the zero of that residual whatever matrix corrects it.
 So a run assembles and LU-factors the velocity system, at
 O(N log N + K^2 + K^3), once at its first attempt and holds the
-factorization while steps converge at the same dt; a changed dt or a
-failed attempt factors afresh.  The dense and tridiagonal solves call
-LAPACK (getrf, getrs, gtsv) directly: at desk sizes the library wrappers
-cost more than the arithmetic, as do numpy's Python-level helpers (diff,
-clip, trapezoid) in the per-iterate density work.
+factorization with the dt it was made at; the velocity update factors
+afresh at any other dt, and a failed attempt drops it.  States are frozen
+and share their arrays, which are never copied.  The dense and tridiagonal
+solves call LAPACK (getrf, getrs, gtsv) directly: at desk sizes the library
+wrappers cost more than the arithmetic, as do numpy's Python-level helpers
+(diff, clip, trapezoid) in the per-iterate density work.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -146,7 +147,7 @@ class LagrangianDensity:
         total = cum[-1]
         if total <= 0.0:
             raise ValueError("total mass must be positive")
-        return cls(rho0=rho.copy(), labels=cum / total)
+        return cls(rho0=rho, labels=cum / total)
 
 
 def advance_density(ld: LagrangianDensity,
@@ -366,28 +367,28 @@ def advance_velocity_modes(c: LeslieSet, dt: float, *, grid: Grid1D,
                            gradients: np.ndarray, rho_new: np.ndarray,
                            n_new: np.ndarray, n_x_new: np.ndarray,
                            ndot_new: np.ndarray,
-                           factor: Optional[list] = None,
-                           ) -> tuple[np.ndarray, list]:
+                           factor: Optional[tuple] = None,
+                           ) -> tuple[np.ndarray, tuple]:
     """One chord correction of the (2, K) modes of (u, v) toward the weak
     form's step, modes + (M + dt S)^-1 `momentum_residual`.
 
-    The second-order coefficient matrix A(n) is treated implicitly.  When
-    handed no factorization (factor=None), the system M(rho) + dt S(n) is
-    assembled at this iterate's (rho, n) and LU-factored (LAPACK getrf);
-    the factorization is returned for later iterates, and later steps at
-    the same dt, to pass back.  Each call then costs the transform residual
-    and one back-substitution (getrs).  cos n and sin n are evaluated once
-    per call, and A(n)'s entries serve both the assembly and the flux
-    brackets.  At the fixed point the residual vanishes, so the modes are
-    the direct solution at the converged (rho, n, ndot), whichever system
-    was factored.
+    The second-order coefficient matrix A(n) is treated implicitly.  A held
+    `factor` = (dt, lu, piv) is used if its dt is this one within the
+    schedule's time round-off; otherwise M(rho) + dt S(n) is assembled at
+    this iterate's (rho, n) and LU-factored (LAPACK getrf).  The (dt, lu,
+    piv) used is returned for later iterates and steps to pass back, so a
+    call costs the transform residual and one back-substitution (getrs).
+    cos n and sin n are evaluated once per call, and A(n)'s entries serve
+    both the assembly and the flux brackets.  At the fixed point the
+    residual vanishes, so the modes are the direct solution at the converged
+    (rho, n, ndot), whichever system was factored.
     """
     if rho_new.min() <= 0.0:
         raise ValueError("mass matrix requires strictly positive density")
     K = basis.num_modes
     trig = np.cos(n_new), np.sin(n_new)
     entries = matrix_entries(c, n_new, trig)
-    if factor is None:
+    if factor is None or abs(factor[0] - dt) > diagnostics.TIME_ROUNDOFF:
         mass, stiffness = galerkin_system(basis=basis, rho_new=rho_new,
                                           entries=entries)
         system = np.empty((2 * K, 2 * K))
@@ -395,15 +396,16 @@ def advance_velocity_modes(c: LeslieSet, dt: float, *, grid: Grid1D,
         np.multiply(dt, stiffness.reshape(2, 2, K, K), out=blocks)
         blocks[0, 0] += mass
         blocks[1, 1] += mass
-        *factor, info = lapack.dgetrf(system, overwrite_a=True)
+        lu, piv, info = lapack.dgetrf(system, overwrite_a=True)
         if info != 0:
             raise RuntimeError(
                 f"velocity mode solve failed: singular system (info={info})")
+        factor = dt, lu, piv
     residual = momentum_residual(
         old_rhs, dt, basis=basis, rho_new=rho_new, velocity=velocity,
         elastic=elastic_coupling(n_new, grid, n_x_new),
         flux=flux_bracket(c, *gradients, n_new, ndot_new, trig, entries))
-    correction, info = lapack.dgetrs(*factor, residual.ravel())
+    correction, info = lapack.dgetrs(*factor[1:], residual.ravel())
     if info != 0:   # pragma: no cover - misconfiguration
         raise RuntimeError(f"velocity mode back-substitution failed: info={info}")
     return modes + correction.reshape(2, K), factor
@@ -425,16 +427,16 @@ class StepStats:
 
 def _attempt_step(state: FlowState, modes: np.ndarray, grid: Grid1D,
                   c: LeslieSet, dt: float, picard_tol: float,
-                  basis: SineBasis, factor: Optional[list] = None,
+                  basis: SineBasis, factor: Optional[tuple] = None,
                   start: Optional[tuple] = None,
                   ) -> tuple[Optional[tuple[FlowState, np.ndarray]], int,
-                             Optional[list]]:
+                             Optional[tuple]]:
     """One Picard-coupled step at fixed dt, its iteration begun from
     `start` = (modes, n, rho), by default the old state's, and its velocity
-    corrections made with the LU `factor` of a velocity system at dt, by
-    default factored at the first iterate.  Returns the new state and modes,
-    or None when Picard stalls or the density window is left, with the
-    number of iterates run and the LU used (None if none was made)."""
+    corrections made with the held LU `factor` if it was factored at dt,
+    else with one factored at the first iterate.  Returns the new state and
+    modes, or None when Picard stalls or the density window is left, with
+    the number of iterates run and the LU used (None if none was made)."""
     # step-invariant: the particle labels, the mass, where the
     # mass-coordinate gradient u_x / rho is defined, and the old-time terms
     ld = LagrangianDensity.at_step_start(state.rho, grid)
@@ -493,8 +495,8 @@ def _attempt_step(state: FlowState, modes: np.ndarray, grid: Grid1D,
 
 def step(state: FlowState, modes: np.ndarray, grid: Grid1D, c: LeslieSet, *,
          dt: float, picard_tol: float, basis: SineBasis,
-         start: Optional[tuple] = None, factor: Optional[list] = None,
-         ) -> tuple[FlowState, np.ndarray, StepStats, list]:
+         start: Optional[tuple] = None, factor: Optional[tuple] = None,
+         ) -> tuple[FlowState, np.ndarray, StepStats, tuple]:
     """Advance one scheduled step from the (2, K) velocity modes on `basis`,
     halving dt internally on Picard failure.
 
@@ -502,14 +504,14 @@ def step(state: FlowState, modes: np.ndarray, grid: Grid1D, c: LeslieSet, *,
     and density; the Picard iteration begins there in place of the old
     state.  An attempt from a guess that fails is retried once from the old
     state at the same dt, so a guess never causes a halving.  `factor` is
-    the LU of a velocity system at dt (from an earlier step's return) for
-    the first attempt to correct with; a failed attempt drops it, so the
-    retry and every halved attempt factor afresh.
+    a held (dt, lu, piv) from an earlier step's return, which the first
+    attempt corrects with if it was factored at this dt; a failed attempt
+    drops it, so the retry and every halved attempt factor afresh.
 
     Returns the state advanced by dt / 2^k after k halvings (its time shows
     how far), the new modes, the Picard count of every attempt, k and the
-    factorizations made, and the LU the accepted attempt used, which
-    belongs to dt / 2^k.  Raises TimeStepUnderflow below the dt floor.
+    factorizations made, and the (dt / 2^k, lu, piv) the accepted attempt
+    used.  Raises TimeStepUnderflow below the dt floor.
     """
     halvings = iterations = factorizations = 0
     while dt >= DT_MIN:
@@ -563,56 +565,47 @@ def run(initial: FlowState, num_modes: int, grid: Grid1D, c: LeslieSet, *,
     stay on the uniform cadence.  Each step starts its Picard iteration from
     the extrapolation of (modes, n, rho) through its start and up to four
     accepted states before it, except the first step and the refill after
-    a halving.  The velocity system's LU is held across steps: a step
-    whose dt matches the held one's within the schedule's time round-off
-    corrects with it, and is factored afresh otherwise or after a failed
-    attempt, so a run without either factors once.
+    a halving.  The velocity system's LU is held across steps, so a run
+    whose dt never changes and whose attempts never fail factors once.
     """
     require_valid(c)
     if not (dt > 0.0 and picard_tol > 0.0):
         raise ValueError("dt and picard_tol must be positive")
     basis = SineBasis(num_modes, grid)
-    state = initial.copy()
-    check_state(state, grid)
-    modes = project_initial_velocity(state.u, state.v, num_modes, grid)
+    check_state(initial, grid)
+    modes = project_initial_velocity(initial.u, initial.v, num_modes, grid)
     # start from the projected velocities so state and modes agree
-    state.u, state.v = basis.reconstruct(modes)
+    u, v = basis.reconstruct(modes)
+    state = replace(initial, u=u, v=v)
     if state.ndot is None:
         u_x, v_x = basis.reconstruct_derivative(modes)
-        state.ndot = _initial_ndot(state, c, grid, u_x=u_x, v_x=v_x)
+        state = replace(state, ndot=_initial_ndot(state, c, grid,
+                                                  u_x=u_x, v_x=v_x))
 
-    picard_counts: list[int] = []
-    total_halvings = factorizations = 0
+    stats: list[StepStats] = []
     # accepted (time, modes, n, rho); the weights come from the stored
     # times, so schedule rounding and a short last step need no special case
     history = deque(maxlen=PREDICTOR_POINTS)
-    # the velocity system's LU and the dt it was factored at
-    factor, factor_dt = None, dt
+    factor = None   # the velocity system's (dt, lu, piv)
 
     def advance(state: FlowState, step_dt: float) -> FlowState:
-        nonlocal modes, total_halvings, factorizations, factor, factor_dt
+        nonlocal modes, factor
         history.append((state.time, modes, state.n, state.rho))
-        # scheduled steps are min(dt, target - time): equal to dt up to the
-        # schedule's time round-off
-        held = abs(step_dt - factor_dt) <= diagnostics.TIME_ROUNDOFF
-        new_state, new_modes, stats, factor = step(
+        state, modes, step_stats, factor = step(
             state, modes, grid, c, dt=step_dt, picard_tol=picard_tol,
             basis=basis, start=_extrapolate(history, state.time + step_dt),
-            factor=factor if held else None)
-        factor_dt = step_dt * 0.5 ** stats.halvings
-        if stats.halvings:
+            factor=factor)
+        if step_stats.halvings:
             # extrapolating across a halved step is no better a guess
             history.clear()
-        modes = new_modes
-        picard_counts.append(stats.picard_iterations)
-        total_halvings += stats.halvings
-        factorizations += stats.factorizations
-        return new_state
+        stats.append(step_stats)
+        return state
 
     traj = diagnostics.run_schedule(state, advance, c, grid, dt, t_end,
                                     snapshot_every, on_snapshot)
-    traj.metadata = {"scheme": "galerkin", "num_modes": num_modes, "dt": dt,
-                     "picard_iterations": picard_counts,
-                     "dt_halvings": total_halvings,
-                     "velocity_factorizations": factorizations}
+    traj.metadata = {
+        "scheme": "galerkin", "num_modes": num_modes, "dt": dt,
+        "picard_iterations": [s.picard_iterations for s in stats],
+        "dt_halvings": sum(s.halvings for s in stats),
+        "velocity_factorizations": sum(s.factorizations for s in stats)}
     return traj

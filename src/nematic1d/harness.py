@@ -119,6 +119,9 @@ class RunConfig:
             name: _typed(f"initial.{name}",
                          self.initial_params.get(name, default), default)
             for name, default in declared.items()}
+        for name, value in self.initial_params.items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"initial.{name} must be finite")
         profile = self.initial_params.get("profile", ROUGH_PROFILES[0])
         if profile not in ROUGH_PROFILES:
             raise ValueError(f"config key initial.profile = {profile!r}: "
@@ -127,10 +130,10 @@ class RunConfig:
             raise ValueError("initial.seed must be >= 0")
         if self.snapshot_every < 1:
             raise ValueError("output.snapshot_every must be >= 1")
-        if not self.picard_tol > 0.0:
-            raise ValueError("tolerances.picard must be positive")
-        if not self.energy_tol >= 0.0:
-            raise ValueError("tolerances.energy must be nonnegative")
+        if not 0.0 < self.picard_tol < np.inf:
+            raise ValueError("tolerances.picard must be positive and finite")
+        if not 0.0 <= self.energy_tol < np.inf:
+            raise ValueError("tolerances.energy must be nonnegative and finite")
 
     def to_dict(self) -> dict:
         """Nested config-file keys, the inverse of config_from_flat."""
@@ -344,7 +347,7 @@ def build_initial_state(config: RunConfig, grid: Grid1D) -> FlowState:
     v = raw.l0 / raw.rho0
     u[0] = u[-1] = 0.0
     v[0] = v[-1] = 0.0
-    return FlowState(time=0.0, rho=raw.rho0.copy(), u=u, v=v, n=raw.n0.copy())
+    return FlowState(time=0.0, rho=raw.rho0, u=u, v=v, n=raw.n0)
 
 
 # =============================================================================
@@ -629,7 +632,8 @@ def run_sweep(config: RunConfig, deltas: Sequence[float],
     # an inadmissible set is a config error, not a member failure
     require_valid(config.coefficients)
 
-    payload = [(config, d, None if outdir is None else outdir / f"delta_{d:g}")
+    # repr tells any two floats apart: no two members share a directory
+    payload = [(config, d, None if outdir is None else outdir / f"delta_{d!r}")
                for d in deltas]
     members = []
     pool = (ProcessPoolExecutor(max_workers=workers) if workers > 1
@@ -642,7 +646,7 @@ def run_sweep(config: RunConfig, deltas: Sequence[float],
                 members.append(next(results))
             except Exception as exc:
                 partial = _assemble_report(members)
-                raise SweepAborted(f"sweep member delta={d:g} failed: {exc}",
+                raise SweepAborted(f"sweep member delta={d!r} failed: {exc}",
                                    partial) from exc
     return _assemble_report(members)
 

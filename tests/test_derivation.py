@@ -38,13 +38,6 @@ def test_stress_trace_term():
     assert np.max(np.abs(diff - 2.5 * 0.8 * np.eye(2))) < 1e-14
 
 
-def test_lagrange_multiplier_vector():
-    s = KinematicSample(n=0.4, n_x=1.5)
-    out = assemble_stress(s, LeslieSet(alpha2=-1, alpha3=1, alpha4=1))
-    expect = 1.5**2 * np.array([np.cos(0.4), np.sin(0.4)])
-    assert np.max(np.abs(out.lambda_n - expect)) < 1e-14
-
-
 def test_assemble_stress_broadcasts(rng):
     c = random_valid_set(rng)
     assert min(abs(c.alpha0), abs(c.alpha7), abs(c.alpha8)) > 1e-3
@@ -52,13 +45,13 @@ def test_assemble_stress_broadcasts(rng):
     draws = {f: rng.uniform(-3, 3, (3, 4)) for f in fields}
     out = assemble_stress(KinematicSample(**draws), c)
     assert out.sigma.shape == (3, 4, 2, 2)
-    assert out.g.shape == out.lambda_n.shape == (3, 4, 2)
+    assert out.g.shape == (3, 4, 2)
     for idx in np.ndindex(3, 4):
         point = assemble_stress(
             KinematicSample(**{f: draws[f][idx] for f in fields}), c)
         assert point.sigma.shape == (2, 2)
-        assert point.g.shape == point.lambda_n.shape == (2,)
-        for name in ("sigma", "g", "lambda_n"):
+        assert point.g.shape == (2,)
+        for name in ("sigma", "g"):
             ref = getattr(point, name)
             got = getattr(out, name)[idx]
             assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -135,14 +137,15 @@ def test_check_state_rejects_bad_fields():
     grid = Grid1D(16)
     state = make_state(grid)
     check_state(state, grid)   # healthy state passes
+    with pytest.raises(FrozenInstanceError):
+        state.n = np.zeros(3)
     bad_rho = make_state(grid, rho=np.full(grid.num_nodes, -1.0))
     with pytest.raises(ValueError, match="negative density"):
         check_state(bad_rho, grid)
     bad_u = make_state(grid, u=np.ones(grid.num_nodes))
     with pytest.raises(ValueError, match="vanish"):
         check_state(bad_u, grid)
-    bad_shape = make_state(grid)
-    bad_shape.n = np.zeros(3)
+    bad_shape = replace(make_state(grid), n=np.zeros(3))
     with pytest.raises(ValueError, match="shape"):
         check_state(bad_shape, grid)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
@@ -176,8 +178,9 @@ def test_transform_assembly_matches_dense_quadrature(cells, modes):
     assert _rel(basis.reconstruct_derivative(coeffs), coeffs @ dphi) <= 1e-12
 
 
-def _velocity_update(state, c, basis, modes, factor=None, rho_new=None):
-    grid, dt = basis.grid, 1e-3
+def _velocity_update(state, c, basis, modes, factor=None, rho_new=None,
+                     dt=1e-3):
+    grid = basis.grid
     return advance_velocity_modes(
         c, dt, grid=grid, basis=basis,
         old_rhs=old_time_rhs(state, c, dt, basis), modes=modes,
@@ -205,6 +208,26 @@ def test_velocity_update_guards(base_set, monkeypatch):
                         lambda **kw: (np.zeros((4, 4)), np.zeros((4, 4, 4))))
     with pytest.raises(RuntimeError, match="velocity mode solve failed"):
         _velocity_update(state, base_set, basis, modes)
+
+
+def test_held_lu_is_reused_only_at_its_dt(base_set):
+    # the held LU carries the dt it was factored at: a dt equal to it within
+    # the schedule's time round-off reuses it, any other dt factors afresh
+    grid = Grid1D(32)
+    basis = SineBasis(4, grid)
+    state = make_state(grid, v=np.sin(np.pi * grid.x),
+                       n=np.full(grid.num_nodes, 0.3))
+    modes = project_initial_velocity(state.u, state.v, 4, grid)
+    _, held = _velocity_update(state, base_set, basis, modes, dt=1e-3)
+    assert held[0] == 1e-3
+    _, same = _velocity_update(state, base_set, basis, modes, held,
+                               dt=1e-3 + 5e-14)
+    assert same is held
+    new_modes, fresh = _velocity_update(state, base_set, basis, modes, held,
+                                        dt=2e-3)
+    assert fresh is not held and fresh[0] == 2e-3
+    unheld_modes, _ = _velocity_update(state, base_set, basis, modes, dt=2e-3)
+    assert np.array_equal(new_modes, unheld_modes)
 
 
 # -----------------------------------------------------------------------------
@@ -408,7 +431,7 @@ def test_single_mode_viscous_decay(base_set):
     dt = 1e-3
     state = make_state(grid, u=0.1 * np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, 0.6))
-    state.ndot = np.zeros(grid.num_nodes)
+    state = replace(state, ndot=np.zeros(grid.num_nodes))
     modes = project_initial_velocity(state.u, state.v, 1, grid)
     new_state, new_modes, _, _ = step(state, modes, grid, base_set,
                                       dt=dt, picard_tol=PICARD_TOL,
@@ -421,7 +444,7 @@ def test_shear_step_picard_converges_quickly(base_set):
     grid = Grid1D(128)
     state = make_state(grid, v=np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, np.pi / 4))
-    state.ndot = np.zeros(grid.num_nodes)
+    state = replace(state, ndot=np.zeros(grid.num_nodes))
     modes = project_initial_velocity(state.u, state.v, 16, grid)
     _, _, stats, _ = step(state, modes, grid, base_set, dt=1e-3,
                           picard_tol=PICARD_TOL, basis=SineBasis(16, grid))
@@ -548,7 +571,7 @@ def test_converged_step_satisfies_director_equation(base_set):
         grid = Grid1D(cells)
         state = make_state(grid, v=np.sin(np.pi * grid.x),
                            n=np.full(grid.num_nodes, np.pi / 4))
-        state.ndot = np.zeros(grid.num_nodes)
+        state = replace(state, ndot=np.zeros(grid.num_nodes))
         modes = project_initial_velocity(state.u, state.v, 16, grid)
         new_state, _, _, _ = step(state, modes, grid, base_set, dt=1e-3,
                                   picard_tol=PICARD_TOL,
@@ -641,7 +664,7 @@ def test_picard_limit_insensitive_to_tolerance(base_set):
     for tol in (1e-6, 1e-10):
         state = make_state(grid, v=np.sin(np.pi * grid.x),
                            n=np.full(grid.num_nodes, np.pi / 4))
-        state.ndot = np.zeros(grid.num_nodes)
+        state = replace(state, ndot=np.zeros(grid.num_nodes))
         modes = project_initial_velocity(state.u, state.v, 8, grid)
         new_state, _, _, _ = step(state, modes, grid, base_set, dt=1e-3,
                                   picard_tol=tol, basis=SineBasis(8, grid))

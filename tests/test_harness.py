@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -191,7 +192,8 @@ def test_config_validation():
     for name, value in (("snapshot_every", -2), ("picard_tol", -1e-10),
                         ("picard_tol", nan), ("energy_tol", nan),
                         ("dt", nan), ("dt", inf), ("t_end", inf),
-                        ("mollify_delta", nan), ("mollify_delta", inf)):
+                        ("mollify_delta", nan), ("mollify_delta", inf),
+                        ("picard_tol", inf), ("energy_tol", inf)):
         with pytest.raises(ValueError, match="must be"):
             shear_config(**{name: value})
     # zero energy tolerance is usable: a dissipating run is still monotone
@@ -519,7 +521,7 @@ def test_sweep_report_serializable(tmp_path):
     # each member reports its run's director norms
     for member in report.members:
         summary = json.loads(
-            (tmp_path / f"delta_{member.delta:g}" / "summary.json").read_text())
+            (tmp_path / f"delta_{member.delta!r}" / "summary.json").read_text())
         assert member.n_xx_spacetime == summary["n_xx_spacetime"] > 0.0
         assert member.n_t_spacetime == summary["n_t_spacetime"] > 0.0
     assert (tmp_path / "delta_0.05" / "energy.csv").exists()
@@ -551,6 +553,26 @@ def test_sweep_member_failure_carries_partial_report(monkeypatch):
     with pytest.raises(h.SweepAborted, match="delta=0.01") as excinfo:
         h.run_sweep(cfg, [0.1, 0.01], workers=1)
     assert [m.delta for m in excinfo.value.partial.members] == [0.1]
+
+
+def test_sweep_members_close_in_delta_keep_their_directories(tmp_path):
+    # 0.1000001 and 0.1 print alike at 6 significant digits; each member
+    # still writes its own directory, whose summary is its own run's
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(TEXT_CONFIG
+                    .replace("grid.cells = 64", "grid.cells = 32")
+                    .replace("initial.preset = shear",
+                             "initial.preset = rough_density")
+                    + f"\noutput.dir = {tmp_path / 'out'}\n")
+    assert cli_main(["sweep", "--config", str(conf),
+                     "--deltas", "0.1000001,0.1"]) == 0
+    members = json.loads((tmp_path / "out" / "sweep.json").read_text())
+    assert sorted(p.name for p in (tmp_path / "out").glob("delta_*")) == [
+        "delta_0.1", "delta_0.1000001"]
+    for member in members["members"]:
+        summary = json.loads((tmp_path / "out" / f"delta_{member['delta']!r}"
+                              / "summary.json").read_text())
+        assert summary["final"]["total"] == member["final_energy"]
 
 
 # -----------------------------------------------------------------------------
@@ -765,13 +787,16 @@ def test_cli_run_builds_initial_state_once(tmp_path, monkeypatch):
     "initial.seed = 3",
     "initial.preset = smooth_random\ninitial.seed = abc",
     "initial.preset = rough_density\ninitial.profile = bogus",
-    "mollify_delta = inf", "initial.preset = smooth_random\ninitial.seed = -1"],
+    "mollify_delta = inf", "initial.preset = smooth_random\ninitial.seed = -1",
+    "initial.preset = static\ninitial.n0 = nan", "initial.amplitude = inf",
+    "tolerances.picard = inf", "tolerances.energy = inf"],
     ids=["aliased_modes", "non_numeric", "no_equals", "missing_value",
          "zero_cadence", "negative_cadence", "zero_picard_tol",
          "negative_energy_tol", "boolean_float", "boolean_int",
          "fractional_int", "misspelt_param", "undeclared_param",
          "non_numeric_param", "unknown_profile", "infinite_mollify_delta",
-         "negative_seed"])
+         "negative_seed", "nan_param", "infinite_param",
+         "infinite_picard_tol", "infinite_energy_tol"])
 def test_cli_rejected_config_exits_2(tmp_path, capsys, command, bad_line):
     conf = tmp_path / "bad.conf"
     # appended, so the bad line is the last value of each key it sets
@@ -925,6 +950,38 @@ def test_benchmark_tracer_targets_resolve():
         target = importlib.import_module(f"nematic1d.{module_name}")
         for part in attr.split("."):
             target = inspect.getattr_static(target, part)
+
+
+def test_unread_imports_are_tracer_bindings():
+    # no linter runs here: an import its module never reads and does not
+    # export is stale, unless perfbench/tracer.py wraps it under that
+    # module's name and its line says so
+    root = Path(__file__).resolve().parents[1]
+    tracer_text = (root / "perfbench" / "tracer.py").read_text()
+    found = []
+    for path in sorted((root / "src" / "nematic1d").glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        exported = set(getattr(importlib.import_module(
+            f"nematic1d.{path.stem}"), "__all__", ()))
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name in read or name in exported:
+                    continue
+                found.append((path.stem, name))
+                line = lines[alias.lineno - 1]
+                assert "noqa: F401" in line and "perfbench/tracer.py" in line, (
+                    f"{path.name}:{alias.lineno}: {name} is imported, never read")
+                assert f'("{path.stem}", "{name}",' in tracer_text
+    assert found   # the scan sees the known tracer-only bindings
 
 
 @pytest.mark.parametrize("scheme", ["galerkin", "fd"])
