@@ -43,7 +43,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        with harness.field_writer(config, outdir) as on_snapshot:
+        with harness.field_writer(config, [outdir]) as on_snapshot:
             traj = harness.run_simulation(config, state, on_snapshot)
     except OSError as exc:  # the solve does no I/O; the field writer does
         print(f"output failed: {exc}", file=sys.stderr)

@@ -16,7 +16,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .coefficients import LeslieSet, dissipation_parts, inverse_matrix_entries
-from .fields import FlowState, Grid1D, gradient, pressure, second_derivative
+from .fields import (FlowState, Grid1D, gradient, pressure, second_derivative,
+                     stack)
 
 
 # Round-off allowed in comparing a run's time with a scheduled output time.
@@ -66,8 +67,10 @@ class EnergyLedger:
         return ",".join(f"{v:.17g}" for v in self.values())
 
 
-def make_ledger(state: FlowState, c: LeslieSet, grid: Grid1D) -> EnergyLedger:
-    """The ledger row of one state, every integral taken in one stacked pass.
+def make_ledger(state: FlowState, c: LeslieSet, grid: Grid1D):
+    """The ledger row of one state, every integral taken in one stacked
+    pass; for a state of stacked member rows (`fields.stack`), the list of
+    the members' rows from one pass over them all.
 
     For an admissible coefficient set the dissipation is pointwise
     nonnegative even though the anisotropy remainder alone may go negative;
@@ -83,27 +86,33 @@ def make_ledger(state: FlowState, c: LeslieSet, grid: Grid1D) -> EnergyLedger:
     rho = np.maximum(state.rho, 0.0)
     rho_log_rho = np.where(rho > 0.0,
                            rho * np.log(np.where(rho > 0.0, rho, 1.0)), 0.0)
-    kin, internal, elastic, *parts, mass, rho2gamma, entropy = integrate(
+    integrals = np.trapezoid(np.array(
         (0.5 * state.rho * (state.u ** 2 + state.v ** 2),
          pressure(state.rho, gamma_ad) / (gamma_ad - 1.0),
          0.5 * n_x * n_x,
          *dissipation_parts(c, state.n, u_x, v_x, ndot), state.rho,
-         pressure(state.rho, 2.0 * gamma_ad), rho_log_rho), grid)
-    total_dissipation = float(sum(parts))
-    scale = 1.0 + sum(abs(p) for p in parts)
-    if total_dissipation < -1e-10 * scale:
-        raise ValueError(f"negative dissipation {total_dissipation:.3e}; "
-                         "coefficient set admissibility is suspect")
-    led = EnergyLedger(
-        time=state.time,
-        kinetic=kin, internal=internal, elastic=elastic,
-        total=kin + internal + elastic,
-        dissipation=total_dissipation, dissipation_parts=tuple(parts),
-        mass=mass, rho2gamma=rho2gamma, entropy=entropy,
-    )
-    if not np.all(np.isfinite(led.values())):
-        raise ValueError(f"non-finite ledger entry at t={state.time:g}")
-    return led
+         pressure(state.rho, 2.0 * gamma_ad), rho_log_rho)),
+        dx=grid.dx, axis=-1)
+    stacked = isinstance(state.time, list)
+    ledgers = []
+    rows = integrals.reshape(len(integrals), -1).T.tolist()   # per member
+    for time, (kin, internal, elastic, *parts, mass, rho2gamma,
+               entropy) in zip(state.time if stacked else [state.time], rows):
+        total_dissipation = float(sum(parts))
+        scale = 1.0 + sum(abs(p) for p in parts)
+        if total_dissipation < -1e-10 * scale:
+            raise ValueError(f"negative dissipation {total_dissipation:.3e}; "
+                             "coefficient set admissibility is suspect")
+        ledgers.append(EnergyLedger(
+            time=time,
+            kinetic=kin, internal=internal, elastic=elastic,
+            total=kin + internal + elastic,
+            dissipation=total_dissipation, dissipation_parts=tuple(parts),
+            mass=mass, rho2gamma=rho2gamma, entropy=entropy,
+        ))
+        if not np.all(np.isfinite(ledgers[-1].values())):
+            raise ValueError(f"non-finite ledger entry at t={time:g}")
+    return ledgers if stacked else ledgers[0]
 
 
 @dataclass
@@ -130,36 +139,80 @@ def snapshot_count(dt: float, t_end: float, snapshot_every: int) -> int:
     return 1 - (-_scheduled_steps(dt, t_end) // snapshot_every)
 
 
-def run_schedule(initial: FlowState,
-                 advance: Callable[[FlowState, float], FlowState],
+def _together(fn: Callable[[list], list], members: list) -> tuple:
+    """fn over the members at once, or, if that raises, over each alone in
+    turn, so that a failure falls on the first member that fails alone.
+    Returns the results of the members before it, and its failure or None;
+    a batch that fails while each member alone succeeds raises."""
+    try:
+        return fn(members), None
+    except Exception as exc:
+        if len(members) == 1:
+            return [], exc
+        failure = exc
+    results = []
+    for member in members:
+        try:
+            results += fn([member])
+        except Exception as exc:
+            return results, exc
+    raise failure
+
+
+def run_schedule(initials: Sequence[FlowState], advance: Callable,
                  c: LeslieSet, grid: Grid1D, dt: float, t_end: float,
                  snapshot_every: int,
-                 on_snapshot: Optional[Callable[[FlowState], None]],
-                 ) -> Trajectory:
-    """Step a scheme from its set-up initial state to t_end, ledgering every
-    snapshot_every-th scheduled step and the last one.
+                 on_snapshot: Optional[Callable[[list], None]],
+                 ) -> tuple[list[Trajectory], Optional[Exception]]:
+    """Step the members of a batch together from their set-up initial
+    states to t_end, ledgering every snapshot_every-th scheduled step and
+    the last one.
 
-    Scheduled step k ends at min(k dt, t_end); `advance(state, dt_k)` is
-    called with dt_k = min(dt, time left to that target) until it gets
-    there, so a step shortened by a dt halving is refilled and output times
-    stay on the cadence.  Each recorded snapshot, once ledgered, is also
-    handed to on_snapshot if given.  The caller validates c and fills the
-    metadata.
+    Scheduled step k ends at min(k dt, t_end); `advance(members, states,
+    dts)` is called with the members short of it, their states and each
+    one's dt_k = min(dt, time left to the target) until all get there, so
+    a step a member shortened by a dt halving is refilled and output times
+    stay on the cadence.  At each output time the members' states are
+    ledgered in one stacked pass and handed to on_snapshot, if given, as a
+    list.  A failure drops the member it falls on and every later one, and
+    the others go on.  The caller validates c and fills the metadata.
+
+    Returns the trajectories of the members before the first that failed,
+    and that member's failure, or None when all got to t_end.
     """
-    state = initial
-    snapshots, ledgers = [], []
+    states = list(initials)
+    trajectories = [Trajectory(grid=grid, snapshots=[], ledgers=[])
+                    for _ in states]
+    failure = None
+
+    def drop(first: int, exc: Exception) -> None:   # the failed and later
+        nonlocal failure
+        del states[first:], trajectories[first:]
+        failure = exc
+
     num_steps = _scheduled_steps(dt, t_end)
     for k in range(num_steps + 1):   # step 0 ends where it starts, at t = 0
         target = min(k * dt, t_end)
-        while state.time < target - TIME_ROUNDOFF:
-            state = advance(state, min(dt, target - state.time))
-        if k % snapshot_every == 0 or k == num_steps:
-            snapshots.append(state)
-            ledgers.append(make_ledger(state, c, grid))
-            if on_snapshot is not None:
-                on_snapshot(state)
-
-    return Trajectory(grid=grid, snapshots=snapshots, ledgers=ledgers)
+        while behind := [i for i, s in enumerate(states)
+                         if s.time < target - TIME_ROUNDOFF]:
+            advanced, exc = _together(lambda members: advance(
+                members, [states[i] for i in members],
+                [min(dt, target - states[i].time) for i in members]), behind)
+            for i, state in zip(behind, advanced):
+                states[i] = state
+            if exc is not None:
+                drop(behind[len(advanced)], exc)
+        if (k % snapshot_every == 0 or k == num_steps) and states:
+            ledgers, exc = _together(
+                lambda members: make_ledger(stack(members), c, grid), states)
+            if exc is not None:
+                drop(len(ledgers), exc)
+            for traj, state, led in zip(trajectories, states, ledgers):
+                traj.snapshots.append(state)
+                traj.ledgers.append(led)
+            if on_snapshot is not None and states:
+                on_snapshot(states)
+    return trajectories, failure
 
 
 def energy_budget(ledgers: Sequence[EnergyLedger]) -> tuple[np.ndarray, float]:

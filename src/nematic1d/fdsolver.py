@@ -7,7 +7,7 @@ same implicit director step; robustness over sharpness.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import lapack
@@ -108,8 +108,9 @@ def step_fd(state: FlowState, grid: Grid1D, c: LeslieSet,
     # --- momentum ------------------------------------------------------------
     n_face = 0.5 * (n_new[:-1] + n_new[1:])
     nd_face = 0.5 * (ndot_prov[:-1] + ndot_prov[1:])
-    a11_f, a12_f, a21_f, a22_f = matrix_entries(c, n_face)
-    b1_f, b2_f = director_rate_flux(c, n_face, nd_face)
+    trig = np.cos(n_face), np.sin(n_face)
+    a11_f, a12_f, a21_f, a22_f = matrix_entries(c, n_face, trig)
+    b1_f, b2_f = director_rate_flux(c, n_face, nd_face, trig)
 
     p_old = pressure(state.rho, c.gamma_ad)
     elastic = elastic_coupling(n_new, grid, n_x_new)
@@ -145,18 +146,26 @@ def step_fd(state: FlowState, grid: Grid1D, c: LeslieSet,
                      ndot=ndot_new)
 
 
-def run_fd(initial: FlowState, grid: Grid1D, c: LeslieSet, dt: float,
-           t_end: float, snapshot_every: int = 1,
-           on_snapshot: Optional[Callable[[FlowState], None]] = None,
-           ) -> diagnostics.Trajectory:
-    """Integrate with the oracle scheme at fixed dt, ledgering snapshots and
-    handing each to on_snapshot if given."""
+def run_fd(initials: Sequence[FlowState], grid: Grid1D, c: LeslieSet,
+           dt: float, t_end: float, snapshot_every: int = 1,
+           on_snapshot: Optional[Callable[[list], None]] = None,
+           ) -> tuple[list[diagnostics.Trajectory], Optional[Exception]]:
+    """Integrate the members of a batch with the oracle scheme at fixed dt,
+    one `step_fd` per member and step, ledgering snapshots and handing each
+    output time's list of states to on_snapshot if given.  Returns what
+    `diagnostics.run_schedule` does."""
     require_valid(c)
-    check_state(initial, grid)
-    if initial.ndot is None:
-        initial = replace(initial, ndot=_initial_ndot(initial, c, grid))
-    traj = diagnostics.run_schedule(
-        initial, lambda s, step_dt: step_fd(s, grid, c, step_dt),
+    states = []
+    for initial in initials:
+        check_state(initial, grid)
+        if initial.ndot is None:
+            initial = replace(initial, ndot=_initial_ndot(initial, c, grid))
+        states.append(initial)
+
+    trajectories, failure = diagnostics.run_schedule(
+        states, lambda _, batch, step_dts: [
+            step_fd(s, grid, c, d) for s, d in zip(batch, step_dts)],
         c, grid, dt, t_end, snapshot_every, on_snapshot)
-    traj.metadata = {"scheme": "fd", "dt": dt}
-    return traj
+    for traj in trajectories:
+        traj.metadata = {"scheme": "fd", "dt": dt}
+    return trajectories, failure

@@ -1,9 +1,10 @@
 """The field-file format, fields_NNNN.csv: a header, then one row
 x,rho,u,v,n per grid node with 17 significant digits, formatted from raw
 native doubles (rho, u, v, n of each node in turn).  Standard library only,
-so that `python -I -S fieldfile.py OUTDIR NODES` runs without numpy: it
-reads NODES node coordinates from stdin, then 4 * NODES doubles per
-snapshot until end of input, and writes each snapshot's file into OUTDIR.
+so that `python -I -S fieldfile.py NODES OUTDIR...` runs without numpy: it
+reads NODES node coordinates from stdin, then for each output time until
+end of input a native 8-byte count c and 4 * NODES doubles for each of the
+first c OUTDIRs, and writes each one's file for that time into its OUTDIR.
 """
 
 import os
@@ -26,12 +27,13 @@ def write(outdir: "str | os.PathLike", index: int, text: str,
 
 
 if __name__ == "__main__":
-    outdir, nodes, stdin = sys.argv[1], int(sys.argv[2]), sys.stdin.buffer
+    nodes, outdirs, stdin = int(sys.argv[1]), sys.argv[2:], sys.stdin.buffer
     text = template(stdin.read(8 * nodes))
     index = 0
     try:
-        while block := stdin.read(32 * nodes):
-            write(outdir, index, text, block)
+        while head := stdin.read(8):
+            for outdir in outdirs[:int.from_bytes(head, sys.byteorder)]:
+                write(outdir, index, text, stdin.read(32 * nodes))
             index += 1
     except OSError as exc:
         sys.exit(str(exc))   # its one line on stderr, exit status 1

@@ -18,6 +18,14 @@ and share their arrays, which are never copied.  The dense and tridiagonal
 solves call LAPACK (getrf, getrs, gtsv) directly: at desk sizes the library
 wrappers cost more than the arithmetic, as do numpy's Python-level helpers
 (diff, clip, trapezoid) in the per-iterate density work.
+
+A step advances a batch of members together, a sweep's delta-members or a
+run as a batch of one, on a member axis ahead of the node or mode axis; a
+lone member carries none.  Every member keeps its own Picard test, dt
+halvings, predictor history and LU, and its arithmetic is that of a batch
+of its own (transforms and sums act along the last axis, the director
+systems form one tridiagonal system with zero bands between members), so
+its record is bit for bit the same.
 """
 
 from __future__ import annotations
@@ -28,21 +36,28 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.fft import dct, dst
+# scipy.fft's pocketfft kernels, without scipy.fft's per-call dispatch
+from scipy.fftpack import dct, dst
 from scipy.linalg import lapack
 
 from . import diagnostics
 from .coefficients import (LeslieSet, director_source, matrix_entries,
                            require_valid)
-from .fields import (FlowState, Grid1D, check_state, elastic_coupling,
-                     flux_bracket, gradient, pressure)
+from .fields import (FlowState, Grid1D, check_state, each_row,
+                     elastic_coupling, flux_bracket, gradient, members,
+                     pressure, stack)
 from .fields import director_rate_flux, second_derivative  # noqa: F401  (perfbench/tracer.py wraps these galerkin names)
 from .fields import initial_ndot as _initial_ndot  # perfbench/tracer.py wraps this galerkin name
 
 
 class DenominatorTooSmall(RuntimeError):
     """Lagrangian density denominator fell below the positivity guard; the
-    caller must shrink dt and retry."""
+    caller must shrink dt and retry for the `members` it marks, a boolean
+    over the leading axes."""
+
+    def __init__(self, message: str, members: np.ndarray):
+        super().__init__(message)
+        self.members = members
 
 
 class TimeStepUnderflow(RuntimeError):
@@ -142,12 +157,12 @@ class LagrangianDensity:
 
     @classmethod
     def at_step_start(cls, rho: np.ndarray, grid: Grid1D) -> "LagrangianDensity":
-        cum = np.concatenate(([0.0], np.cumsum(
-            0.5 * (rho[:-1] + rho[1:]) * grid.dx)))
-        total = cum[-1]
-        if total <= 0.0:
+        cum = np.zeros(rho.shape)
+        np.cumsum(0.5 * (rho[..., :-1] + rho[..., 1:]) * grid.dx, axis=-1,
+                  out=cum[..., 1:])
+        if cum[..., -1].min() <= 0.0:
             raise ValueError("total mass must be positive")
-        return cls(rho0=rho, labels=cum / total)
+        return cls(rho0=rho, labels=cum / cum[..., -1:])
 
 
 def advance_density(ld: LagrangianDensity,
@@ -168,7 +183,8 @@ def advance_density(ld: LagrangianDensity,
     if peak > 0.5 * DENOMINATOR_GUARD:
         raise DenominatorTooSmall(
             f"density window |rho0 int u_X| = {peak:.3e} "
-            f"> {0.5 * DENOMINATOR_GUARD:.3e}")
+            f"> {0.5 * DENOMINATOR_GUARD:.3e}",
+            abs(window).max(axis=-1) > 0.5 * DENOMINATOR_GUARD)
     return ld.rho0 / (1.0 + window)
 
 
@@ -208,35 +224,46 @@ def _pchip_derivative(x: np.ndarray, y: np.ndarray,
 
 
 def remap_density_to_grid(rho_particles: np.ndarray, positions: np.ndarray,
-                          labels: np.ndarray, total_mass: float,
+                          labels: np.ndarray, total_mass,
                           grid: Grid1D) -> np.ndarray:
-    """Conservative remap of particle densities to the uniform grid.
+    """Conservative remap of particle densities to the uniform grid, row by
+    row along the last axis (`total_mass` a float, or one per row).
 
     Each particle keeps its cumulative-mass label, so the new mass function
     is known exactly at the new particle positions; a monotone interpolant
     differentiates it on the grid, and a final rescale restores the exact
     trapezoid mass.
     """
-    if (positions[1:] <= positions[:-1]).any():
-        raise DenominatorTooSmall("particle map lost monotonicity")
-    rho = total_mass * _pchip_derivative(positions, labels, grid.x)
-    # the wall particles are pinned to the wall nodes, so their closed-form
-    # densities are exact there; the interpolant's one-sided endpoint rule
-    # can clamp to zero spuriously when the wall density is small
-    rho[0] = rho_particles[0]
-    rho[-1] = rho_particles[-1]
-    np.maximum(rho, 0.0, out=rho)
-    current = grid.dx * (rho.sum() - 0.5 * (rho[0] + rho[-1]))   # trapezoid
-    if current <= 0.0:
-        raise DenominatorTooSmall("remapped density lost all mass")
-    return rho * (total_mass / current)
+    lost = positions[..., 1:] <= positions[..., :-1]
+    if lost.any():
+        raise DenominatorTooSmall("particle map lost monotonicity",
+                                  lost.any(axis=-1))
+    rho, empty = np.empty(labels.shape), []
+    for (out, particles, x, y), mass in zip(
+            each_row(rho, rho_particles, positions, labels),
+            np.ravel(total_mass)):
+        np.multiply(mass, _pchip_derivative(x, y, grid.x), out=out)
+        # the wall particles are pinned to the wall nodes, so their
+        # closed-form densities are exact there; the interpolant's
+        # one-sided endpoint rule can clamp to zero spuriously when the
+        # wall density is small
+        out[0], out[-1] = particles[0], particles[-1]
+        np.maximum(out, 0.0, out=out)
+        current = grid.dx * (out.sum() - 0.5 * (out[0] + out[-1]))  # trapezoid
+        empty.append(current <= 0.0)
+        if not empty[-1]:
+            out *= mass / current
+    if any(empty):
+        raise DenominatorTooSmall("remapped density lost all mass",
+                                  np.reshape(empty, rho.shape[:-1]))
+    return rho
 
 
 # =============================================================================
 # Implicit director step
 # =============================================================================
 
-def advance_director(state: FlowState, c: LeslieSet, dt: float,
+def advance_director(state: FlowState, c: LeslieSet, dt,
                      grid: Grid1D, u_x: Optional[np.ndarray] = None,
                      v_x: Optional[np.ndarray] = None,
                      n_lag: Optional[np.ndarray] = None) -> np.ndarray:
@@ -245,16 +272,18 @@ def advance_director(state: FlowState, c: LeslieSet, dt: float,
         gamma1 n_t = n_xx - gamma1 u n_x + (gamma2/2) u_x sin 2n
                      + ((gamma1 - gamma2 cos 2n)/2) v_x
 
-    with Neumann ends.  Diffusion and transport are implicit (one
-    tridiagonal solve); the trigonometric sources are evaluated at n_lag,
-    the previous iterate.  Velocity gradients may be supplied (spectral
-    path) or are taken by finite differences.
+    with Neumann ends, along the last axis of the fields: stacked members
+    (with dt a float or a column of one per member) are solved as one
+    tridiagonal system whose bands carry a zero between members.  Diffusion
+    and transport are implicit; the trigonometric sources are evaluated at
+    n_lag, the previous iterate.  Velocity gradients may be supplied
+    (spectral path) or are taken by finite differences.
     """
     g1, g2 = c.gamma1, c.gamma2
     if g1 <= 0.0:
         raise ValueError("gamma1 must be positive")
     dx = grid.dx
-    m = grid.num_nodes
+    shape = state.n.shape
     if u_x is None:
         u_x = gradient(state.u, dx)
     if v_x is None:
@@ -265,22 +294,26 @@ def advance_director(state: FlowState, c: LeslieSet, dt: float,
 
     idx2 = 1.0 / (dx * dx)
     adv = g1 * state.u / (2.0 * dx)
-    diag = np.full(m, g1 / dt + 2.0 * idx2)
-    lower = np.full(m - 1, -idx2)
-    upper = np.full(m - 1, -idx2)
-    lower[:-1] -= adv[1:-1]
-    upper[1:] += adv[1:-1]
+    diag = np.full(shape, g1 / dt + 2.0 * idx2)
+    # each member's bands hold its m - 1 entries and then the zero that
+    # uncouples it from the next member
+    lower = np.full(shape, -idx2)
+    upper = np.full(shape, -idx2)
+    lower[..., :-2] -= adv[..., 1:-1]
+    upper[..., 1:-1] += adv[..., 1:-1]
     # mirrored-ghost Neumann rows
-    upper[0] = -2.0 * idx2
-    lower[-1] = -2.0 * idx2
+    upper[..., 0] = -2.0 * idx2
+    lower[..., -2] = -2.0 * idx2
+    lower[..., -1] = upper[..., -1] = 0.0
 
     rhs = g1 / dt * state.n + src
-    *_, n_new, info = lapack.dgtsv(lower, diag, upper, rhs, overwrite_dl=True,
-                                   overwrite_d=True, overwrite_du=True,
-                                   overwrite_b=True)
+    *_, n_new, info = lapack.dgtsv(lower.ravel()[:-1], diag.ravel(),
+                                   upper.ravel()[:-1], rhs.ravel(),
+                                   overwrite_dl=True, overwrite_d=True,
+                                   overwrite_du=True, overwrite_b=True)
     if info != 0:   # pragma: no cover - misconfiguration
         raise RuntimeError(f"director tridiagonal solve failed: info={info}")
-    return n_new
+    return n_new.reshape(shape)
 
 
 # =============================================================================
@@ -338,7 +371,7 @@ def old_time_rhs(state: FlowState, c: LeslieSet, dt: float,
         rho_u * state.u + pressure(state.rho, c.gamma_ad), rho_u * state.v]))
     # integrals against phi_j' are j pi times the cosine moments
     return (sin_moments
-            + dt * basis.wavenumbers * cos_moments[:, 1:basis.num_modes + 1])
+            + dt * basis.wavenumbers * cos_moments[..., 1:basis.num_modes + 1])
 
 
 def momentum_residual(old_rhs: np.ndarray, dt: float, *, basis: SineBasis,
@@ -358,57 +391,69 @@ def momentum_residual(old_rhs: np.ndarray, dt: float, *, basis: SineBasis,
     new_terms[0] += dt * elastic
     cos_moments = basis.cosine_moments(np.array(flux))
     return (old_rhs + basis.sine_moments(new_terms)
-            - dt * basis.wavenumbers * cos_moments[:, 1:basis.num_modes + 1])
+            - dt * basis.wavenumbers * cos_moments[..., 1:basis.num_modes + 1])
 
 
-def advance_velocity_modes(c: LeslieSet, dt: float, *, grid: Grid1D,
+def advance_velocity_modes(c: LeslieSet, dt: np.ndarray, *, grid: Grid1D,
                            basis: SineBasis, old_rhs: np.ndarray,
                            modes: np.ndarray, velocity: np.ndarray,
                            gradients: np.ndarray, rho_new: np.ndarray,
                            n_new: np.ndarray, n_x_new: np.ndarray,
-                           ndot_new: np.ndarray,
-                           factor: Optional[tuple] = None,
-                           ) -> tuple[np.ndarray, tuple]:
+                           ndot_new: np.ndarray, factors: Sequence,
+                           ) -> tuple[np.ndarray, list]:
     """One chord correction of the (2, K) modes of (u, v) toward the weak
-    form's step, modes + (M + dt S)^-1 `momentum_residual`.
+    form's step, modes + (M + dt S)^-1 `momentum_residual`, for each member
+    of a batch: the modes are (2, M, K) and the fields and dt have one row
+    per member, or a lone member's are unstacked.
 
-    The second-order coefficient matrix A(n) is treated implicitly.  A held
-    `factor` = (dt, lu, piv) is used if its dt is this one within the
-    schedule's time round-off; otherwise M(rho) + dt S(n) is assembled at
-    this iterate's (rho, n) and LU-factored (LAPACK getrf).  The (dt, lu,
-    piv) used is returned for later iterates and steps to pass back, so a
-    call costs the transform residual and one back-substitution (getrs).
+    The second-order coefficient matrix A(n) is treated implicitly.  A
+    member's held factor, `factors[j]` = (dt, lu, piv), is used if its dt
+    is the member's within the schedule's time round-off; otherwise
+    M(rho) + dt S(n) is assembled at this iterate's (rho, n) and
+    LU-factored (LAPACK getrf).  The (dt, lu, piv) each member used is
+    returned for later iterates and steps to pass back, so a call costs the
+    transform residual and one back-substitution (getrs) per member.
     cos n and sin n are evaluated once per call, and A(n)'s entries serve
     both the assembly and the flux brackets.  At the fixed point the
-    residual vanishes, so the modes are the direct solution at the converged
-    (rho, n, ndot), whichever system was factored.
+    residual vanishes, so the modes are the direct solution at the
+    converged (rho, n, ndot), whichever system was factored.
     """
     if rho_new.min() <= 0.0:
         raise ValueError("mass matrix requires strictly positive density")
     K = basis.num_modes
     trig = np.cos(n_new), np.sin(n_new)
     entries = matrix_entries(c, n_new, trig)
-    if factor is None or abs(factor[0] - dt) > diagnostics.TIME_ROUNDOFF:
-        mass, stiffness = galerkin_system(basis=basis, rho_new=rho_new,
-                                          entries=entries)
-        system = np.empty((2 * K, 2 * K))
-        blocks = system.reshape(2, K, 2, K).swapaxes(1, 2)   # K x K each
-        np.multiply(dt, stiffness.reshape(2, 2, K, K), out=blocks)
-        blocks[0, 0] += mass
-        blocks[1, 1] += mass
-        lu, piv, info = lapack.dgetrf(system, overwrite_a=True)
-        if info != 0:
-            raise RuntimeError(
-                f"velocity mode solve failed: singular system (info={info})")
-        factor = dt, lu, piv
+    factors = list(factors)
+    for j, (factor, step_dt) in enumerate(zip(factors, np.ravel(dt))):
+        if (factor is None
+                or abs(factor[0] - step_dt) > diagnostics.TIME_ROUNDOFF):
+            rho, *row_entries = (a.reshape(-1, a.shape[-1])[j]
+                                 for a in (rho_new, *entries))
+            mass, stiffness = galerkin_system(basis=basis, rho_new=rho,
+                                              entries=row_entries)
+            system = np.empty((2 * K, 2 * K))
+            blocks = system.reshape(2, K, 2, K).swapaxes(1, 2)   # K x K each
+            np.multiply(step_dt, stiffness.reshape(2, 2, K, K), out=blocks)
+            blocks[0, 0] += mass
+            blocks[1, 1] += mass
+            lu, piv, info = lapack.dgetrf(system, overwrite_a=True)
+            if info != 0:
+                raise RuntimeError(f"velocity mode solve failed: singular "
+                                   f"system (info={info})")
+            factors[j] = step_dt, lu, piv
     residual = momentum_residual(
         old_rhs, dt, basis=basis, rho_new=rho_new, velocity=velocity,
         elastic=elastic_coupling(n_new, grid, n_x_new),
         flux=flux_bracket(c, *gradients, n_new, ndot_new, trig, entries))
-    correction, info = lapack.dgetrs(*factor[1:], residual.ravel())
-    if info != 0:   # pragma: no cover - misconfiguration
-        raise RuntimeError(f"velocity mode back-substitution failed: info={info}")
-    return modes + correction.reshape(2, K), factor
+    corrections = []
+    for (_, lu, piv), rows in zip(factors,
+                                  residual.reshape(2, -1, K).swapaxes(0, 1)):
+        solved, info = lapack.dgetrs(lu, piv, rows.ravel())
+        if info != 0:   # pragma: no cover - misconfiguration
+            raise RuntimeError(
+                f"velocity mode back-substitution failed: info={info}")
+        corrections.append(solved.reshape(2, K))
+    return modes + members(corrections, axis=1).reshape(modes.shape), factors
 
 
 # =============================================================================
@@ -417,120 +462,185 @@ def advance_velocity_modes(c: LeslieSet, dt: float, *, grid: Grid1D,
 
 @dataclass
 class StepStats:
-    """Picard iterates run for one step, over every attempt including the
-    discarded ones, the dt halvings it took, and the velocity systems it
-    LU-factored."""
-    picard_iterations: int
-    halvings: int
-    factorizations: int
+    """Each member's Picard iterates over every attempt of one step, the
+    discarded ones included, its dt halvings and the velocity systems it
+    LU-factored; the properties total them over the batch."""
+    iterations: list[int]
+    halved: list[int]
+    factored: list[int]
+
+    @property
+    def picard_iterations(self) -> int:
+        return sum(self.iterations)
+
+    @property
+    def halvings(self) -> int:
+        return sum(self.halved)
+
+    @property
+    def factorizations(self) -> int:
+        return sum(self.factored)
 
 
-def _attempt_step(state: FlowState, modes: np.ndarray, grid: Grid1D,
-                  c: LeslieSet, dt: float, picard_tol: float,
-                  basis: SineBasis, factor: Optional[tuple] = None,
-                  start: Optional[tuple] = None,
-                  ) -> tuple[Optional[tuple[FlowState, np.ndarray]], int,
-                             Optional[tuple]]:
-    """One Picard-coupled step at fixed dt, its iteration begun from
-    `start` = (modes, n, rho), by default the old state's, and its velocity
-    corrections made with the held LU `factor` if it was factored at dt,
-    else with one factored at the first iterate.  Returns the new state and
-    modes, or None when Picard stalls or the density window is left, with
-    the number of iterates run and the LU used (None if none was made)."""
+def _attempt_step(states: Sequence[FlowState], modes: Sequence[np.ndarray],
+                  grid: Grid1D, c: LeslieSet, dt: Sequence[float],
+                  picard_tol: float, basis: SineBasis, factors: Sequence,
+                  start: Sequence) -> tuple[list, list[int], list]:
+    """One Picard-coupled step of a batch's members at a fixed dt each, the
+    arguments holding one entry per member.  Member j begins from
+    `start[j]` = (modes, n, rho), or its old state if that is None, and
+    corrects with its held LU `factors[j]` if that was factored at its dt,
+    else with one factored at its first iterate.  The members iterate
+    together; one that converges, stalls or leaves the density window ends
+    its attempt.  Returns each member's new state and (2, K) modes, or None
+    if it stalled or left the window; its iterates; and the LU it used
+    (None if none was made)."""
+    state = stack(states)
+    # a column of the members' dts, or a lone member's as a scalar
+    steps = np.float64(dt[0]) if len(dt) == 1 else np.array(dt)[:, None]
     # step-invariant: the particle labels, the mass, where the
     # mass-coordinate gradient u_x / rho is defined, and the old-time terms
     ld = LagrangianDensity.at_step_start(state.rho, grid)
-    total_mass = float(np.trapezoid(state.rho, dx=grid.dx))
     occupied = state.rho > 0.0
-    rho_safe = np.where(occupied, state.rho, 1.0)
-    old_rhs = old_time_rhs(state, c, dt, basis)
+    # the rows of the members still iterating, kept apart from the others
+    rows = (ld, np.trapezoid(state.rho, dx=grid.dx, axis=-1), occupied,
+            np.where(occupied, state.rho, 1.0), steps, state.n,
+            old_time_rhs(state, c, steps, basis))
 
     # iterates are rebound, never mutated, so no copies are needed; the
     # density is an input of the stop test only, not of the Picard map
-    modes_it, n_it, rho_it = ((modes, state.n, state.rho) if start is None
-                              else start)
-
-    for iteration in range(1, PICARD_MAX + 1):
+    guesses = [guess or (m, s.n, s.rho)
+               for guess, m, s in zip(start, modes, states)]
+    modes_it = members([guess[0] for guess in guesses], axis=1)
+    n_it, rho_it = (members([guess[f] for guess in guesses]) for f in (1, 2))
+    results, spent = [None] * len(states), [PICARD_MAX] * len(states)
+    factors, live = list(factors), np.arange(len(states))
+    iteration = 1
+    while live.size and iteration <= PICARD_MAX:
+        ld, total_mass, occupied, rho_safe, step_dt, n_old, old_rhs = rows
         velocity = basis.reconstruct(modes_it)
         gradients = basis.reconstruct_derivative(modes_it)
         u_field, v_field = velocity
         u_x, v_x = gradients
 
         # (i) density along particle paths, then conservative remap; every
-        # iterate integrates from the step start
-        positions = grid.x + dt * u_field
-        positions[0], positions[-1] = 0.0, 1.0
+        # iterate integrates from the step start.  Members that leave the
+        # window end here, and the others redo the iterate without them
+        positions = grid.x + step_dt * u_field
+        positions[..., 0], positions[..., -1] = 0.0, 1.0
         try:
             rho_particles = advance_density(
-                ld, dt * np.where(occupied, u_x / rho_safe, 0.0))
+                ld, step_dt * np.where(occupied, u_x / rho_safe, 0.0))
             rho_new = remap_density_to_grid(rho_particles, positions,
                                             ld.labels, total_mass, grid)
-        except DenominatorTooSmall:
-            return None, iteration, factor
+        except DenominatorTooSmall as exc:
+            ended, redo = exc.members, True
+        else:
+            # (ii) implicit director with lagged trig coefficients
+            working = FlowState(None, rho_it, u_field, v_field, n_old)
+            n_new = advance_director(working, c, step_dt, grid, u_x=u_x,
+                                     v_x=v_x, n_lag=n_it)
+            n_x_new = gradient(n_new, grid.dx, neumann_ends=True)
+            ndot_new = (n_new - n_old) / step_dt + u_field * n_x_new
 
-        # (ii) implicit director with lagged trig coefficients
-        working = FlowState(state.time, state.rho, u_field, v_field, state.n)
-        n_new = advance_director(working, c, dt, grid, u_x=u_x, v_x=v_x,
-                                 n_lag=n_it)
-        n_x_new = gradient(n_new, grid.dx, neumann_ends=True)
-        ndot_new = (n_new - state.n) / dt + u_field * n_x_new
+            # (iii) velocity modes, implicit in the A(n) part
+            modes_new, used = advance_velocity_modes(
+                c, step_dt, grid=grid, basis=basis, old_rhs=old_rhs,
+                modes=modes_it, velocity=velocity, gradients=gradients,
+                rho_new=rho_new, n_new=n_new, n_x_new=n_x_new,
+                ndot_new=ndot_new, factors=[factors[j] for j in live])
+            for j, lu in zip(live, used):
+                factors[j] = lu
 
-        # (iii) velocity modes, implicit in the A(n) part
-        modes_new, factor = advance_velocity_modes(
-            c, dt, grid=grid, basis=basis, old_rhs=old_rhs, modes=modes_it,
-            velocity=velocity, gradients=gradients, rho_new=rho_new,
-            n_new=n_new, n_x_new=n_x_new, ndot_new=ndot_new, factor=factor)
+            delta = np.maximum(
+                np.maximum(abs(rho_new - rho_it).max(axis=-1),
+                           abs(n_new - n_it).max(axis=-1)),
+                abs(modes_new - modes_it).max(axis=0).max(axis=-1))
+            rho_it, n_it, modes_it = rho_new, n_new, modes_new
+            ended, redo = delta < picard_tol, False
+        if ended.any():
+            # the rows that end, copied unless all do, so that a kept
+            # state holds no rows of the members still iterating
+            out = ... if ended.all() else np.flatnonzero(ended)
+            if not redo:
+                modes_fin = modes_it[:, out]
+                u_fin, v_fin = basis.reconstruct(modes_fin)
+                ndot_fin = ((n_it[out] - n_old[out]) / step_dt[out]
+                            + u_fin * n_x_new[out])
+                for i, (j, fin) in enumerate(zip(live[out], each_row(
+                        rho_it[out], u_fin, v_fin, n_it[out], ndot_fin))):
+                    results[j] = (
+                        FlowState(states[j].time + dt[j], *fin[:4],
+                                  ndot=fin[4]),
+                        modes_fin.reshape(2, -1, basis.num_modes)[:, i])
+            for j in live[out]:
+                spent[j] = iteration
+            if ended.all():
+                break
+            keep = np.flatnonzero(~ended)
+            live, modes_it, n_it, rho_it = (live[keep], modes_it[:, keep],
+                                            n_it[keep], rho_it[keep])
+            rows = (LagrangianDensity(ld.rho0[keep], ld.labels[keep]),
+                    *(a[keep] for a in rows[1:-1]), old_rhs[:, keep])
+        iteration += not redo
+    return results, spent, factors
 
-        delta = max(abs(rho_new - rho_it).max(), abs(n_new - n_it).max(),
-                    abs(modes_new - modes_it).max())
-        rho_it, n_it, modes_it = rho_new, n_new, modes_new
-        if delta < picard_tol:
-            u_final, v_final = basis.reconstruct(modes_it)
-            ndot_fin = (n_it - state.n) / dt + u_final * n_x_new
-            new_state = FlowState(state.time + dt, rho_it, u_final, v_final,
-                                  n_it, ndot=ndot_fin)
-            return (new_state, modes_it), iteration, factor
-    return None, PICARD_MAX, factor
 
+def step(states: Sequence[FlowState], modes: Sequence[np.ndarray],
+         grid: Grid1D, c: LeslieSet, *, dt: Sequence[float],
+         picard_tol: float, basis: SineBasis, start: Sequence,
+         factor: Sequence,
+         ) -> tuple[list[FlowState], list[np.ndarray], StepStats, list]:
+    """Advance each member of a batch one scheduled step from its (2, K)
+    velocity modes on `basis`, halving a member's dt on its Picard failure;
+    every argument but the shared ones holds one entry per member, and the
+    members' attempts run together.
 
-def step(state: FlowState, modes: np.ndarray, grid: Grid1D, c: LeslieSet, *,
-         dt: float, picard_tol: float, basis: SineBasis,
-         start: Optional[tuple] = None, factor: Optional[tuple] = None,
-         ) -> tuple[FlowState, np.ndarray, StepStats, tuple]:
-    """Advance one scheduled step from the (2, K) velocity modes on `basis`,
-    halving dt internally on Picard failure.
+    A member's `start` = (modes, n, rho) is a guess of its new modes,
+    director angle and density, or None; the Picard iteration begins there
+    in place of the old state.  An attempt from a guess that fails is
+    retried once from the old state at the same dt, so a guess never
+    causes a halving.  A member's `factor` is a held (dt, lu, piv) from an
+    earlier step's return, which its first attempt corrects with if it was
+    factored at this dt; a failed attempt drops it, so the retry and every
+    halved attempt factor afresh.
 
-    `start` = (modes, n, rho) is a guess of the new modes, director angle
-    and density; the Picard iteration begins there in place of the old
-    state.  An attempt from a guess that fails is retried once from the old
-    state at the same dt, so a guess never causes a halving.  `factor` is
-    a held (dt, lu, piv) from an earlier step's return, which the first
-    attempt corrects with if it was factored at this dt; a failed attempt
-    drops it, so the retry and every halved attempt factor afresh.
-
-    Returns the state advanced by dt / 2^k after k halvings (its time shows
-    how far), the new modes, the Picard count of every attempt, k and the
-    factorizations made, and the (dt / 2^k, lu, piv) the accepted attempt
-    used.  Raises TimeStepUnderflow below the dt floor.
+    Returns each member's state advanced by its dt / 2^k after k halvings
+    (its time shows how far) and its new modes, the StepStats, and the
+    (dt / 2^k, lu, piv) each member's accepted attempt used.  Raises
+    TimeStepUnderflow below the dt floor.
     """
-    halvings = iterations = factorizations = 0
-    while dt >= DT_MIN:
-        result, spent, used = _attempt_step(state, modes, grid, c, dt,
-                                            picard_tol, basis, factor, start)
-        iterations += spent
-        factorizations += used is not factor
-        if result is not None:
-            return (*result, StepStats(iterations, halvings, factorizations),
-                    used)
-        factor = None
-        if start is None:
-            dt *= 0.5
-            halvings += 1
-        start = None
-    raise TimeStepUnderflow(
-        f"dt underflow at t={state.time:.6g}: "
-        f"min rho={np.min(state.rho):.3e}, max |u|={np.max(np.abs(state.u)):.3e}, "
-        f"max |modes|={np.max(np.abs(modes)):.3e}")
+    dt, start, factor = list(dt), list(start), list(factor)
+    stats = StepStats(*([0] * len(states) for _ in range(3)))
+    new_states, new_modes = [None] * len(states), [None] * len(states)
+    pending = range(len(states))
+    while pending:
+        for i in pending:
+            if dt[i] < DT_MIN:
+                raise TimeStepUnderflow(
+                    f"dt underflow at t={states[i].time:.6g}: "
+                    f"min rho={np.min(states[i].rho):.3e}, "
+                    f"max |u|={np.max(np.abs(states[i].u)):.3e}, "
+                    f"max |modes|={np.max(np.abs(modes[i])):.3e}")
+        results, spent, used = _attempt_step(
+            [states[i] for i in pending], [modes[i] for i in pending], grid,
+            c, [dt[i] for i in pending], picard_tol, basis,
+            [factor[i] for i in pending], [start[i] for i in pending])
+        retry = []
+        for i, result, iterates, lu in zip(pending, results, spent, used):
+            stats.iterations[i] += iterates
+            stats.factored[i] += lu is not factor[i]
+            factor[i] = lu if result is not None else None
+            if result is not None:
+                new_states[i], new_modes[i] = result
+                continue
+            if start[i] is None:
+                dt[i] *= 0.5
+                stats.halved[i] += 1
+            start[i] = None
+            retry.append(i)
+        pending = retry
+    return new_states, new_modes, stats, factor
 
 
 def _extrapolate(history: Sequence[tuple],
@@ -551,61 +661,79 @@ def _extrapolate(history: Sequence[tuple],
                  for f in (1, 2, 3))
 
 
-def run(initial: FlowState, num_modes: int, grid: Grid1D, c: LeslieSet, *,
-        dt: float, picard_tol: float, t_end: float,
+def run(initials: Sequence[FlowState], num_modes: int, grid: Grid1D,
+        c: LeslieSet, *, dt: float, picard_tol: float, t_end: float,
         snapshot_every: int = 1,
-        on_snapshot: Optional[Callable[[FlowState], None]] = None,
-        ) -> diagnostics.Trajectory:
-    """Integrate from the initial state to t_end in scheduled steps of dt,
-    recording every snapshot_every-th one and handing each recorded state
-    to on_snapshot if given.
+        on_snapshot: Optional[Callable[[list], None]] = None,
+        ) -> tuple[list[diagnostics.Trajectory], Optional[Exception]]:
+    """Integrate a batch's members, each from its initial state, to t_end
+    in scheduled steps of dt, all through one `step` per scheduled step,
+    recording every snapshot_every-th one and handing each output time's
+    list of states to on_snapshot if given.
 
-    Deterministic for a given configuration; `diagnostics.run_schedule`
-    refills each scheduled window after internal halvings so output times
-    stay on the uniform cadence.  Each step starts its Picard iteration from
-    the extrapolation of (modes, n, rho) through its start and up to four
-    accepted states before it, except the first step and the refill after
-    a halving.  The velocity system's LU is held across steps, so a run
-    whose dt never changes and whose attempts never fail factors once.
+    Deterministic, and each member's record is the one it has in a batch
+    of its own; `diagnostics.run_schedule` refills each scheduled window
+    after internal halvings so output times stay on the uniform cadence.
+    Each step starts a member's Picard iteration from the extrapolation of
+    its (modes, n, rho) through its start and up to four accepted states
+    before it, except the first step and the refill after a halving.  Each
+    member's velocity-system LU is held across steps, so a member whose dt
+    never changes and whose attempts never fail factors once.  Returns
+    what `run_schedule` does: the trajectories of the members before the
+    first that failed, and that failure (None if none).
     """
     require_valid(c)
     if not (dt > 0.0 and picard_tol > 0.0):
         raise ValueError("dt and picard_tol must be positive")
     basis = SineBasis(num_modes, grid)
-    check_state(initial, grid)
-    modes = project_initial_velocity(initial.u, initial.v, num_modes, grid)
-    # start from the projected velocities so state and modes agree
-    u, v = basis.reconstruct(modes)
-    state = replace(initial, u=u, v=v)
-    if state.ndot is None:
-        u_x, v_x = basis.reconstruct_derivative(modes)
-        state = replace(state, ndot=_initial_ndot(state, c, grid,
-                                                  u_x=u_x, v_x=v_x))
+    states, modes = [], []
+    for initial in initials:
+        check_state(initial, grid)
+        modes.append(project_initial_velocity(initial.u, initial.v,
+                                              num_modes, grid))
+        # start from the projected velocities so state and modes agree
+        u, v = basis.reconstruct(modes[-1])
+        state = replace(initial, u=u, v=v)
+        if state.ndot is None:
+            u_x, v_x = basis.reconstruct_derivative(modes[-1])
+            state = replace(state, ndot=_initial_ndot(state, c, grid,
+                                                      u_x=u_x, v_x=v_x))
+        states.append(state)
 
-    stats: list[StepStats] = []
-    # accepted (time, modes, n, rho); the weights come from the stored
-    # times, so schedule rounding and a short last step need no special case
-    history = deque(maxlen=PREDICTOR_POINTS)
-    factor = None   # the velocity system's (dt, lu, piv)
+    # each member's accepted (time, modes, n, rho), its current state last;
+    # the weights come from the stored times, so schedule rounding and a
+    # short last step need no special case
+    history = [deque([(s.time, m, s.n, s.rho)], maxlen=PREDICTOR_POINTS)
+               for s, m in zip(states, modes)]
+    factor = [None] * len(states)   # each member's (dt, lu, piv)
+    stats = [[] for _ in states]    # each member's (iterates, halvings, LUs)
 
-    def advance(state: FlowState, step_dt: float) -> FlowState:
-        nonlocal modes, factor
-        history.append((state.time, modes, state.n, state.rho))
-        state, modes, step_stats, factor = step(
-            state, modes, grid, c, dt=step_dt, picard_tol=picard_tol,
-            basis=basis, start=_extrapolate(history, state.time + step_dt),
-            factor=factor)
-        if step_stats.halvings:
-            # extrapolating across a halved step is no better a guess
-            history.clear()
-        stats.append(step_stats)
-        return state
+    def advance(ids: list[int], batch: list[FlowState],
+                step_dts: list[float]) -> list[FlowState]:
+        new_states, new_modes, step_stats, used = step(
+            batch, [modes[i] for i in ids], grid, c, dt=step_dts,
+            picard_tol=picard_tol, basis=basis,
+            start=[_extrapolate(history[i], s.time + d)
+                   for i, s, d in zip(ids, batch, step_dts)],
+            factor=[factor[i] for i in ids])
+        for j, (i, new) in enumerate(zip(ids, new_states)):
+            modes[i], factor[i] = new_modes[j], used[j]
+            if step_stats.halved[j]:
+                # extrapolating across a halved step is no better a guess
+                history[i].clear()
+            history[i].append((new.time, modes[i], new.n, new.rho))
+            stats[i].append((step_stats.iterations[j], step_stats.halved[j],
+                             step_stats.factored[j]))
+        return new_states
 
-    traj = diagnostics.run_schedule(state, advance, c, grid, dt, t_end,
-                                    snapshot_every, on_snapshot)
-    traj.metadata = {
-        "scheme": "galerkin", "num_modes": num_modes, "dt": dt,
-        "picard_iterations": [s.picard_iterations for s in stats],
-        "dt_halvings": sum(s.halvings for s in stats),
-        "velocity_factorizations": sum(s.factorizations for s in stats)}
-    return traj
+    trajectories, failure = diagnostics.run_schedule(
+        states, advance, c, grid, dt, t_end, snapshot_every, on_snapshot)
+    for traj, member in zip(trajectories, stats):
+        iterates, halvings, factorizations = (zip(*member) if member
+                                              else [()] * 3)
+        traj.metadata = {
+            "scheme": "galerkin", "num_modes": num_modes, "dt": dt,
+            "picard_iterations": list(iterates),
+            "dt_halvings": sum(halvings),
+            "velocity_factorizations": sum(factorizations)}
+    return trajectories, failure

@@ -26,7 +26,7 @@ import numpy as np
 from . import diagnostics, fdsolver, fieldfile, galerkin
 from .coefficients import LeslieSet, require_valid
 from .coefficients import derive_viscosities, validate  # noqa: F401  (perfbench/tracer.py wraps these harness names)
-from .fields import FlowState, Grid1D, gradient
+from .fields import FlowState, Grid1D, gradient, stack
 
 OUTPUT_ROOT_ENV = "NEMATIC1D_OUT"
 
@@ -354,23 +354,36 @@ def build_initial_state(config: RunConfig, grid: Grid1D) -> FlowState:
 # Running and persistence
 # =============================================================================
 
-def run_simulation(config: RunConfig, state: Optional[FlowState] = None,
-                   on_snapshot: Optional[Callable[[FlowState], None]] = None,
-                   ) -> diagnostics.Trajectory:
-    """Integrate the initial state, built from the config unless given, with
-    the configured (validating) scheme, handing each recorded snapshot to
-    on_snapshot if given."""
+def run_members(config: RunConfig, states: Sequence[FlowState],
+                on_snapshot: Optional[Callable[[list], None]] = None,
+                ) -> tuple[list[diagnostics.Trajectory], Optional[Exception]]:
+    """Integrate the members' initial states together with the configured
+    (validating) scheme, handing each output time's list of their states to
+    on_snapshot if given.  Returns the trajectories of the members before
+    the first that failed, and that failure or None."""
     grid = Grid1D(config.grid_cells)
-    if state is None:
-        state = build_initial_state(config, grid)
     if config.scheme == "galerkin":
-        return galerkin.run(state, config.modes, grid, config.coefficients,
+        return galerkin.run(states, config.modes, grid, config.coefficients,
                             dt=config.dt, picard_tol=config.picard_tol,
                             t_end=config.t_end,
                             snapshot_every=config.snapshot_every,
                             on_snapshot=on_snapshot)
-    return fdsolver.run_fd(state, grid, config.coefficients, config.dt,
+    return fdsolver.run_fd(states, grid, config.coefficients, config.dt,
                            config.t_end, config.snapshot_every, on_snapshot)
+
+
+def run_simulation(config: RunConfig, state: Optional[FlowState] = None,
+                   on_snapshot: Optional[Callable[[list], None]] = None,
+                   ) -> diagnostics.Trajectory:
+    """Integrate the initial state, built from the config unless given, as
+    a batch of one, raising its failure; on_snapshot, if given, gets each
+    recorded snapshot in a list of one."""
+    if state is None:
+        state = build_initial_state(config, Grid1D(config.grid_cells))
+    trajectories, failure = run_members(config, [state], on_snapshot)
+    if failure is not None:
+        raise failure
+    return trajectories[0]
 
 
 def density_bound_flags(traj: diagnostics.Trajectory) -> Optional[int]:
@@ -416,27 +429,35 @@ def _field_bytes(snap: FlowState) -> bytes:
 
 
 @contextmanager
-def field_writer(config: RunConfig, outdir: Optional[Path]):
-    """Yield the run's snapshot hook, which writes each recorded snapshot's
-    field file in outdir, or None if there is no outdir.  A run that records
+def field_writer(config: RunConfig, outdirs: Sequence[Path]):
+    """Yield the hook that writes the field files of a batch's recorded
+    snapshots, member k's in outdirs[k], or None if there are no outdirs.
+    The hook takes the list of the members' states at one output time,
+    from which failed members drop out at the end.  A run that records
     only its initial and final states writes them in process; any longer
-    run sends each snapshot to a standard-library child process that writes
-    its file while the solve goes on.  Leaving reaps the child; a write it
-    failed raises OSError unless the block raised first."""
-    if outdir is None:
+    run sends each output time's states to one standard-library child
+    process that writes their files while the solve goes on.  Leaving
+    reaps the child; a write it failed raises OSError unless the block
+    raised first."""
+    if not outdirs:
         yield None
         return
     nodes = Grid1D(config.grid_cells).x
     if diagnostics.snapshot_count(config.dt, config.t_end,
                                   config.snapshot_every) <= 2:
         text, index = fieldfile.template(nodes.tobytes()), count()
-        yield lambda snap: fieldfile.write(outdir, next(index), text,
-                                           _field_bytes(snap))
+
+        def write(snaps: list) -> None:
+            i = next(index)
+            for outdir, snap in zip(outdirs, snaps):
+                fieldfile.write(outdir, i, text, _field_bytes(snap))
+
+        yield write
         return
     # by file path, with neither site nor the package __init__ (numpy)
     child = subprocess.Popen(
-        [sys.executable, "-I", "-S", fieldfile.__file__, str(outdir),
-         str(nodes.size)], stdin=subprocess.PIPE, stderr=subprocess.PIPE)
+        [sys.executable, "-I", "-S", fieldfile.__file__, str(nodes.size),
+         *map(str, outdirs)], stdin=subprocess.PIPE, stderr=subprocess.PIPE)
     # Linux: a 1 MiB pipe (the unprivileged maximum) holds what is sent while
     # the child starts or falls behind, so that the solve need not wait
     with suppress(ImportError, AttributeError, OSError):
@@ -450,7 +471,9 @@ def field_writer(config: RunConfig, outdir: Optional[Path]):
     broken = False
     try:
         send(nodes.tobytes())
-        yield lambda snap: send(_field_bytes(snap))
+        # the count of members still running, then each one's fields
+        yield lambda snaps: send(len(snaps).to_bytes(8, sys.byteorder)
+                                 + b"".join(map(_field_bytes, snaps)))
     except BrokenPipeError:   # the child exited early; it says why
         broken = True
     finally:
@@ -559,37 +582,53 @@ def _initial_data_errors(raw: RawInitialData, state: FlowState,
     }
 
 
-def _sweep_member(args: tuple) -> SweepMember:
-    config, delta, subdir = args
+def _sweep_member(args: tuple) -> tuple[list[SweepMember],
+                                         Optional[Exception]]:
+    """Run one batch of sweep members, advancing together, with one field
+    writer for all their directories.  The flux pairings are taken over
+    the members' stacked states at each recorded snapshot.  Returns the
+    members before the first that failed, and that failure or None."""
+    config, deltas, outdir = args
     grid = Grid1D(config.grid_cells)
     raw = build_raw_initial_data(config, grid)
-    state = mollify_initial_data(raw, delta, grid)
-    if subdir is not None:
+    states = [mollify_initial_data(raw, delta, grid) for delta in deltas]
+    # repr tells any two floats apart: no two members share a directory
+    subdirs = ([] if outdir is None
+               else [outdir / f"delta_{delta!r}" for delta in deltas])
+    for subdir in subdirs:
         subdir.mkdir(parents=True, exist_ok=True)
-    with field_writer(config, subdir) as on_snapshot:
-        traj = run_simulation(config, state, on_snapshot)
-
     window = np.sin(np.pi * grid.x) ** 2
-    pairs = []
-    for snap in traj.snapshots:
-        h1, h2 = diagnostics.effective_viscous_flux(snap, config.coefficients,
-                                                    grid)
-        pairs.append((diagnostics.integrate(window * snap.rho * h1, grid),
-                      diagnostics.integrate(window * snap.rho * h2, grid)))
-    summary = (_run_summary(traj, config) if subdir is None
-               else write_outputs(traj, config, subdir))
-    return SweepMember(
-        delta=delta,
-        final_energy=summary["final"]["total"],
-        max_defect=summary["max_defect"],
-        rho2gamma_spacetime=diagnostics.high_integrability(traj.ledgers),
-        n_xx_spacetime=summary["n_xx_spacetime"],
-        n_t_spacetime=summary["n_t_spacetime"],
-        entropy_series=[led.entropy for led in traj.ledgers],
-        h_pair_series=pairs,
-        initial_errors=_initial_data_errors(raw, state, grid,
-                                            config.coefficients.gamma_ad),
-    )
+    pairs = []   # each output time's [pair1, pair2] of every member
+
+    def record(snaps: list) -> None:
+        batch = stack(snaps)
+        h = diagnostics.effective_viscous_flux(batch, config.coefficients,
+                                               grid)
+        pairs.append(np.reshape(diagnostics.integrate(
+            window * batch.rho * np.array(h), grid), (2, -1)).T.tolist())
+        if write is not None:
+            write(snaps)
+
+    with field_writer(config, subdirs) as write:
+        trajectories, failure = run_members(config, states, record)
+
+    members = []
+    for j, traj in enumerate(trajectories):
+        summary = (write_outputs(traj, config, subdirs[j]) if subdirs
+                   else _run_summary(traj, config))
+        members.append(SweepMember(
+            delta=deltas[j],
+            final_energy=summary["final"]["total"],
+            max_defect=summary["max_defect"],
+            rho2gamma_spacetime=diagnostics.high_integrability(traj.ledgers),
+            n_xx_spacetime=summary["n_xx_spacetime"],
+            n_t_spacetime=summary["n_t_spacetime"],
+            entropy_series=[led.entropy for led in traj.ledgers],
+            h_pair_series=[snapshot[j] for snapshot in pairs],
+            initial_errors=_initial_data_errors(raw, states[j], grid,
+                                                config.coefficients.gamma_ad),
+        ))
+    return members, failure
 
 
 def _series_distance(a: Sequence, b: Sequence) -> float:
@@ -625,29 +664,41 @@ def run_sweep(config: RunConfig, deltas: Sequence[float],
     """Mollify the shared raw data at each delta, run the solver, and
     assemble the successive-delta Cauchy distances.
 
-    Trends are reported, never silently asserted: a non-decreasing Cauchy
-    series marks its status 'inconclusive'.
+    The members run in min(workers, len(deltas)) contiguous batches, one
+    process each (the calling process when there is one batch), and the
+    members of a batch advance together.  A member failure aborts the
+    sweep with the report of the members before it; a failure outside the
+    members' runs, such as the field writer's, is its batch's first
+    member's.  Trends are reported, never silently asserted: a
+    non-decreasing Cauchy series marks its status 'inconclusive'.
     """
     deltas = check_deltas(deltas)
     # an inadmissible set is a config error, not a member failure
     require_valid(config.coefficients)
 
-    # repr tells any two floats apart: no two members share a directory
-    payload = [(config, d, None if outdir is None else outdir / f"delta_{d!r}")
-               for d in deltas]
+    # a process for each batch and no more: a pool starts every worker it
+    # is allowed at its first task
+    batches = min(workers, len(deltas))
+    bounds = [len(deltas) * k // max(batches, 1) for k in range(batches + 1)]
+    payload = [(config, deltas[a:b], outdir)
+               for a, b in zip(bounds, bounds[1:])]
     members = []
-    pool = (ProcessPoolExecutor(max_workers=workers) if workers > 1
-            else nullcontext())
+    pool = (ProcessPoolExecutor(max_workers=len(payload))
+            if len(payload) > 1 else nullcontext())
     with pool:
-        # both maps yield in delta order and raise a member's failure there
-        results = (pool.map if workers > 1 else map)(_sweep_member, payload)
-        for d in deltas:
+        # both maps yield in batch order and raise a batch's failure there
+        results = (pool.map if len(payload) > 1 else map)(_sweep_member,
+                                                          payload)
+        for _, batch, _ in payload:
             try:
-                members.append(next(results))
+                done, failure = next(results)
             except Exception as exc:
+                done, failure = [], exc
+            members += done
+            if failure is not None:
                 partial = _assemble_report(members)
-                raise SweepAborted(f"sweep member delta={d!r} failed: {exc}",
-                                   partial) from exc
+                raise SweepAborted(f"sweep member delta={batch[len(done)]!r} "
+                                   f"failed: {failure}", partial) from failure
     return _assemble_report(members)
 
 

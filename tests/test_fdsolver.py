@@ -70,7 +70,8 @@ def test_frozen_velocity_density_matches_closed_form(base_set):
 def test_run_fd_static_ledger_constant(base_set):
     grid = Grid1D(64)
     state = make_state(grid, n=np.full(grid.num_nodes, 0.4))
-    traj = run_fd(state, grid, base_set, dt=1e-3, t_end=0.05)
+    (traj,), failure = run_fd([state], grid, base_set, dt=1e-3, t_end=0.05)
+    assert failure is None
     for led in traj.ledgers:
         assert led.total == pytest.approx(traj.ledgers[0].total, abs=1e-12)
         assert abs(led.dissipation) < 1e-12
@@ -81,7 +82,8 @@ def test_run_fd_shear_dissipates(base_set):
     grid = Grid1D(96)
     state = make_state(grid, v=np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, np.pi / 4))
-    traj = run_fd(state, grid, base_set, dt=5e-4, t_end=0.05)
+    (traj,), failure = run_fd([state], grid, base_set, dt=5e-4, t_end=0.05)
+    assert failure is None
     totals = np.array([led.total for led in traj.ledgers])
     assert np.all(np.diff(totals) <= 1e-8)
     masses = np.array([led.mass for led in traj.ledgers])

@@ -93,6 +93,39 @@ def test_derivatives_second_order(neumann):
         assert errs[1][k] / errs[2][k] > 3.4
 
 
+def _reference_stencils(f, dx):
+    """The stencils one node at a time, in the order of their arithmetic:
+    gradient, Neumann gradient and second derivative."""
+    g, g_n, g_xx = np.empty_like(f), np.zeros_like(f), np.empty_like(f)
+    for i in range(1, f.size - 1):
+        g[i] = g_n[i] = (f[i + 1] - f[i - 1]) / (2.0 * dx)
+        g_xx[i] = (f[i + 1] - 2.0 * f[i] + f[i - 1]) / (dx * dx)
+    g[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
+    g[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dx)
+    g_xx[0] = 2.0 * (f[1] - f[0]) / (dx * dx)
+    g_xx[-1] = 2.0 * (f[-2] - f[-1]) / (dx * dx)
+    return g, g_n, g_xx
+
+
+@pytest.mark.parametrize("cells", [8, 9, 128])
+def test_stencils_match_the_pointwise_formulas_row_by_row(rng, cells):
+    # each row of stacked fields gets, bit for bit and zeros with their
+    # sign, what the pointwise formulas give that row alone: the two ends
+    # are taken together, the right one as the mirrored left one negated
+    grid = Grid1D(cells)
+    rows = rng.standard_normal((3, grid.num_nodes)) * 10.0 ** rng.uniform(
+        -6, 6, (3, 1))
+    rows[1, -3:] = -0.0
+    for f in (rows[0], rows):
+        got = (gradient(f, grid.dx), gradient(f, grid.dx, neumann_ends=True),
+               second_derivative(f, grid.dx))
+        want = np.moveaxis(np.array([_reference_stencils(row, grid.dx)
+                                     for row in np.atleast_2d(f)]), 0, 1)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w.reshape(g.shape))
+            assert (np.signbit(g) == np.signbit(w.reshape(g.shape))).all()
+
+
 # -----------------------------------------------------------------------------
 # flux brackets at cell interfaces
 # -----------------------------------------------------------------------------
@@ -275,13 +308,15 @@ def test_initial_snapshot_carries_the_director_equation_rate(rng, scheme):
                        v=0.2 * np.sin(2 * np.pi * x),
                        n=0.4 * np.cos(np.pi * x) + 0.1)
     if scheme == "fd":
-        first = run_fd(state, grid, c, dt=1e-4, t_end=1e-4).snapshots[0]
+        (traj,), _ = run_fd([state], grid, c, dt=1e-4, t_end=1e-4)
+        first = traj.snapshots[0]
         res = director_residual(first, c, grid)
         scale = np.max(np.abs(c.gamma1 * first.ndot))
         assert np.max(np.abs(res)) <= 1e-14 * scale
     else:
-        first = run(state, 8, grid, c, dt=1e-4, picard_tol=1e-10,
-                    t_end=1e-4).snapshots[0]
+        (traj,), _ = run([state], 8, grid, c, dt=1e-4, picard_tol=1e-10,
+                         t_end=1e-4)
+        first = traj.snapshots[0]
         modes = project_initial_velocity(state.u, state.v, 8, grid)
         u_x, v_x = SineBasis(8, grid).reconstruct_derivative(modes)
         want = initial_ndot(first, c, grid, u_x=u_x, v_x=v_x)

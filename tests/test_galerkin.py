@@ -34,6 +34,22 @@ def make_state(grid, rho=None, u=None, v=None, n=None, ndot=None):
                      ndot=ndot)
 
 
+def run_one(state, *args, **kwargs):
+    """galerkin.run on a batch of one member, which must not fail."""
+    (traj,), failure = run([state], *args, **kwargs)
+    assert failure is None
+    return traj
+
+
+def step_one(state, modes, grid, c, *, dt, start=None, factor=None,
+             **kwargs):
+    """galerkin.step on a batch of one member."""
+    (new_state,), (new_modes,), stats, (lu,) = step(
+        [state], [modes], grid, c, dt=[dt], start=[start], factor=[factor],
+        **kwargs)
+    return new_state, new_modes, stats, lu
+
+
 # -----------------------------------------------------------------------------
 # projection
 # -----------------------------------------------------------------------------
@@ -180,15 +196,18 @@ def test_transform_assembly_matches_dense_quadrature(cells, modes):
 
 def _velocity_update(state, c, basis, modes, factor=None, rho_new=None,
                      dt=1e-3):
+    """advance_velocity_modes on a batch of one: the new modes and the
+    (dt, lu, piv) used."""
     grid = basis.grid
-    return advance_velocity_modes(
+    new_modes, (used,) = advance_velocity_modes(
         c, dt, grid=grid, basis=basis,
         old_rhs=old_time_rhs(state, c, dt, basis), modes=modes,
         velocity=basis.reconstruct(modes),
         gradients=basis.reconstruct_derivative(modes),
         rho_new=state.rho if rho_new is None else rho_new, n_new=state.n,
         n_x_new=gradient(state.n, grid.dx, neumann_ends=True),
-        ndot_new=np.zeros(grid.num_nodes), factor=factor)
+        ndot_new=np.zeros(grid.num_nodes), factors=[factor])
+    return new_modes, used
 
 
 def test_velocity_update_guards(base_set, monkeypatch):
@@ -414,9 +433,9 @@ def test_static_state_is_fixed_point(base_set):
     state = make_state(grid, n=np.full(grid.num_nodes, 0.4),
                        ndot=np.zeros(grid.num_nodes))
     modes = project_initial_velocity(state.u, state.v, 8, grid)
-    new_state, new_modes, stats, _ = step(state, modes, grid, base_set,
-                                          dt=1e-3, picard_tol=PICARD_TOL,
-                                          basis=SineBasis(8, grid))
+    new_state, new_modes, stats, _ = step_one(state, modes, grid, base_set,
+                                              dt=1e-3, picard_tol=PICARD_TOL,
+                                              basis=SineBasis(8, grid))
     assert stats.picard_iterations == 1
     assert np.max(np.abs(new_state.rho - 1.0)) < 1e-13
     assert np.max(np.abs(new_state.n - 0.4)) < 1e-13
@@ -433,9 +452,9 @@ def test_single_mode_viscous_decay(base_set):
                        n=np.full(grid.num_nodes, 0.6))
     state = replace(state, ndot=np.zeros(grid.num_nodes))
     modes = project_initial_velocity(state.u, state.v, 1, grid)
-    new_state, new_modes, _, _ = step(state, modes, grid, base_set,
-                                      dt=dt, picard_tol=PICARD_TOL,
-                                      basis=SineBasis(1, grid))
+    new_state, new_modes, _, _ = step_one(state, modes, grid, base_set,
+                                          dt=dt, picard_tol=PICARD_TOL,
+                                          basis=SineBasis(1, grid))
     expected = modes[0][0] / (1.0 + np.pi**2 * dt)
     assert new_modes[0][0] == pytest.approx(expected, rel=2e-3)
 
@@ -446,8 +465,8 @@ def test_shear_step_picard_converges_quickly(base_set):
                        n=np.full(grid.num_nodes, np.pi / 4))
     state = replace(state, ndot=np.zeros(grid.num_nodes))
     modes = project_initial_velocity(state.u, state.v, 16, grid)
-    _, _, stats, _ = step(state, modes, grid, base_set, dt=1e-3,
-                          picard_tol=PICARD_TOL, basis=SineBasis(16, grid))
+    _, _, stats, _ = step_one(state, modes, grid, base_set, dt=1e-3,
+                              picard_tol=PICARD_TOL, basis=SineBasis(16, grid))
     assert stats.picard_iterations <= 10
     assert stats.halvings == 0
 
@@ -485,15 +504,16 @@ def test_step_fixed_point_is_the_direct_solution(base_set, preset,
     dt = 1e-3
     steps = []
 
-    def recording_step(state, modes, grid, c, **kwargs):
-        result = step(state, modes, grid, c, **kwargs)
-        steps.append((state, kwargs["dt"], kwargs["start"], kwargs["factor"],
-                      result))
+    def recording_step(states, modes, grid, c, **kwargs):
+        result = step(states, modes, grid, c, **kwargs)
+        (new_state,), (new_modes,), stats, (lu,) = result
+        steps.append((states[0], kwargs["dt"][0], kwargs["start"][0],
+                      kwargs["factor"][0], (new_state, new_modes, stats, lu)))
         return result
 
     monkeypatch.setattr("nematic1d.galerkin.step", recording_step)
-    traj = run(state, 8, grid, base_set, dt=dt, picard_tol=PICARD_TOL,
-               t_end=12 * dt)
+    traj = run_one(state, 8, grid, base_set, dt=dt, picard_tol=PICARD_TOL,
+                   t_end=12 * dt)
     # the first step starts from the old state, the later ones from a guess
     # through two to five accepted states
     assert [start is None for _, _, start, _, _ in steps] == [True] + [False] * 11
@@ -549,9 +569,9 @@ def test_failed_guess_is_retried_at_the_same_dt(base_set, monkeypatch,
     if picard_max is not None:
         monkeypatch.setattr("nematic1d.galerkin.PICARD_MAX", picard_max)
     basis = SineBasis(8, grid)
-    _, plain_modes, plain, held = step(state, modes, grid, base_set, dt=dt,
-                                       picard_tol=PICARD_TOL, basis=basis)
-    new_state, new_modes, stats, lu = step(
+    _, plain_modes, plain, held = step_one(state, modes, grid, base_set, dt=dt,
+                                           picard_tol=PICARD_TOL, basis=basis)
+    new_state, new_modes, stats, lu = step_one(
         state, modes, grid, base_set, dt=dt, picard_tol=PICARD_TOL,
         basis=basis, start=(guess(modes), state.n, state.rho), factor=held)
     assert new_state.time == dt and stats.halvings == 0
@@ -573,9 +593,9 @@ def test_converged_step_satisfies_director_equation(base_set):
                            n=np.full(grid.num_nodes, np.pi / 4))
         state = replace(state, ndot=np.zeros(grid.num_nodes))
         modes = project_initial_velocity(state.u, state.v, 16, grid)
-        new_state, _, _, _ = step(state, modes, grid, base_set, dt=1e-3,
-                                  picard_tol=PICARD_TOL,
-                                  basis=SineBasis(16, grid))
+        new_state, _, _, _ = step_one(state, modes, grid, base_set, dt=1e-3,
+                                      picard_tol=PICARD_TOL,
+                                      basis=SineBasis(16, grid))
         res = director_residual(new_state, base_set, grid)
         maxima.append(np.max(np.abs(res)))
         assert maxima[-1] < 100.0 * grid.dx**2
@@ -610,8 +630,8 @@ def test_run_zero_horizon_returns_initial(base_set):
     grid = Grid1D(64)
     state = make_state(grid, u=np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, 0.3))
-    traj = run(state, 8, grid, base_set,
-               dt=1e-3, picard_tol=PICARD_TOL, t_end=0.0)
+    traj = run_one(state, 8, grid, base_set,
+                   dt=1e-3, picard_tol=PICARD_TOL, t_end=0.0)
     assert len(traj.snapshots) == 1
     # sin(pi x) lies in the mode span, so the projected snapshot matches
     assert np.max(np.abs(traj.snapshots[0].u - state.u)) < 1e-12
@@ -630,8 +650,8 @@ def test_run_rejects_velocity_not_vanishing_at_wall(base_set):
     state = make_state(grid, u=0.1 + np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, 0.3))
     with pytest.raises(ValueError, match="u does not vanish"):
-        run(state, 8, grid, base_set, dt=1e-3, picard_tol=PICARD_TOL,
-            t_end=1e-3)
+        run_one(state, 8, grid, base_set, dt=1e-3, picard_tol=PICARD_TOL,
+                t_end=1e-3)
 
 
 @pytest.mark.parametrize("dt,tol", [(0.0, PICARD_TOL), (-1e-3, PICARD_TOL),
@@ -640,14 +660,14 @@ def test_run_rejects_non_positive_dt_or_tolerance(base_set, dt, tol):
     grid = Grid1D(64)
     state = make_state(grid, n=np.full(grid.num_nodes, 0.4))
     with pytest.raises(ValueError, match="dt and picard_tol must be positive"):
-        run(state, 8, grid, base_set, dt=dt, picard_tol=tol, t_end=1e-3)
+        run_one(state, 8, grid, base_set, dt=dt, picard_tol=tol, t_end=1e-3)
 
 
 def test_static_run_constant_ledger(base_set):
     grid = Grid1D(64)
     state = make_state(grid, n=np.full(grid.num_nodes, 0.4))
-    traj = run(state, 8, grid, base_set,
-               dt=5e-3, picard_tol=PICARD_TOL, t_end=0.1)
+    traj = run_one(state, 8, grid, base_set,
+                   dt=5e-3, picard_tol=PICARD_TOL, t_end=0.1)
     for led in traj.ledgers:
         assert led.total == pytest.approx(traj.ledgers[0].total, abs=1e-12)
         assert led.mass == pytest.approx(traj.ledgers[0].mass, abs=1e-12)
@@ -666,8 +686,8 @@ def test_picard_limit_insensitive_to_tolerance(base_set):
                            n=np.full(grid.num_nodes, np.pi / 4))
         state = replace(state, ndot=np.zeros(grid.num_nodes))
         modes = project_initial_velocity(state.u, state.v, 8, grid)
-        new_state, _, _, _ = step(state, modes, grid, base_set, dt=1e-3,
-                                  picard_tol=tol, basis=SineBasis(8, grid))
+        new_state, _, _, _ = step_one(state, modes, grid, base_set, dt=1e-3,
+                                      picard_tol=tol, basis=SineBasis(8, grid))
         results.append(new_state)
     for name in ("rho", "u", "v", "n"):
         a = getattr(results[0], name)
@@ -679,9 +699,9 @@ def test_snapshot_cadence_keeps_uniform_budget(base_set):
     grid = Grid1D(64)
     state = make_state(grid, v=np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, np.pi / 4))
-    traj = run(state, 8, grid, base_set,
-               dt=1e-3, picard_tol=PICARD_TOL, t_end=0.02,
-               snapshot_every=2)
+    traj = run_one(state, 8, grid, base_set,
+                   dt=1e-3, picard_tol=PICARD_TOL, t_end=0.02,
+                   snapshot_every=2)
     assert len(traj.ledgers) == 11
     defect, max_defect = energy_budget(traj.ledgers)
     assert np.isfinite(max_defect)
@@ -692,8 +712,8 @@ def test_shear_final_energy_regression(base_set):
     grid = Grid1D(64)
     state = make_state(grid, v=np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, np.pi / 4))
-    traj = run(state, 8, grid, base_set,
-               dt=1e-3, picard_tol=PICARD_TOL, t_end=0.05)
+    traj = run_one(state, 8, grid, base_set,
+                   dt=1e-3, picard_tol=PICARD_TOL, t_end=0.05)
     assert traj.ledgers[-1].total == pytest.approx(1.1526201877036499,
                                                    rel=1e-9)
 
@@ -706,8 +726,8 @@ def test_budget_constant_stable_under_joint_refinement(base_set):
         grid = Grid1D(cells)
         state = make_state(grid, v=np.sin(np.pi * grid.x),
                            n=np.full(grid.num_nodes, np.pi / 4))
-        traj = run(state, modes, grid, base_set,
-                   dt=dt, picard_tol=PICARD_TOL, t_end=0.1)
+        traj = run_one(state, modes, grid, base_set,
+                       dt=dt, picard_tol=PICARD_TOL, t_end=0.1)
         _, defect = energy_budget(traj.ledgers)
         ratios.append(defect / (dt + grid.dx**2))
     assert max(ratios) / min(ratios) < 3.0
@@ -717,8 +737,8 @@ def test_shear_run_invariants(base_set):
     grid = Grid1D(64)
     state = make_state(grid, v=np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, np.pi / 4))
-    traj = run(state, 8, grid, base_set,
-               dt=1e-3, picard_tol=PICARD_TOL, t_end=0.05)
+    traj = run_one(state, 8, grid, base_set,
+                   dt=1e-3, picard_tol=PICARD_TOL, t_end=0.05)
     masses = np.array([led.mass for led in traj.ledgers])
     assert np.max(np.abs(np.diff(masses))) < 1e-10
     totals = np.array([led.total for led in traj.ledgers])
@@ -781,13 +801,13 @@ def test_predictor_restarts_after_a_halving(monkeypatch):
 
     def recording_step(*args, **kwargs):
         result = step(*args, **kwargs)
-        steps.append((kwargs["start"], result[2]))
+        steps.append((kwargs["start"][0], result[2]))
         return result
 
     def recording_attempt(*args):
         result = _attempt_step(*args)
-        attempts.append((args[-1] is not None, result[0] is not None,
-                         args[-2] is not None))
+        attempts.append((args[-1][0] is not None, result[0][0] is not None,
+                         args[-2][0] is not None))
         return result
 
     monkeypatch.setattr("nematic1d.galerkin.step", recording_step)

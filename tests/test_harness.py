@@ -60,11 +60,12 @@ def writers(monkeypatch):
     return started
 
 
-def run_into(cfg, outdir):
-    """Run cfg as the run command does: field files through field_writer's
-    hook, then the other outputs.  Returns the trajectory and summary."""
-    with field_writer(cfg, outdir) as on_snapshot:
-        traj = run_simulation(cfg, on_snapshot=on_snapshot)
+def run_into(cfg, outdir, state=None):
+    """Run cfg, from `state` if given, as the run command does: field files
+    through field_writer's hook, then the other outputs.  Returns the
+    trajectory and summary."""
+    with field_writer(cfg, [outdir]) as on_snapshot:
+        traj = run_simulation(cfg, state, on_snapshot)
     return traj, write_outputs(traj, cfg, outdir)
 
 
@@ -424,15 +425,15 @@ def test_field_file_exact_text(tmp_path):
     snap.v[2] = 1e-300
     snap.n[3], snap.n[4] = 123456789.123456789, -2.0 / 3.0
     # a run of the initial state alone writes its file in process
-    with field_writer(cfg, tmp_path) as writer:
-        writer(snap)
+    with field_writer(cfg, [tmp_path]) as writer:
+        writer([snap])
     assert (tmp_path / "fields_0000.csv").read_text() == FIELDS_0000
     # the writer process formats the same text
     streamed = tmp_path / "streamed"
     streamed.mkdir()
     with field_writer(shear_config(grid_cells=8, modes=2, t_end=1.0),
-                      streamed) as writer:
-        writer(snap)
+                      [streamed]) as writer:
+        writer([snap])
     assert (streamed / "fields_0000.csv").read_text() == FIELDS_0000
 
 
@@ -539,20 +540,135 @@ def test_sweep_worker_pool_matches_sequential():
 
 
 def test_sweep_member_failure_carries_partial_report(monkeypatch):
-    import nematic1d.harness as h
-    real = h._sweep_member
+    # the smaller delta's member, the only one whose density dips below
+    # 0.05, fails its second step, whether it steps with the other member
+    # or alone
+    real = galerkin_module.step
 
-    def flaky(args):
-        if args[1] < 0.05:
+    def flaky(states, *args, **kwargs):
+        if any(s.time > 0.0 and np.min(s.rho) < 0.05 for s in states):
             raise RuntimeError("member blew up")
-        return real(args)
+        return real(states, *args, **kwargs)
 
-    monkeypatch.setattr(h, "_sweep_member", flaky)
+    monkeypatch.setattr(galerkin_module, "step", flaky)
     cfg = shear_config(initial_preset="rough_density", t_end=0.002,
                        grid_cells=128)
-    with pytest.raises(h.SweepAborted, match="delta=0.01") as excinfo:
-        h.run_sweep(cfg, [0.1, 0.01], workers=1)
+    with pytest.raises(harness_module.SweepAborted,
+                       match="delta=0.01 failed: member blew up") as excinfo:
+        run_sweep(cfg, [0.1, 0.01], workers=1)
     assert [m.delta for m in excinfo.value.partial.members] == [0.1]
+
+
+def near_vacuum_config(profile="vacuum_patch"):
+    # at dt = 0.5 the first step of a member with delta <= 0.1 halves dt on
+    # this data, of one with delta >= 0.2 does not; on tent data every
+    # member halves, the smaller deltas more often and at later steps
+    return shear_config(initial_preset="rough_density",
+                        initial_params={"profile": profile}, grid_cells=32,
+                        dt=0.5, t_end=2.0)
+
+
+def assert_matches_solo(cfg, delta, member_dir, solo_dir):
+    """The member's outputs are those of a run of its mollified state
+    alone: every field file and energy.csv byte for byte, and the
+    summary.json values."""
+    grid = Grid1D(cfg.grid_cells)
+    solo_dir.mkdir(parents=True)
+    run_into(cfg, solo_dir, mollify_initial_data(
+        build_raw_initial_data(cfg, grid), delta, grid))
+    names = sorted(p.name for p in solo_dir.iterdir())
+    assert sorted(p.name for p in member_dir.iterdir()) == names
+    assert "energy.csv" in names and "fields_0001.csv" in names
+    for name in names:
+        if name == "summary.json":
+            assert (json.loads((member_dir / name).read_text())
+                    == json.loads((solo_dir / name).read_text()))
+        else:
+            assert (member_dir / name).read_bytes() \
+                == (solo_dir / name).read_bytes(), name
+    return json.loads((solo_dir / "summary.json").read_text())
+
+
+@pytest.mark.parametrize("profile,deltas,halvings", [
+    ("vacuum_patch", (0.3, 0.2, 0.1), [0, 0, 1]),
+    ("tent", (0.2, 0.1), [2, 4])], ids=["one_halves", "all_halve"])
+def test_sweep_members_match_solo_runs(tmp_path, monkeypatch, profile, deltas,
+                                       halvings):
+    # the members of a batch advance together, yet each writes the files of
+    # its own run: a member that halves dt runs its refill without the
+    # others, from its old state as its predictor history was cleared, and
+    # rejoins them with a shorter history than theirs
+    real, calls = galerkin_module.step, []
+
+    def recording(states, *args, **kwargs):
+        calls.append([start is None for start in kwargs["start"]])
+        return real(states, *args, **kwargs)
+
+    monkeypatch.setattr(galerkin_module, "step", recording)
+    cfg = near_vacuum_config(profile)
+    run_sweep(cfg, deltas, workers=1, outdir=tmp_path / "sweep")
+    monkeypatch.setattr(galerkin_module, "step", real)
+    for delta, halved in zip(deltas, halvings):
+        summary = assert_matches_solo(cfg, delta,
+                                      tmp_path / "sweep" / f"delta_{delta!r}",
+                                      tmp_path / "solo" / repr(delta))
+        assert summary["metadata"]["dt_halvings"] == halved
+    # a refill without the others, unguessed; the last step all guessed
+    assert any(len(call) < len(deltas) and all(call) for call in calls)
+    assert calls[-1] == [False] * len(deltas)
+
+
+def test_sweep_abort_keeps_members_before_the_failure(tmp_path, monkeypatch):
+    # a dt floor above the halved dt: the middle member underflows at its
+    # first step and the last one is dropped; the first runs to the end as
+    # it would alone, and the failed member's recorded field file stays
+    monkeypatch.setattr(galerkin_module, "DT_MIN", 0.3)
+    cfg = near_vacuum_config()
+    out = tmp_path / "sweep"
+    with pytest.raises(harness_module.SweepAborted,
+                       match=r"delta=0.1 failed: dt underflow") as excinfo:
+        run_sweep(cfg, [0.3, 0.1, 0.05], workers=1, outdir=out)
+    partial = excinfo.value.partial
+    assert [m.delta for m in partial.members] == [0.3]
+    summary = assert_matches_solo(cfg, 0.3, out / "delta_0.3",
+                                  tmp_path / "solo")
+    assert partial.members[0].final_energy == summary["final"]["total"]
+    for delta in (0.1, 0.05):
+        assert sorted(p.name for p in (out / f"delta_{delta!r}").iterdir()) \
+            == ["fields_0000.csv"]
+
+
+def test_sweep_workers_start_one_process_per_batch(monkeypatch):
+    # a pool forks every worker it may use at its first task, so the sweep
+    # asks for one process per batch of contiguous members and no more;
+    # the recorder runs the batches here and starts nothing
+    pools = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            pools.append((max_workers, []))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payload):
+            payload = list(payload)
+            pools[-1][1].extend(batch for _, batch, _ in payload)
+            return map(fn, payload)
+
+    monkeypatch.setattr(harness_module, "ProcessPoolExecutor", Recorder)
+    cfg = shear_config(initial_preset="rough_density", t_end=0.002,
+                       grid_cells=32)
+    deltas = [0.2, 0.1, 0.05, 0.025]
+    reports = {workers: run_sweep(cfg, deltas, workers=workers)
+               for workers in (100000, 3, 1)}
+    assert pools == [(4, [[0.2], [0.1], [0.05], [0.025]]),
+                     (3, [[0.2], [0.1], [0.05, 0.025]])]
+    for report in reports.values():
+        assert asdict(report) == asdict(reports[1])
 
 
 def test_sweep_members_close_in_delta_keep_their_directories(tmp_path):
@@ -1022,6 +1138,47 @@ def test_benchmark_traced_run_counts_steps(tmp_path, scheme):
     else:
         assert calls["fdsolver.step"] == steps and calls["galerkin.step"] == 0
         assert trace["step_stats"] == []
+
+
+def test_benchmark_traced_sweep_runs(tmp_path):
+    # the traced benchmark wraps the sweep's batch runner and reads each
+    # batched step's StepStats totals as numbers: a two-member sweep runs
+    # through it, one galerkin.step span per scheduled step
+    root = Path(__file__).resolve().parents[1]
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(TEXT_CONFIG
+                    .replace("grid.cells = 64", "grid.cells = 32")
+                    .replace("initial.preset = shear",
+                             "initial.preset = rough_density")
+                    + f"\noutput.dir = {tmp_path / 'out'}\n")
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from tracer import Tracer\n"
+            "from nematic1d import cli\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "rc = cli.main(['sweep', '--config', sys.argv[2],\n"
+            "               '--deltas', '0.1,0.05'])\n"
+            "tracer.dump(sys.argv[3])\n"
+            "sys.exit(rc)\n")
+    src = str(Path(nematic1d.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    dump = tmp_path / "trace.json"
+    result = subprocess.run([sys.executable, "-c", code,
+                             str(root / "perfbench"), str(conf), str(dump)],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    trace = json.loads(dump.read_text())
+    calls = {}
+    for name_id, *_ in trace["spans"]:
+        name = trace["names"][name_id]
+        calls[name] = calls.get(name, 0) + 1
+    assert calls["harness.member"] == 1 and calls["galerkin.step"] == 10
+    assert len(trace["step_stats"]) == 10
+    assert all(picard >= 2 and halvings == 0
+               for picard, halvings in trace["step_stats"])
+    assert len(list((tmp_path / "out").glob("delta_*/fields_*.csv"))) == 22
 
 
 def test_cli_import_leaves_out_scipy_interpolate():
