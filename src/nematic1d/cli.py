@@ -76,18 +76,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
-        report = harness.run_sweep(config, deltas, workers=args.workers,
-                                   outdir=outdir)
-    except harness.SweepAborted as exc:
-        harness.write_sweep(exc.partial, config, outdir)
-        print(f"sweep abort ({exc}); partial report written to "
-              f"{outdir / 'sweep.json'}", file=sys.stderr)
+    aborted = None
+    try:  # a member's abort still writes the report of those before it
+        try:
+            report = harness.run_sweep(config, deltas, workers=args.workers,
+                                       outdir=outdir)
+        except harness.SweepAborted as exc:
+            report, aborted = exc.partial, exc
+        harness.write_sweep(report, config, outdir)
+    except OSError as exc:  # the solve does no I/O; the outputs do
+        print(f"output failed: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
         print(f"sweep abort: {exc}", file=sys.stderr)
         return 1
-    harness.write_sweep(report, config, outdir)
+    if aborted is not None:
+        print(f"sweep abort ({aborted}); partial report written to "
+              f"{outdir / 'sweep.json'}", file=sys.stderr)
+        return 1
     print(f"wrote {outdir / 'sweep.json'}")
     for name, status in report.statuses.items():
         print(f"  {name}: {status}")

@@ -115,13 +115,28 @@ def make_ledger(state: FlowState, c: LeslieSet, grid: Grid1D):
     return ledgers if stacked else ledgers[0]
 
 
+def snapshot_records(states: Sequence[FlowState], c: LeslieSet,
+                     grid: Grid1D) -> list[tuple]:
+    """Each member's ledger row and the reductions of its state that a
+    run's summary reads, (min rho, max rho, integral of n_xx^2, integral
+    of n_t^2), from one stacked pass; n_t is the solver's ndot - u n_x,
+    keeping a single definition of the director rate per run."""
+    state = stack(states)
+    n_xx = second_derivative(state.n, grid.dx)
+    n_x = gradient(state.n, grid.dx, neumann_ends=True)
+    n_t = state.require_ndot() - state.u * n_x
+    squares = integrate(np.array((n_xx * n_xx, n_t * n_t)), grid)
+    reductions = zip(*(np.reshape(values, -1).tolist() for values in (
+        state.rho.min(axis=-1), state.rho.max(axis=-1), *squares)))
+    return list(zip(make_ledger(state, c, grid), reductions))
+
+
 @dataclass
 class Trajectory:
-    """The run record: the state and its ledger at each output time, which
-    each carries as its own `time`."""
-    grid: Grid1D
-    snapshots: list[FlowState]
+    """The run record at each output time: the ledger, which carries the
+    time, and the reductions of the state (`snapshot_records`)."""
     ledgers: list[EnergyLedger]
+    reductions: list[tuple[float, float, float, float]]
     metadata: dict = field(default_factory=dict)
 
 
@@ -173,16 +188,16 @@ def run_schedule(initials: Sequence[FlowState], advance: Callable,
     one's dt_k = min(dt, time left to the target) until all get there, so
     a step a member shortened by a dt halving is refilled and output times
     stay on the cadence.  At each output time the members' states are
-    ledgered in one stacked pass and handed to on_snapshot, if given, as a
-    list.  A failure drops the member it falls on and every later one, and
-    the others go on.  The caller validates c and fills the metadata.
+    ledgered and reduced in one stacked pass and handed to on_snapshot, if
+    given, as a list, the one way a state leaves the run.  A failure drops
+    the member it falls on and every later one, and the others go on.  The
+    caller validates c and fills the metadata.
 
     Returns the trajectories of the members before the first that failed,
     and that member's failure, or None when all got to t_end.
     """
     states = list(initials)
-    trajectories = [Trajectory(grid=grid, snapshots=[], ledgers=[])
-                    for _ in states]
+    trajectories = [Trajectory(ledgers=[], reductions=[]) for _ in states]
     failure = None
 
     def drop(first: int, exc: Exception) -> None:   # the failed and later
@@ -203,13 +218,13 @@ def run_schedule(initials: Sequence[FlowState], advance: Callable,
             if exc is not None:
                 drop(behind[len(advanced)], exc)
         if (k % snapshot_every == 0 or k == num_steps) and states:
-            ledgers, exc = _together(
-                lambda members: make_ledger(stack(members), c, grid), states)
+            records, exc = _together(
+                lambda members: snapshot_records(members, c, grid), states)
             if exc is not None:
-                drop(len(ledgers), exc)
-            for traj, state, led in zip(trajectories, states, ledgers):
-                traj.snapshots.append(state)
+                drop(len(records), exc)
+            for traj, (led, reduction) in zip(trajectories, records):
                 traj.ledgers.append(led)
+                traj.reductions.append(reduction)
             if on_snapshot is not None and states:
                 on_snapshot(states)
     return trajectories, failure
@@ -242,21 +257,11 @@ def high_integrability(ledgers: Sequence[EnergyLedger]) -> float:
                               [led.time for led in ledgers]))
 
 
-def director_norms(snapshots: Sequence[FlowState],
-                   grid: Grid1D) -> tuple[float, float]:
-    """Space-time L^2 norms of n_xx and n_t across a trajectory.
-
-    n_t is reconstructed from the solver's ndot as ndot - u n_x, keeping a
-    single definition of the director rate per run.
-    """
-    sq_xx, sq_t = [], []
-    for s in snapshots:
-        n_xx = second_derivative(s.n, grid.dx)
-        n_x = gradient(s.n, grid.dx, neumann_ends=True)
-        n_t = s.require_ndot() - s.u * n_x
-        sq_xx.append(integrate(n_xx * n_xx, grid))
-        sq_t.append(integrate(n_t * n_t, grid))
-    times = [s.time for s in snapshots]
+def director_norms(traj: Trajectory) -> tuple[float, float]:
+    """Space-time L^2 norms of n_xx and n_t across a trajectory: trapezoid
+    in time over the per-snapshot spatial integrals its reductions carry."""
+    times = [led.time for led in traj.ledgers]
+    *_, sq_xx, sq_t = zip(*traj.reductions)
     return (float(np.sqrt(np.trapezoid(sq_xx, times))),
             float(np.sqrt(np.trapezoid(sq_t, times))))
 

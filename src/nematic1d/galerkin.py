@@ -36,8 +36,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-# scipy.fft's pocketfft kernels, without scipy.fft's per-call dispatch
-from scipy.fftpack import dct, dst
 from scipy.linalg import lapack
 
 from . import diagnostics
@@ -89,8 +87,8 @@ class SineBasis:
     No tables are held: on these nodes, sums against sin(j pi x_i) over the
     interior nodes are a DST-I of length N-1, and trapezoid sums against
     cos(m pi x_i) over all nodes are dx/2 times a DCT-I of length N+1 (the
-    trapezoid end weights are exactly the DCT-I end halving).  Modes j >= N
-    alias on the grid, so K < N.
+    trapezoid end weights are exactly the DCT-I end halving); numpy's real
+    FFT gives both.  Modes j >= N alias on the grid, so K < N.
     """
 
     def __init__(self, num_modes: int, grid: Grid1D):
@@ -104,34 +102,50 @@ class SineBasis:
         self.grid = grid
         self.wavenumbers = np.pi * np.arange(1, num_modes + 1)   # j pi
 
-    def sine_moments(self, f: np.ndarray) -> np.ndarray:
-        """Trapezoid sums of f * phi_j, j = 1..K, along the last axis."""
-        # norm="forward" scales by 1/(2N) = dx/2
-        moments = dst(f[..., 1:-1], type=1, norm="forward")
-        return moments[..., :self.num_modes]
+    def _spectrum(self, rows: np.ndarray, odd: int, norm: str) -> np.ndarray:
+        """rfft along the last axis of the length-2N odd extensions of the
+        first `odd` of `rows` (R, ..., N+1), whose end values must be zero,
+        and of the even extensions of the others: the extensions that
+        pocketfft's DST-I and DCT-I transform, so theirs bit for bit."""
+        N = self.grid.num_cells
+        ext = np.concatenate((rows, rows[..., N - 1:0:-1]), axis=-1)
+        ext[:odd, ..., N + 1:] *= -1.0
+        return np.fft.rfft(ext, norm=norm)
 
-    def cosine_moments(self, f: np.ndarray) -> np.ndarray:
-        """Trapezoid sums of f * cos(m pi x), m = 0..N, along the last axis."""
-        return dct(f, type=1, norm="forward")   # scaled by 1/(2N) = dx/2
+    def moments(self, sine_rows: Sequence, cosine_rows: Sequence) -> tuple:
+        """Trapezoid sums along the last axis of each of the sine_rows times
+        phi_j, j = 1..K, and of each of the cosine_rows times cos(m pi x),
+        m = 0..N, from one transform, each list's on a leading axis."""
+        rows, p = np.array([*sine_rows, *cosine_rows]), len(sine_rows)
+        rows[:p, ..., ::self.grid.num_cells] = 0.0
+        spectrum = self._spectrum(rows, p, "forward")   # scaled by 1/(2N) = dx/2
+        return -spectrum.imag[:p, ..., 1:self.num_modes + 1], spectrum.real[p:]
+
+    def synthesize(self, values: Sequence, slopes: Sequence) -> tuple:
+        """sum_j c_j phi_j at the nodes for each coefficient row c of
+        `values`, exact zeros at both walls, and sum_j c_j phi_j' for each of
+        `slopes`, along the last axis, from one transform, as in `moments`."""
+        rows, p, K = [*values, *slopes], len(values), self.num_modes
+        padded = np.zeros((len(rows),) + rows[0].shape[:-1] + (self.grid.num_nodes,))
+        padded[..., 1:K + 1] = rows
+        padded[p:, ..., 1:K + 1] *= self.wavenumbers
+        spectrum = self._spectrum(padded, p, "backward")
+        nodal = spectrum.imag[:p] * -0.5
+        nodal[..., ::self.grid.num_cells] = 0.0
+        return nodal, 0.5 * spectrum.real[p:]
 
     def project(self, f: np.ndarray) -> np.ndarray:
         """Mode coefficients 2 * integral of f * phi_j."""
-        return 2.0 * self.sine_moments(f)
+        return 2.0 * self.moments([f], ())[0][0]
 
     def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
         """sum_j c_j phi_j at the nodes, along the last axis; exact zeros at
         both walls."""
-        out = np.zeros(coeffs.shape[:-1] + (self.grid.num_nodes,))
-        interior = out[..., 1:-1]   # zero-padded to the DST-I length N-1
-        interior[..., :self.num_modes] = coeffs
-        interior[...] = 0.5 * dst(interior, type=1)
-        return out
+        return self.synthesize([coeffs], ())[0][0]
 
     def reconstruct_derivative(self, coeffs: np.ndarray) -> np.ndarray:
         """sum_j c_j phi_j' at the nodes, along the last axis."""
-        scaled = np.zeros(coeffs.shape[:-1] + (self.grid.num_nodes,))
-        scaled[..., 1:self.num_modes + 1] = coeffs * self.wavenumbers
-        return 0.5 * dct(scaled, type=1)
+        return self.synthesize((), [coeffs])[1][0]
 
 
 def project_initial_velocity(u0: np.ndarray, v0: np.ndarray, num_modes: int,
@@ -351,7 +365,7 @@ def galerkin_system(*, basis: SineBasis, rho_new: np.ndarray,
 
     exact on the grid, at O(N log N + K^2) for all of them together.
     """
-    cos_moments = basis.cosine_moments(np.array([rho_new, *entries]))
+    _, cos_moments = basis.moments((), [rho_new, *entries])
     toeplitz, hankel = _toeplitz_hankel(cos_moments, basis.num_modes)
     mass = 0.5 * (toeplitz[0] - hankel[0])
     stiffness = np.add(toeplitz[1:], hankel[1:])
@@ -366,9 +380,9 @@ def old_time_rhs(state: FlowState, c: LeslieSet, dt: float,
     the momenta (rho u, rho v) plus dt times the moments against phi_j' of
     the transport and pressure fluxes (rho u^2 + p(rho), rho u v)."""
     rho_u = state.rho * state.u
-    sin_moments = basis.sine_moments(np.array([rho_u, state.rho * state.v]))
-    cos_moments = basis.cosine_moments(np.array([
-        rho_u * state.u + pressure(state.rho, c.gamma_ad), rho_u * state.v]))
+    sin_moments, cos_moments = basis.moments(
+        [rho_u, state.rho * state.v],
+        [rho_u * state.u + pressure(state.rho, c.gamma_ad), rho_u * state.v])
     # integrals against phi_j' are j pi times the cosine moments
     return (sin_moments
             + dt * basis.wavenumbers * cos_moments[..., 1:basis.num_modes + 1])
@@ -385,12 +399,12 @@ def momentum_residual(old_rhs: np.ndarray, dt: float, *, basis: SineBasis,
     director.  With the fields of c in hand, M c is the sine moments of
     rho_new (u, v), and the rows of S c are j pi times the cosine moments of
     A(n) (u_x, v_x), which the flux brackets add to the director-rate part:
-    one DST and one DCT of two rows, exact against the assembled matrices.
+    one transform of four rows, exact against the assembled matrices.
     """
     new_terms = -rho_new * velocity
     new_terms[0] += dt * elastic
-    cos_moments = basis.cosine_moments(np.array(flux))
-    return (old_rhs + basis.sine_moments(new_terms)
+    sin_moments, cos_moments = basis.moments(new_terms, flux)
+    return (old_rhs + sin_moments
             - dt * basis.wavenumbers * cos_moments[..., 1:basis.num_modes + 1])
 
 
@@ -518,8 +532,7 @@ def _attempt_step(states: Sequence[FlowState], modes: Sequence[np.ndarray],
     iteration = 1
     while live.size and iteration <= PICARD_MAX:
         ld, total_mass, occupied, rho_safe, step_dt, n_old, old_rhs = rows
-        velocity = basis.reconstruct(modes_it)
-        gradients = basis.reconstruct_derivative(modes_it)
+        velocity, gradients = basis.synthesize(modes_it, modes_it)
         u_field, v_field = velocity
         u_x, v_x = gradients
 

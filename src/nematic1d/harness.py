@@ -390,18 +390,14 @@ def density_bound_flags(traj: diagnostics.Trajectory) -> Optional[int]:
     """Count snapshots whose density leaves the exponential-in-time envelope
     implied by the initial bounds, widened by DENSITY_ENVELOPE_FACTOR; None
     when the initial density touches zero, which bounds no envelope."""
-    rho0 = traj.snapshots[0].rho
-    rho0_min = float(np.min(rho0))
+    rho0_min, rho0_max, *_ = traj.reductions[0]
     if rho0_min <= 0.0:
         return None
-    c1 = max(float(np.max(rho0)), 1.0 / rho0_min)
-    flags = 0
-    for snap in traj.snapshots:
-        hi = DENSITY_ENVELOPE_FACTOR * c1 * np.exp(snap.time)
-        lo = 1.0 / hi
-        if np.max(snap.rho) > hi or np.min(snap.rho) < lo:
-            flags += 1
-    return flags
+    c1 = max(rho0_max, 1.0 / rho0_min)
+    highs = [DENSITY_ENVELOPE_FACTOR * c1 * np.exp(led.time)
+             for led in traj.ledgers]
+    return sum(int(rho_max > hi or rho_min < 1.0 / hi)
+               for hi, (rho_min, rho_max, *_) in zip(highs, traj.reductions))
 
 
 def resolve_output_dir(config: RunConfig, override: Optional[str] = None,
@@ -488,7 +484,7 @@ def _run_summary(traj: diagnostics.Trajectory, config: RunConfig) -> dict:
     """The run's summary.json: its budget defect, director norms, density
     and monotonicity checks, final ledger and metadata."""
     _, max_defect = diagnostics.energy_budget(traj.ledgers)
-    n_xx_norm, n_t_norm = diagnostics.director_norms(traj.snapshots, traj.grid)
+    n_xx_norm, n_t_norm = diagnostics.director_norms(traj)
     totals = np.array([led.total for led in traj.ledgers])
     final = traj.ledgers[-1]
     summary = {
@@ -498,7 +494,7 @@ def _run_summary(traj: diagnostics.Trajectory, config: RunConfig) -> dict:
         "energy_monotone_within_tol": bool(
             np.all(np.diff(totals) <= config.energy_tol)),
         "density_bound_flags": density_bound_flags(traj),
-        "min_rho": float(min(np.min(s.rho) for s in traj.snapshots)),
+        "min_rho": min(rho_min for rho_min, *_ in traj.reductions),
         "n_xx_spacetime": n_xx_norm,
         "n_t_spacetime": n_t_norm,
         "final": {k: v for k, v in asdict(final).items()
@@ -667,10 +663,11 @@ def run_sweep(config: RunConfig, deltas: Sequence[float],
     The members run in min(workers, len(deltas)) contiguous batches, one
     process each (the calling process when there is one batch), and the
     members of a batch advance together.  A member failure aborts the
-    sweep with the report of the members before it; a failure outside the
-    members' runs, such as the field writer's, is its batch's first
-    member's.  Trends are reported, never silently asserted: a
-    non-decreasing Cauchy series marks its status 'inconclusive'.
+    sweep with the report of the members before it.  Any other failure of
+    a batch is charged to its first member, except an OSError: only
+    writing the outputs raises one, and it propagates.  Trends are
+    reported, never silently asserted: a non-decreasing Cauchy series
+    marks its status 'inconclusive'.
     """
     deltas = check_deltas(deltas)
     # an inadmissible set is a config error, not a member failure
@@ -692,6 +689,8 @@ def run_sweep(config: RunConfig, deltas: Sequence[float],
         for _, batch, _ in payload:
             try:
                 done, failure = next(results)
+            except OSError:   # the batch's outputs failed, not a member
+                raise
             except Exception as exc:
                 done, failure = [], exc
             members += done

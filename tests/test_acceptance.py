@@ -192,16 +192,17 @@ def test_criterion_5_explicit_density_formula():
     assert elapsed < 5.0
 
 
-def test_criterion_6_cross_scheme_oracle():
+def test_criterion_6_cross_scheme_oracle(recorder):
     t0 = time.perf_counter()
 
     def gap(cells, modes, dt):
         base = dict(coefficients=example_set(), grid_cells=cells, modes=modes,
                     dt=dt, t_end=0.1, initial_preset="shear",
                     snapshot_every=10**9)
-        tg = run_simulation(RunConfig(scheme="galerkin", **base))
-        tf = run_simulation(RunConfig(scheme="fd", **base))
-        sg, sf = tg.snapshots[-1], tf.snapshots[-1]
+        tg, tf = recorder(), recorder()
+        run_simulation(RunConfig(scheme="galerkin", **base), on_snapshot=tg)
+        run_simulation(RunConfig(scheme="fd", **base), on_snapshot=tf)
+        sg, sf = tg[-1], tf[-1]
         num = den = 0.0
         for q in ("rho", "u", "v", "n"):
             a, b = getattr(sg, q), getattr(sf, q)
@@ -287,7 +288,7 @@ def test_criterion_8_delta_sweep():
     assert elapsed < 600.0
 
 
-def test_criterion_9_director_diagnostics(base_set):
+def test_criterion_9_director_diagnostics(base_set, record_of):
     t0 = time.perf_counter()
     grid = Grid1D(128)
     t_end = 0.5
@@ -310,7 +311,7 @@ def test_criterion_9_director_diagnostics(base_set):
             snaps.append(FlowState(k * dt, np.ones(grid.num_nodes), z, z,
                                    new_n, ndot=(new_n - state_n) / dt))
             state_n = new_n
-        return director_norms(snaps, grid)
+        return director_norms(record_of(snaps, base_set, grid))
 
     nxx, nt = relaxation_norms(1e-3)
     nxx_half, nt_half = relaxation_norms(5e-4)

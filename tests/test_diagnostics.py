@@ -146,11 +146,11 @@ def test_high_integrability_constants(base_set):
     assert high_integrability(ledgers2) == pytest.approx(4.0, abs=1e-12)
 
 
-def test_director_norms_static():
+def test_director_norms_static(record_of):
     grid = Grid1D(32)
     snapshots = [make_state(grid, n=np.full(grid.num_nodes, 1.4), time=t)
                  for t in np.linspace(0.0, 1.0, 5)]
-    nxx, nt = director_norms(snapshots, grid)
+    nxx, nt = director_norms(record_of(snapshots, example_set(), grid))
     assert nxx == 0.0 and nt == 0.0
 
 
@@ -208,15 +208,17 @@ def test_ledger_total_is_sum(base_set):
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(scheme=st.sampled_from(["galerkin", "fd"]),
        every=st.integers(1, 4), steps=st.integers(0, 7))
-def test_record_times_follow_the_schedule(scheme, every, steps):
+def test_record_times_follow_the_schedule(recorder, scheme, every, steps):
     # the snapshots and ledgers are the record's one time series: equal,
     # increasing, from 0 to t_end, at the cadence plus the final state
     dt = 1e-3
     t_end = steps * dt
+    snapshots = recorder()
     traj = run_simulation(RunConfig(
         coefficients=example_set(), grid_cells=16, modes=4, dt=dt,
-        t_end=t_end, scheme=scheme, snapshot_every=every))
-    times = [s.time for s in traj.snapshots]
+        t_end=t_end, scheme=scheme, snapshot_every=every),
+        on_snapshot=snapshots)
+    times = [s.time for s in snapshots]
     assert times == [led.time for led in traj.ledgers]
     assert all(b > a for a, b in zip(times, times[1:]))
     assert times[0] == 0.0
@@ -227,14 +229,15 @@ def test_record_times_follow_the_schedule(scheme, every, steps):
     assert snapshot_count(dt, t_end, every) == len(times)
 
 
-def test_last_scheduled_step_is_recorded_off_cadence():
+def test_last_scheduled_step_is_recorded_off_cadence(recorder):
     # t_end is within the schedule's 1e-9 rounding of ten steps but above
     # the time round-off, so the run ends at step 10, off the cadence of 3:
     # that last state is recorded like any final one
     dt, t_end = 0.01, 0.1000000005
-    traj = run_simulation(RunConfig(
+    snapshots = recorder()
+    run_simulation(RunConfig(
         coefficients=example_set(), grid_cells=16, modes=4, dt=dt,
-        t_end=t_end, snapshot_every=3))
-    times = [s.time for s in traj.snapshots]
+        t_end=t_end, snapshot_every=3), on_snapshot=snapshots)
+    times = [s.time for s in snapshots]
     assert len(times) == snapshot_count(dt, t_end, 3) == 5
     assert times[-1] == pytest.approx(0.1, abs=1e-12)

@@ -297,7 +297,8 @@ def test_director_residual_manufactured_solution(base_set):
 
 
 @pytest.mark.parametrize("scheme", ["galerkin", "fd"])
-def test_initial_snapshot_carries_the_director_equation_rate(rng, scheme):
+def test_initial_snapshot_carries_the_director_equation_rate(rng, scheme,
+                                                             recorder):
     # each run seeds the t = 0 director rate from the director equation:
     # the fd run at its grid gradients, the Galerkin run at the spectral
     # gradients of its projected modes
@@ -308,15 +309,17 @@ def test_initial_snapshot_carries_the_director_equation_rate(rng, scheme):
                        v=0.2 * np.sin(2 * np.pi * x),
                        n=0.4 * np.cos(np.pi * x) + 0.1)
     if scheme == "fd":
-        (traj,), _ = run_fd([state], grid, c, dt=1e-4, t_end=1e-4)
-        first = traj.snapshots[0]
+        snapshots = recorder()
+        run_fd([state], grid, c, dt=1e-4, t_end=1e-4, on_snapshot=snapshots)
+        first = snapshots[0]
         res = director_residual(first, c, grid)
         scale = np.max(np.abs(c.gamma1 * first.ndot))
         assert np.max(np.abs(res)) <= 1e-14 * scale
     else:
-        (traj,), _ = run([state], 8, grid, c, dt=1e-4, picard_tol=1e-10,
-                         t_end=1e-4)
-        first = traj.snapshots[0]
+        snapshots = recorder()
+        run([state], 8, grid, c, dt=1e-4, picard_tol=1e-10, t_end=1e-4,
+            on_snapshot=snapshots)
+        first = snapshots[0]
         modes = project_initial_velocity(state.u, state.v, 8, grid)
         u_x, v_x = SineBasis(8, grid).reconstruct_derivative(modes)
         want = initial_ndot(first, c, grid, u_x=u_x, v_x=v_x)

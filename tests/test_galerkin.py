@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.fftpack import dct, dst
 from scipy.interpolate import PchipInterpolator
 
 from nematic1d.coefficients import (example_set, matrix_entries,
@@ -101,6 +102,60 @@ def test_basis_rejects_aliased_modes():
     for modes in (8, 12):
         with pytest.raises(ValueError, match="modes must be < grid.cells"):
             SineBasis(modes, grid)
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cells", [8, 9, 128])
+@pytest.mark.parametrize("members", [1, 2, 3])
+def test_transforms_of_stacked_rows_are_each_rows_own(cells, members):
+    # a member's transforms, fused with others or alone, on its row of a
+    # stack of (u, v) rows per member, are bit for bit those of its row
+    # transformed on its own, signed zeros included
+    rng = np.random.default_rng(cells + members)
+    basis = SineBasis(min(cells - 1, 16), Grid1D(cells))
+    f = rng.normal(size=(2, members, cells + 1))
+    coeffs = rng.normal(size=(2, members, basis.num_modes))
+    f[1, 0], coeffs[1, 0] = -0.0, -0.0   # a member's v row of zeros
+    fused = (*basis.moments(f, f), *basis.synthesize(coeffs, coeffs))
+    alone = (basis.moments(f, ())[0], basis.moments((), f)[1],
+             basis.reconstruct(coeffs), basis.reconstruct_derivative(coeffs))
+    for r in range(2):
+        for m in range(members):
+            row, c = f[r, m], coeffs[r, m]
+            lone = (basis.moments([row], ())[0][0],
+                    basis.moments((), [row])[1][0],
+                    basis.reconstruct(c), basis.reconstruct_derivative(c))
+            for results in (fused, alone):
+                for got, want in zip(results, lone):
+                    assert_bitwise(got[r, m], want)
+            assert_bitwise(basis.project(f)[r, m], basis.project(row))
+
+
+@pytest.mark.parametrize("cells", [8, 9, 97, 128])
+def test_transforms_are_scipys_dst_and_dct(cells):
+    # the basis transforms the extensions that pocketfft's DST-I and DCT-I
+    # transform, so each result is bit for bit scipy's, signed zeros included
+    rng = np.random.default_rng(cells)
+    basis = SineBasis(cells // 2, Grid1D(cells))
+    K = basis.num_modes
+    f = rng.normal(size=(4, cells + 1))
+    coeffs = rng.normal(size=(4, K))
+    f[1], f[2, 1:-1], coeffs[1], coeffs[2, 0] = 0.0, -0.0, 0.0, -0.0
+    coeffs[3, 0] = -1.0
+    padded = np.zeros((4, cells + 1))
+    padded[:, 1:K + 1] = coeffs
+    sines, cosines = basis.moments(f, f)
+    assert_bitwise(sines, dst(f[:, 1:-1], type=1, norm="forward")[:, :K])
+    assert_bitwise(cosines, dct(f, type=1, norm="forward"))
+    values = np.zeros((4, cells + 1))
+    values[:, 1:-1] = 0.5 * dst(padded[:, 1:-1], type=1)
+    assert_bitwise(basis.reconstruct(coeffs), values)
+    padded[:, 1:K + 1] = coeffs * basis.wavenumbers
+    assert_bitwise(basis.reconstruct_derivative(coeffs),
+                   0.5 * dct(padded, type=1))
 
 
 # -----------------------------------------------------------------------------
@@ -626,21 +681,22 @@ def test_director_first_order_in_time(base_set):
 # run driver
 # -----------------------------------------------------------------------------
 
-def test_run_zero_horizon_returns_initial(base_set):
+def test_run_zero_horizon_returns_initial(base_set, recorder):
     grid = Grid1D(64)
     state = make_state(grid, u=np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, 0.3))
-    traj = run_one(state, 8, grid, base_set,
-                   dt=1e-3, picard_tol=PICARD_TOL, t_end=0.0)
-    assert len(traj.snapshots) == 1
+    snapshots = recorder()
+    traj = run_one(state, 8, grid, base_set, dt=1e-3, picard_tol=PICARD_TOL,
+                   t_end=0.0, on_snapshot=snapshots)
+    assert len(snapshots) == 1
     # sin(pi x) lies in the mode span, so the projected snapshot matches
-    assert np.max(np.abs(traj.snapshots[0].u - state.u)) < 1e-12
-    assert np.max(np.abs(traj.snapshots[0].rho - 1.0)) == 0.0
+    assert np.max(np.abs(snapshots[0].u - state.u)) < 1e-12
+    assert np.max(np.abs(snapshots[0].rho - 1.0)) == 0.0
     # one output time: every reduction over the record is zero
     defect, max_defect = energy_budget(traj.ledgers)
     assert defect.tolist() == [0.0] and max_defect == 0.0
     assert high_integrability(traj.ledgers) == 0.0
-    assert director_norms(traj.snapshots, grid) == (0.0, 0.0)
+    assert director_norms(traj) == (0.0, 0.0)
 
 
 def test_run_rejects_velocity_not_vanishing_at_wall(base_set):
@@ -733,17 +789,18 @@ def test_budget_constant_stable_under_joint_refinement(base_set):
     assert max(ratios) / min(ratios) < 3.0
 
 
-def test_shear_run_invariants(base_set):
+def test_shear_run_invariants(base_set, recorder):
     grid = Grid1D(64)
     state = make_state(grid, v=np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, np.pi / 4))
-    traj = run_one(state, 8, grid, base_set,
-                   dt=1e-3, picard_tol=PICARD_TOL, t_end=0.05)
+    snapshots = recorder()
+    traj = run_one(state, 8, grid, base_set, dt=1e-3, picard_tol=PICARD_TOL,
+                   t_end=0.05, on_snapshot=snapshots)
     masses = np.array([led.mass for led in traj.ledgers])
     assert np.max(np.abs(np.diff(masses))) < 1e-10
     totals = np.array([led.total for led in traj.ledgers])
     assert np.all(np.diff(totals) <= 1e-8)
-    for snap in traj.snapshots:
+    for snap in snapshots:
         assert np.min(snap.rho) > 0.0
         assert snap.u[0] == 0.0 and snap.u[-1] == 0.0
         assert snap.v[0] == 0.0 and snap.v[-1] == 0.0

@@ -19,8 +19,8 @@ import nematic1d.harness as harness_module
 from nematic1d import fieldfile
 from nematic1d.cli import main as cli_main
 from nematic1d.coefficients import InvalidCoefficients, LeslieSet, example_set
-from nematic1d.diagnostics import Trajectory, director_norms
-from nematic1d.fields import FlowState, Grid1D, gradient
+from nematic1d.diagnostics import director_norms
+from nematic1d.fields import FlowState, Grid1D, gradient, second_derivative
 from nematic1d.harness import (RunConfig, _flat_items, build_initial_state,
                                build_raw_initial_data, config_from_flat,
                                density_bound_flags, field_writer,
@@ -386,7 +386,7 @@ def test_run_outputs_and_determinism(tmp_path):
     # no failed attempt, one dt: one velocity factorization for the run
     assert summary["metadata"]["velocity_factorizations"] == 1
     assert (summary["n_xx_spacetime"], summary["n_t_spacetime"]) == \
-        director_norms(traj.snapshots, traj.grid)
+        director_norms(traj)
     assert summary["max_defect"] < 1e-4
 
     out_b = tmp_path / "b"
@@ -411,13 +411,14 @@ FIELDS_0000 = """x,rho,u,v,n
 """
 
 
-def test_field_file_exact_text(tmp_path):
+def test_field_file_exact_text(tmp_path, recorder):
     # 17 significant digits, negative zero, subnormal-range and large values
     cfg = shear_config(grid_cells=8, modes=2, t_end=0.0,
                        initial_preset="static")
-    traj = run_simulation(cfg)
-    snap = traj.snapshots[0]
-    snap.rho[:] = 1.0 + traj.grid.x / 3.0
+    snapshots = recorder()
+    run_simulation(cfg, on_snapshot=snapshots)
+    snap = snapshots[0]
+    snap.rho[:] = 1.0 + Grid1D(8).x / 3.0
     snap.u[:] = 0.0
     snap.v[:] = 0.0
     snap.n[:] = 0.5
@@ -437,20 +438,77 @@ def test_field_file_exact_text(tmp_path):
     assert (streamed / "fields_0000.csv").read_text() == FIELDS_0000
 
 
+def retained_state_values(states, grid):
+    """The summary's n_xx_spacetime, n_t_spacetime, min_rho and
+    density_bound_flags by the formulas that read them from the states a
+    run record used to retain."""
+    sq_xx, sq_t = [], []
+    for s in states:
+        n_xx = second_derivative(s.n, grid.dx)
+        n_x = gradient(s.n, grid.dx, neumann_ends=True)
+        n_t = s.require_ndot() - s.u * n_x
+        sq_xx.append(np.trapezoid(n_xx * n_xx, dx=grid.dx, axis=-1).tolist())
+        sq_t.append(np.trapezoid(n_t * n_t, dx=grid.dx, axis=-1).tolist())
+    times = [s.time for s in states]
+    rho0_min = float(np.min(states[0].rho))
+    flags = None
+    if rho0_min > 0.0:
+        c1 = max(float(np.max(states[0].rho)), 1.0 / rho0_min)
+        flags = 0
+        for snap in states:
+            hi = (harness_module.DENSITY_ENVELOPE_FACTOR * c1
+                  * np.exp(snap.time))
+            lo = 1.0 / hi
+            if np.max(snap.rho) > hi or np.min(snap.rho) < lo:
+                flags += 1
+    return {"n_xx_spacetime": float(np.sqrt(np.trapezoid(sq_xx, times))),
+            "n_t_spacetime": float(np.sqrt(np.trapezoid(sq_t, times))),
+            "min_rho": float(min(np.min(s.rho) for s in states)),
+            "density_bound_flags": flags}
+
+
+@pytest.mark.parametrize("envelope", [None, 0.75],
+                         ids=["envelope", "narrow_envelope"])
+@pytest.mark.parametrize("overrides", [
+    dict(scheme="galerkin"), dict(scheme="galerkin", snapshot_every=3),
+    dict(scheme="fd"), dict(scheme="fd", snapshot_every=3),
+    dict(dt=1.0, t_end=2.0, initial_params={})],
+    ids=["galerkin", "galerkin-every3", "fd", "fd-every3", "halving"])
+def test_summary_reductions_are_the_retained_state_formulas(
+        tmp_path, monkeypatch, recorder, overrides, envelope):
+    # the record keeps per-snapshot reductions, not states; the summary's
+    # values from them are bit for bit those of the states it was handed
+    # (the halving case, test_galerkin's halving_config, halves dt twice,
+    # so steps are refilled; a narrow density envelope flags snapshots)
+    if envelope is not None:
+        monkeypatch.setattr(harness_module, "DENSITY_ENVELOPE_FACTOR",
+                            envelope)
+    cfg = shear_config(**{"initial_preset": "smooth_random",
+                          "initial_params": {"seed": 3}, **overrides})
+    snapshots = recorder()
+    traj = run_simulation(cfg, on_snapshot=snapshots)
+    summary = write_outputs(traj, cfg, tmp_path)
+    if overrides.get("dt") == 1.0:
+        assert traj.metadata["dt_halvings"] == 2
+    want = retained_state_values(snapshots, Grid1D(cfg.grid_cells))
+    assert {key: repr(summary[key]) for key in want} == \
+        {key: repr(value) for key, value in want.items()}
+
+
 def test_density_bound_monitor():
     cfg = shear_config(t_end=0.005)
     traj = run_simulation(cfg)
     assert density_bound_flags(traj) == 0
 
 
-def test_density_bound_monitor_not_applicable_at_vacuum():
+def test_density_bound_monitor_not_applicable_at_vacuum(record_of):
     # an initial density that touches zero bounds no envelope: the monitor
     # reports None (null in summary.json), not a clean zero count
     grid = Grid1D(8)
     zero = np.zeros(grid.num_nodes)
     snap = FlowState(time=0.0, rho=np.minimum(grid.x, 1.0 - grid.x),
-                     u=zero, v=zero, n=zero)
-    assert density_bound_flags(Trajectory(grid, [snap], [])) is None
+                     u=zero, v=zero, n=zero, ndot=zero)
+    assert density_bound_flags(record_of([snap], example_set(), grid)) is None
 
 
 def test_static_run_summary_defect(tmp_path):
@@ -478,14 +536,15 @@ def test_smooth_random_preset_full_solve():
     assert np.max(np.abs(masses - masses[0])) < 1e-10
 
 
-def test_vacuum_patch_mollified_solve_both_schemes():
+def test_vacuum_patch_mollified_solve_both_schemes(recorder):
     for scheme, dt in (("galerkin", 1e-3), ("fd", 2e-4)):
         cfg = shear_config(initial_preset="rough_density",
                            initial_params={"profile": "vacuum_patch"},
                            mollify_delta=0.05, scheme=scheme, dt=dt,
                            t_end=0.005)
-        traj = run_simulation(cfg)
-        assert min(float(s.rho.min()) for s in traj.snapshots) > 0.0
+        snapshots = recorder()
+        traj = run_simulation(cfg, on_snapshot=snapshots)
+        assert min(float(s.rho.min()) for s in snapshots) > 0.0
         totals = np.array([led.total for led in traj.ledgers])
         assert np.all(np.diff(totals) <= 1e-8)
 
@@ -730,8 +789,8 @@ def test_cli_run_off_cadence_final_snapshot(tmp_path, scheme, cadence):
 @pytest.mark.parametrize("scheme", ["galerkin", "fd"])
 @pytest.mark.parametrize("every", [1, 3])
 @pytest.mark.parametrize("t_end", ["0.01", "0.0105"])
-def test_streamed_field_files_match_write_outputs(tmp_path, writers, scheme,
-                                                  every, t_end):
+def test_streamed_field_files_match_write_outputs(tmp_path, writers, recorder,
+                                                  scheme, every, t_end):
     # the run command streams its field files to a writer process; each is
     # byte for byte the file fieldfile writes in process from the same
     # trajectory
@@ -742,14 +801,15 @@ def test_streamed_field_files_match_write_outputs(tmp_path, writers, scheme,
                     + f"\noutput.snapshot_every = {every}\noutput.dir = {out}\n")
     assert cli_main(["run", "--config", str(conf)]) == 0
     assert len(writers) == 1 and writers[0].returncode == 0
-    traj = run_simulation(parse_config(conf))
+    snapshots = recorder()
+    run_simulation(parse_config(conf), on_snapshot=snapshots)
     ref.mkdir()
-    text = fieldfile.template(traj.grid.x.tobytes())
-    for idx, snap in enumerate(traj.snapshots):
+    text = fieldfile.template(Grid1D(64).x.tobytes())
+    for idx, snap in enumerate(snapshots):
         fieldfile.write(ref, idx, text, np.column_stack(
             (snap.rho, snap.u, snap.v, snap.n)).tobytes())
     names = sorted(p.name for p in ref.glob("fields_*.csv"))
-    assert len(names) == len(traj.snapshots) > 2
+    assert len(names) == len(snapshots) > 2
     assert sorted(p.name for p in out.glob("fields_*.csv")) == names
     for name in names:
         assert (out / name).read_bytes() == (ref / name).read_bytes()
@@ -1181,16 +1241,29 @@ def test_benchmark_traced_sweep_runs(tmp_path):
     assert len(list((tmp_path / "out").glob("delta_*/fields_*.csv"))) == 22
 
 
-def test_cli_import_leaves_out_scipy_interpolate():
-    # the density remap carries its own PCHIP derivative; loading
-    # scipy.interpolate would add about 0.2 s to every CLI start
+def cli_import_loads(*modules):
+    """Which of `modules` a fresh process loads to import nematic1d.cli."""
     src = str(Path(nematic1d.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, nematic1d.cli; print('scipy.interpolate' in sys.modules)"
+    code = (f"import sys, nematic1d.cli; "
+            f"print([m for m in {list(modules)!r} if m in sys.modules])")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    return ast.literal_eval(result.stdout.strip())
+
+
+def test_cli_import_leaves_out_scipy_interpolate():
+    # the density remap carries its own PCHIP derivative; loading
+    # scipy.interpolate would add about 0.2 s to every CLI start
+    assert cli_import_loads("scipy.interpolate") == []
+
+
+def test_cli_import_leaves_out_scipy_fft():
+    # the sine basis transforms with numpy's real FFT; scipy.fftpack
+    # pulled in scipy.fft and scipy.special, about 0.1 s and 5 MB per start
+    assert cli_import_loads("scipy.fft", "scipy.fftpack",
+                            "scipy.special") == []
 
 
 def test_cli_verify_passes_and_canary_fails(corrupt_flux_bracket):
@@ -1199,16 +1272,63 @@ def test_cli_verify_passes_and_canary_fails(corrupt_flux_bracket):
     assert cli_main(["verify", "--samples", "400", "--sets", "3"]) == 1
 
 
-def test_cli_sweep(tmp_path):
+def sweep_conf(tmp_path):
+    """A rough_density sweep config of three output times, writing to
+    tmp_path / "out"."""
     conf = tmp_path / "sweep.conf"
     conf.write_text(TEXT_CONFIG
                     .replace("initial.preset = shear",
                              "initial.preset = rough_density")
                     .replace("t_end = 0.01", "t_end = 0.002")
                     + f"\noutput.dir = {tmp_path / 'out'}\n")
+    return conf
+
+
+def test_cli_sweep(tmp_path):
+    conf = sweep_conf(tmp_path)
     rc = cli_main(["sweep", "--config", str(conf), "--deltas", "0.1,0.05"])
     assert rc == 0
     assert (tmp_path / "out" / "sweep.json").exists()
+
+
+def test_cli_sweep_field_writer_failure(tmp_path, capsys, writers):
+    # the writer cannot create the second member's fields_0001.csv: the
+    # batch's outputs failed, not its first member, so the sweep says so
+    # in one line, as run does, and writes no report
+    out = tmp_path / "out"
+    (out / "delta_0.05" / "fields_0001.csv").mkdir(parents=True)
+    conf = sweep_conf(tmp_path)
+    assert cli_main(["sweep", "--config", str(conf),
+                     "--deltas", "0.1,0.05"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("output failed: field writer: ")
+    assert str(out / "delta_0.05" / "fields_0001.csv") in err[0]
+    assert not (out / "sweep.json").exists()
+    assert len(writers) == 1 and writers[0].poll() is not None
+
+
+@pytest.mark.parametrize("aborted", [False, True], ids=["complete", "partial"])
+def test_cli_sweep_report_write_failure(tmp_path, capsys, monkeypatch,
+                                        aborted):
+    # sweep.json cannot be written once the solve is over, whether the
+    # report is complete or an abort's partial one: one line and exit 1
+    if aborted:   # the delta = 0.01 member fails its second step
+        real = galerkin_module.step
+
+        def flaky(states, *args, **kwargs):
+            if any(s.time > 0.0 and np.min(s.rho) < 0.05 for s in states):
+                raise RuntimeError("member blew up")
+            return real(states, *args, **kwargs)
+
+        monkeypatch.setattr(galerkin_module, "step", flaky)
+    (tmp_path / "out" / "sweep.json").mkdir(parents=True)
+    conf = sweep_conf(tmp_path)
+    assert cli_main(["sweep", "--config", str(conf),
+                     "--deltas", "0.1,0.01"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("output failed: ")
+    assert str(tmp_path / "out" / "sweep.json") in err[0]
 
 
 def test_outputs_are_strict_json(tmp_path, capsys):
