@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .coefficients import (LeslieSet, director_source, dissipation_parts,
                            example_set, inverse_matrix_entries, matrix_entries,
@@ -247,7 +248,7 @@ def samples_per_set(samples: int, num_sets: int) -> int:
 def run_identity_suite(seed: int = 0, samples: int = 10_000,
                        num_sets: int = 20, grid_cells: int = 64) -> list[SuiteRow]:
     """Fuzz every identity over random admissible coefficient sets."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     grid = Grid1D(grid_cells)
     sets = [example_set()] + [random_valid_set(rng) for _ in range(num_sets - 1)]
     profiles = standard_profiles()

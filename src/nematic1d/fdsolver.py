@@ -10,9 +10,8 @@ from dataclasses import replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
-from . import diagnostics
+from . import diagnostics, lapack
 from .coefficients import LeslieSet, matrix_entries, require_valid
 from .fields import (FlowState, Grid1D, check_state, director_rate_flux,
                      elastic_coupling, gradient, pressure)

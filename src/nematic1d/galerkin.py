@@ -35,10 +35,10 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.fft import rfft
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import lapack
 
-from . import diagnostics
+from . import diagnostics, lapack
 from .coefficients import (LeslieSet, director_source, matrix_entries,
                            require_valid)
 from .fields import (FlowState, Grid1D, check_state, each_row,
@@ -110,7 +110,7 @@ class SineBasis:
         N = self.grid.num_cells
         ext = np.concatenate((rows, rows[..., N - 1:0:-1]), axis=-1)
         ext[:odd, ..., N + 1:] *= -1.0
-        return np.fft.rfft(ext, norm=norm)
+        return rfft(ext, norm=norm)
 
     def moments(self, sine_rows: Sequence, cosine_rows: Sequence) -> tuple:
         """Trapezoid sums along the last axis of each of the sine_rows times

@@ -14,7 +14,6 @@ import json
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, dataclass, field, fields
 from itertools import count
@@ -22,6 +21,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import diagnostics, fdsolver, fieldfile, galerkin
 from .coefficients import LeslieSet, require_valid
@@ -256,7 +256,7 @@ def build_raw_initial_data(config: RunConfig, grid: Grid1D) -> RawInitialData:
                               rho * params["amplitude"] * np.sin(np.pi * x),
                               np.full_like(x, np.pi / 4.0))
     if preset == "smooth_random":
-        rng = np.random.default_rng(params["seed"])
+        rng = default_rng(params["seed"])
         rho = np.ones_like(x)
         u = np.zeros_like(x)
         v = np.zeros_like(x)
@@ -680,8 +680,10 @@ def run_sweep(config: RunConfig, deltas: Sequence[float],
     payload = [(config, deltas[a:b], outdir)
                for a, b in zip(bounds, bounds[1:])]
     members = []
-    pool = (ProcessPoolExecutor(max_workers=len(payload))
-            if len(payload) > 1 else nullcontext())
+    pool = nullcontext()
+    if len(payload) > 1:   # the pool's import costs every start 16 ms
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=len(payload))
     with pool:
         # both maps yield in batch order and raise a batch's failure there
         results = (pool.map if len(payload) > 1 else map)(_sweep_member,

@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import importlib
 import importlib.util
 import inspect
@@ -718,7 +719,8 @@ def test_sweep_workers_start_one_process_per_batch(monkeypatch):
             pools[-1][1].extend(batch for _, batch, _ in payload)
             return map(fn, payload)
 
-    monkeypatch.setattr(harness_module, "ProcessPoolExecutor", Recorder)
+    # run_sweep imports the pool where it makes one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     cfg = shear_config(initial_preset="rough_density", t_end=0.002,
                        grid_cells=32)
     deltas = [0.2, 0.1, 0.05, 0.025]
@@ -1241,16 +1243,22 @@ def test_benchmark_traced_sweep_runs(tmp_path):
     assert len(list((tmp_path / "out").glob("delta_*/fields_*.csv"))) == 22
 
 
-def cli_import_loads(*modules):
-    """Which of `modules` a fresh process loads to import nematic1d.cli."""
+def in_fresh_process(code):
+    """The literal that `code`, run in a fresh process that imports
+    nematic1d from this checkout, prints on its last line."""
     src = str(Path(nematic1d.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (f"import sys, nematic1d.cli; "
-            f"print([m for m in {list(modules)!r} if m in sys.modules])")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
-    return ast.literal_eval(result.stdout.strip())
+    return ast.literal_eval(result.stdout.splitlines()[-1])
+
+
+def cli_import_loads(*modules):
+    """Which of `modules` a fresh process loads to import nematic1d.cli."""
+    return in_fresh_process(
+        f"import sys, nematic1d.cli; "
+        f"print([m for m in {list(modules)!r} if m in sys.modules])")
 
 
 def test_cli_import_leaves_out_scipy_interpolate():
@@ -1264,6 +1272,51 @@ def test_cli_import_leaves_out_scipy_fft():
     # pulled in scipy.fft and scipy.special, about 0.1 s and 5 MB per start
     assert cli_import_loads("scipy.fft", "scipy.fftpack",
                             "scipy.special") == []
+
+
+def test_cli_import_leaves_out_scipy_linalg():
+    # the solvers call scipy's compiled LAPACK module, loaded by its file
+    # path: scipy.linalg's init was about half of every CLI start.  A sweep
+    # imports its process pool only when it makes one
+    assert cli_import_loads("scipy.linalg",
+                            "concurrent.futures.process") == []
+
+
+def test_cli_main_imports_nothing_while_it_runs(tmp_path):
+    # a module first imported inside cli.main is timed in every run's wall
+    # time, not in its start-up: numpy.random and numpy.fft load lazily
+    # unless the modules that use them import them
+    def conf(name, *edits):
+        text = TEXT_CONFIG.replace("t_end = 0.01", "t_end = 0.003")
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        (tmp_path / name).write_text(
+            text + f"\noutput.dir = {tmp_path / name}.out\n")
+        return str(tmp_path / name)
+
+    smooth = conf("smooth.conf",
+                  ("initial.preset = shear",
+                   "initial.preset = smooth_random\ninitial.seed = 3"),
+                  ("output.snapshot_every = 1", "output.snapshot_every = 100"))
+    fd = conf("fd.conf", ("scheme = galerkin", "scheme = fd"),
+              ("dt = 1e-3", "dt = 5e-4"))
+    argvs = [["run", "--config", smooth],
+             ["run", "--config", conf("shear.conf")],   # 4 snapshots: writer
+             ["sweep", "--config", str(sweep_conf(tmp_path)),
+              "--deltas", "0.1,0.05"],
+             ["run", "--config", fd],
+             ["verify", "--sets", "2"]]
+    new = in_fresh_process(
+        f"import sys\n"
+        f"from nematic1d.cli import main\n"
+        f"new = []\n"
+        f"for argv in {argvs!r}:\n"
+        f"    before = set(sys.modules)\n"
+        f"    assert main(argv) == 0, argv\n"
+        f"    new.append(sorted(set(sys.modules) - before))\n"
+        f"print(new)")
+    assert new == [[]] * len(argvs)
 
 
 def test_cli_verify_passes_and_canary_fails(corrupt_flux_bracket):
