@@ -106,11 +106,17 @@ def _delta_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",")]
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(minimum: int, kind: str):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
+        return value
+    parse.__name__ = f"{kind} integer"   # argparse names a malformed value by it
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -177,7 +183,8 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the identity suite")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_int_at_least(0, "non-negative"),
+                          default=0)
     p_verify.add_argument("--samples", type=_positive_int, default=10_000,
                           help="fuzz samples per identity, rounded down to "
                                "a multiple of --sets (at least one per set)")

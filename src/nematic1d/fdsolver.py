@@ -27,12 +27,6 @@ class CFLViolation(RuntimeError):
 CFL = 0.9
 
 
-def _node_weights(grid: Grid1D) -> np.ndarray:
-    w = np.full(grid.num_nodes, grid.dx)
-    w[0] = w[-1] = 0.5 * grid.dx
-    return w
-
-
 def check_cfl(state: FlowState, grid: Grid1D, dt: float,
               gamma_ad: float) -> None:
     sound = np.sqrt(gamma_ad * pressure(state.rho, gamma_ad - 1.0))
@@ -45,22 +39,19 @@ def check_cfl(state: FlowState, grid: Grid1D, dt: float,
 
 def _viscous_tridiag_solve(rho_new: np.ndarray, coeff_face: np.ndarray,
                            rhs: np.ndarray, dt: float, dx: float) -> np.ndarray:
-    """Solve (rho_new/dt) q - d/dx(coeff q_x) = rhs with q = 0 at both ends."""
-    m = rho_new.size
+    """Solve (rho_new/dt) q - d/dx(coeff q_x) = rhs with q = 0 at both ends;
+    the solve overwrites `rhs`."""
     idx2 = 1.0 / (dx * dx)
     diag = rho_new / dt
-    lower = np.zeros(m - 1)
-    upper = np.zeros(m - 1)
     diag[1:-1] += (coeff_face[1:] + coeff_face[:-1]) * idx2
-    lower[:-1] = -coeff_face[:-1] * idx2   # couples node i to i-1, rows 1..m-2
-    upper[1:] = -coeff_face[1:] * idx2
+    upper = coeff_face * -idx2   # row i couples to i+1, rows 1..m-2
+    lower = upper.copy()         # row i+1 couples to i, rows 1..m-2
     # Dirichlet rows
     diag[0] = diag[-1] = 1.0
     upper[0] = 0.0
     lower[-1] = 0.0
-    b = rhs.copy()
-    b[0] = b[-1] = 0.0
-    *_, q, info = lapack.dgtsv(lower, diag, upper, b, overwrite_dl=True,
+    rhs[0] = rhs[-1] = 0.0
+    *_, q, info = lapack.dgtsv(lower, diag, upper, rhs, overwrite_dl=True,
                                overwrite_d=True, overwrite_du=True,
                                overwrite_b=True)
     if info != 0:
@@ -80,17 +71,19 @@ def step_fd(state: FlowState, grid: Grid1D, c: LeslieSet,
     """
     check_cfl(state, grid, dt, c.gamma_ad)
     dx = grid.dx
-    w = _node_weights(grid)
 
     # --- continuity ---------------------------------------------------------
     u_face = 0.5 * (state.u[:-1] + state.u[1:])
     rho_face = np.where(u_face >= 0.0, state.rho[:-1], state.rho[1:])  # upwind
     mass_flux = rho_face * u_face
-    div = np.zeros(grid.num_nodes)
+    div = np.empty(grid.num_nodes)
     div[0] = mass_flux[0]
     div[1:-1] = mass_flux[1:] - mass_flux[:-1]
     div[-1] = -mass_flux[-1]
-    rho_new = state.rho - dt * div / w
+    div *= dt   # then over each node's cell width: dx, and dx/2 at the ends
+    div[1:-1] /= dx
+    div[[0, -1]] /= 0.5 * dx
+    rho_new = state.rho - div
     floor = -1e-12 * max(float(np.max(state.rho)), 1.0)
     if np.min(rho_new) < floor:
         # a genuinely negative update means the advective bound was too
@@ -102,7 +95,8 @@ def step_fd(state: FlowState, grid: Grid1D, c: LeslieSet,
     # --- director (shared implicit step) ------------------------------------
     n_new = advance_director(state, c, dt, grid)
     n_x_new = gradient(n_new, dx, neumann_ends=True)
-    ndot_prov = (n_new - state.n) / dt + state.u * n_x_new
+    n_rate = (n_new - state.n) / dt
+    ndot_prov = n_rate + state.u * n_x_new
 
     # --- momentum ------------------------------------------------------------
     n_face = 0.5 * (n_new[:-1] + n_new[1:])
@@ -119,28 +113,30 @@ def step_fd(state: FlowState, grid: Grid1D, c: LeslieSet,
         out[1:-1] = (flux_face[1:] - flux_face[:-1]) / dx
         return out
 
+    upwind = mass_flux >= 0.0
+
     def transport_divergence(q: np.ndarray) -> np.ndarray:
-        q_up = np.where(mass_flux >= 0.0, q[:-1], q[1:])
+        q_up = np.where(upwind, q[:-1], q[1:])
         out = np.zeros(grid.num_nodes)
         out[1:-1] = (mass_flux[1:] * q_up[1:]
                      - mass_flux[:-1] * q_up[:-1]) / dx
         return out
 
-    v_x_face_old = np.diff(state.v) / dx
-    rhs_u = (state.rho * state.u / dt
-             - transport_divergence(state.u)
-             - gradient(p_old, dx)
-             + elastic
-             + face_divergence(a12_f * v_x_face_old + b1_f))
+    v_x_face_old = (state.v[1:] - state.v[:-1]) / dx
+    rhs_u = state.rho * state.u / dt
+    rhs_u -= transport_divergence(state.u)
+    rhs_u -= gradient(p_old, dx)
+    rhs_u += elastic
+    rhs_u += face_divergence(a12_f * v_x_face_old + b1_f)
     u_new = _viscous_tridiag_solve(rho_new, a11_f, rhs_u, dt, dx)
 
-    u_x_face_new = np.diff(u_new) / dx
-    rhs_v = (state.rho * state.v / dt
-             - transport_divergence(state.v)
-             + face_divergence(a21_f * u_x_face_new + b2_f))
+    u_x_face_new = (u_new[1:] - u_new[:-1]) / dx
+    rhs_v = state.rho * state.v / dt
+    rhs_v -= transport_divergence(state.v)
+    rhs_v += face_divergence(a21_f * u_x_face_new + b2_f)
     v_new = _viscous_tridiag_solve(rho_new, a22_f, rhs_v, dt, dx)
 
-    ndot_new = (n_new - state.n) / dt + u_new * n_x_new
+    ndot_new = n_rate + u_new * n_x_new
     return FlowState(state.time + dt, rho_new, u_new, v_new, n_new,
                      ndot=ndot_new)
 

@@ -1,5 +1,6 @@
 import os
 import tempfile
+from dataclasses import is_dataclass
 
 import numpy as np
 import pytest
@@ -36,6 +37,18 @@ def corrupt_flux_bracket(monkeypatch):
             derivation, "flux_bracket",
             lambda c, u_x, v_x, n, ndot: flux_bracket(c, u_x, v_x, n, -ndot))
     return corrupt
+
+
+@pytest.fixture(scope="session")
+def read_only():
+    """Call it on states and arrays to mark every array they hold not
+    writeable, so that a solver writing into its input raises."""
+    def freeze(*items):
+        for item in items:
+            for a in vars(item).values() if is_dataclass(item) else (item,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+    return freeze
 
 
 class Snapshots(list):

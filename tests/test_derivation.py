@@ -10,7 +10,8 @@ from nematic1d.derivation import (KinematicSample, TrigProfile, _richardson_dx,
                                   check_divergence_identity,
                                   check_energy_identity,
                                   director_normal_component,
-                                  run_identity_suite, standard_profiles)
+                                  run_identity_suite, stack_profiles,
+                                  standard_profiles)
 from nematic1d.fields import Grid1D, flux_bracket
 
 
@@ -96,6 +97,18 @@ def test_divergence_identity_random_sets(rng):
         c = random_valid_set(rng)
         p = random_profile(rng)
         assert check_divergence_identity(c, p, Grid1D(24)) < 1e-8
+
+
+@pytest.mark.parametrize("cells", [16, 64])
+@pytest.mark.parametrize("which", ["example", "random"])
+def test_stacked_profiles_give_the_single_profile_answer(rng, which, cells):
+    # the suite checks the five profiles as (5, 1) columns in one call:
+    # that must be the worst single-profile gap, bit for bit
+    c = example_set() if which == "example" else random_valid_set(rng)
+    grid = Grid1D(cells)
+    profiles = standard_profiles()
+    stacked = check_divergence_identity(c, stack_profiles(profiles), grid)
+    assert stacked == max(check_divergence_identity(c, p, grid) for p in profiles)
 
 
 def test_divergence_canary_detects_corruption(base_set, corrupt_flux_bracket):

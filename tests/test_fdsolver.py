@@ -26,6 +26,24 @@ def test_static_state_unchanged(base_set):
     assert np.max(np.abs(out.n - 0.9)) < 1e-14
 
 
+def test_step_never_writes_into_its_input(base_set, read_only):
+    grid = Grid1D(64)
+    x = grid.x
+
+    def smooth_state():
+        return make_state(grid, rho=1.0 + 0.2 * np.cos(np.pi * x),
+                          u=0.3 * np.sin(np.pi * x),
+                          v=0.2 * np.sin(2 * np.pi * x),
+                          n=0.5 + 0.3 * np.cos(np.pi * x))
+
+    expected = step_fd(smooth_state(), grid, base_set, 1e-4)
+    state = smooth_state()
+    read_only(state)
+    out = step_fd(state, grid, base_set, 1e-4)
+    for name in ("rho", "u", "v", "n", "ndot"):
+        assert np.array_equal(getattr(out, name), getattr(expected, name))
+
+
 def test_cfl_violation_raises(base_set):
     grid = Grid1D(64)
     state = make_state(grid, u=np.sin(np.pi * grid.x))

@@ -11,7 +11,8 @@ from nematic1d.diagnostics import (director_norms, energy_budget,
                                    high_integrability)
 from nematic1d.fields import (FlowState, Grid1D, director_rate_flux,
                               director_residual, elastic_coupling,
-                              flux_bracket, gradient, pressure)
+                              flux_bracket, gradient, initial_ndot,
+                              pressure)
 from nematic1d.galerkin import (DenominatorTooSmall, LagrangianDensity,
                                 SineBasis, TimeStepUnderflow, _attempt_step,
                                 _extrapolate, _pchip_derivative,
@@ -496,6 +497,37 @@ def test_static_state_is_fixed_point(base_set):
     assert np.max(np.abs(new_state.n - 0.4)) < 1e-13
     assert np.max(np.abs(new_state.u)) < 1e-13
     assert np.max(np.abs(new_modes[0])) < 1e-13
+
+
+@pytest.mark.parametrize("members", [1, 2])
+def test_step_never_writes_into_its_input(base_set, read_only, members):
+    grid = Grid1D(64)
+    basis = SineBasis(8, grid)
+    x = grid.x
+
+    def batch():
+        states = []
+        for k in range(members):
+            state = make_state(grid, rho=1.0 + 0.2 * np.cos(np.pi * x),
+                               u=(0.3 + 0.1 * k) * np.sin(np.pi * x),
+                               v=0.2 * np.sin(2 * np.pi * x),
+                               n=0.5 + 0.3 * np.cos(np.pi * x))
+            states.append(replace(state, ndot=initial_ndot(state, base_set, grid)))
+        return states, [project_initial_velocity(s.u, s.v, 8, grid) for s in states]
+
+    def advance(states, modes):
+        return step(states, modes, grid, base_set, dt=[1e-3] * members,
+                    picard_tol=PICARD_TOL, basis=basis, start=[None] * members,
+                    factor=[None] * members)
+
+    expected_states, expected_modes, _, _ = advance(*batch())
+    states, modes = batch()
+    read_only(*states, *modes)
+    new_states, new_modes, _, _ = advance(states, modes)
+    for new, expected in zip(new_states, expected_states):
+        for name in ("rho", "u", "v", "n", "ndot"):
+            assert np.array_equal(getattr(new, name), getattr(expected, name))
+    assert all(map(np.array_equal, new_modes, expected_modes))
 
 
 def test_single_mode_viscous_decay(base_set):

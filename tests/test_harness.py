@@ -1109,6 +1109,15 @@ def test_cli_verify_rejects_non_positive_counts(capsys, flag, value):
     assert flag in err and "positive" in err
 
 
+def test_cli_verify_rejects_negative_seed(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(["verify", "--seed", "-1"])
+    assert excinfo.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert len(errors) == 1 and "--seed" in errors[0]
+
+
 def test_cli_verify_reports_fuzzed_count(capsys):
     # 5 samples over 20 sets: one sample per set, 20 in all
     assert cli_main(["verify", "--samples", "5", "--sets", "20"]) == 0
