@@ -158,20 +158,20 @@ def _together(fn: Callable[[list], list], members: list) -> tuple:
     """fn over the members at once, or, if that raises, over each alone in
     turn, so that a failure falls on the first member that fails alone.
     Returns the results of the members before it, and its failure or None;
-    a batch that fails while each member alone succeeds raises."""
+    a batch that fails while each member alone succeeds goes on with the
+    solo results."""
     try:
         return fn(members), None
     except Exception as exc:
         if len(members) == 1:
             return [], exc
-        failure = exc
     results = []
     for member in members:
         try:
             results += fn([member])
         except Exception as exc:
             return results, exc
-    raise failure
+    return results, None
 
 
 def run_schedule(initials: Sequence[FlowState], advance: Callable,

@@ -427,17 +427,13 @@ def _field_bytes(snap: FlowState) -> bytes:
 @contextmanager
 def field_writer(config: RunConfig, outdirs: Sequence[Path]):
     """Yield the hook that writes the field files of a batch's recorded
-    snapshots, member k's in outdirs[k], or None if there are no outdirs.
-    The hook takes the list of the members' states at one output time,
-    from which failed members drop out at the end.  A run that records
-    only its initial and final states writes them in process; any longer
-    run sends each output time's states to one standard-library child
-    process that writes their files while the solve goes on.  Leaving
-    reaps the child; a write it failed raises OSError unless the block
-    raised first."""
-    if not outdirs:
-        yield None
-        return
+    snapshots, member k's in outdirs[k].  The hook takes the list of the
+    members' states at one output time, from which failed members drop
+    out at the end.  A run that records only its initial and final states
+    writes them in process; any longer run sends each output time's
+    states to one standard-library child process that writes their files
+    while the solve goes on.  Leaving reaps the child; a write it failed
+    raises OSError unless the block raised first."""
     nodes = Grid1D(config.grid_cells).x
     if diagnostics.snapshot_count(config.dt, config.t_end,
                                   config.snapshot_every) <= 2:
@@ -589,8 +585,7 @@ def _sweep_member(args: tuple) -> tuple[list[SweepMember],
     raw = build_raw_initial_data(config, grid)
     states = [mollify_initial_data(raw, delta, grid) for delta in deltas]
     # repr tells any two floats apart: no two members share a directory
-    subdirs = ([] if outdir is None
-               else [outdir / f"delta_{delta!r}" for delta in deltas])
+    subdirs = [outdir / f"delta_{delta!r}" for delta in deltas]
     for subdir in subdirs:
         subdir.mkdir(parents=True, exist_ok=True)
     window = np.sin(np.pi * grid.x) ** 2
@@ -602,16 +597,14 @@ def _sweep_member(args: tuple) -> tuple[list[SweepMember],
                                                grid)
         pairs.append(np.reshape(diagnostics.integrate(
             window * batch.rho * np.array(h), grid), (2, -1)).T.tolist())
-        if write is not None:
-            write(snaps)
+        write(snaps)
 
     with field_writer(config, subdirs) as write:
         trajectories, failure = run_members(config, states, record)
 
     members = []
     for j, traj in enumerate(trajectories):
-        summary = (write_outputs(traj, config, subdirs[j]) if subdirs
-                   else _run_summary(traj, config))
+        summary = write_outputs(traj, config, subdirs[j])
         members.append(SweepMember(
             delta=deltas[j],
             final_energy=summary["final"]["total"],
@@ -656,9 +649,10 @@ def check_deltas(deltas: Sequence[float]) -> list[float]:
 
 
 def run_sweep(config: RunConfig, deltas: Sequence[float],
-              workers: int = 1, outdir: Optional[Path] = None) -> SweepReport:
-    """Mollify the shared raw data at each delta, run the solver, and
-    assemble the successive-delta Cauchy distances.
+              workers: int = 1, *, outdir: Path) -> SweepReport:
+    """Mollify the shared raw data at each delta, run the solver, write
+    each member's outputs in outdir / f"delta_{delta!r}", and assemble the
+    successive-delta Cauchy distances.
 
     The members run in min(workers, len(deltas)) contiguous batches, one
     process each (the calling process when there is one batch), and the

@@ -248,13 +248,13 @@ def test_criterion_7_ellipticity():
     assert elapsed < 10.0
 
 
-def test_criterion_8_delta_sweep():
+def test_criterion_8_delta_sweep(tmp_path):
     t0 = time.perf_counter()
     cfg = RunConfig(coefficients=example_set(), grid_cells=256, modes=16,
                     dt=1e-3, t_end=0.1, initial_preset="rough_density",
                     initial_params={"profile": "sawtooth"})
     deltas = [0.1, 0.05, 0.025, 0.0125]
-    rep = run_sweep(cfg, deltas, workers=1)
+    rep = run_sweep(cfg, deltas, workers=1, outdir=tmp_path)
 
     vals = [m.rho2gamma_spacetime for m in rep.members]
     spread = max(vals) / min(vals)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nematic1d.diagnostics as diagnostics_module
 from nematic1d.coefficients import LeslieSet, example_set, random_valid_set
 from nematic1d.derivation import check_energy_identity
 from nematic1d.diagnostics import (EnergyLedger, director_norms,
                                    effective_viscous_flux, energy_budget,
                                    high_integrability, integrate, make_ledger,
-                                   snapshot_count)
+                                   run_schedule, snapshot_count)
 from nematic1d.fields import FlowState, Grid1D, gradient
 from nematic1d.harness import RunConfig, run_simulation
 
@@ -241,3 +242,34 @@ def test_last_scheduled_step_is_recorded_off_cadence(recorder):
     times = [s.time for s in snapshots]
     assert len(times) == snapshot_count(dt, t_end, 3) == 5
     assert times[-1] == pytest.approx(0.1, abs=1e-12)
+
+
+def test_failed_snapshot_record_drops_its_member_and_later_ones(base_set,
+                                                                monkeypatch):
+    # three members at rest, told apart by their constant densities; the
+    # middle one's record fails at the second output time, in the batch and
+    # alone: it and the last are dropped there, and the first runs on
+    grid = Grid1D(16)
+    real, error = diagnostics_module.snapshot_records, ValueError("no record")
+
+    def failing(states, c, grid):
+        if any(s.rho[0] == 2.0 and s.time > 0.0 for s in states):
+            raise error
+        return real(states, c, grid)
+
+    def advance(ids, states, dts):
+        return [replace(s, time=s.time + d) for s, d in zip(states, dts)]
+
+    monkeypatch.setattr(diagnostics_module, "snapshot_records", failing)
+    handed = []
+    trajectories, failure = run_schedule(
+        [make_state(grid, rho=np.full(grid.num_nodes, r))
+         for r in (1.0, 2.0, 3.0)], advance, base_set, grid, 1e-3, 4e-3, 2,
+        lambda states: handed.append(len(states)))
+    assert failure is error
+    assert handed == [3, 1, 1]
+    (traj,) = trajectories
+    assert [led.time for led in traj.ledgers] == pytest.approx(
+        [0.0, 2e-3, 4e-3], abs=1e-15)
+    assert len(traj.reductions) == 3
+    assert traj.ledgers[-1].mass == pytest.approx(1.0)

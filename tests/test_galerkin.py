@@ -439,6 +439,24 @@ def test_remap_conserves_mass_exactly(rng):
     assert np.min(rho_new) > 0.0
 
 
+@pytest.mark.parametrize("fault", ["lost monotonicity", "lost all mass"])
+def test_remap_failure_marks_only_its_own_row(fault):
+    # of two stacked rows only the second fails the remap, so only its
+    # member halves dt
+    grid = Grid1D(32)
+    rho = np.ones((2, grid.num_nodes))
+    positions = np.stack([grid.x, grid.x])
+    labels = np.stack([grid.x, grid.x])
+    if fault == "lost monotonicity":   # two particles cross
+        positions[1, [10, 11]] = positions[1, [11, 10]]
+    else:   # a flat mass function and empty walls leave no mass
+        labels[1] = 0.5
+        rho[1, [0, -1]] = 0.0
+    with pytest.raises(DenominatorTooSmall, match=fault) as excinfo:
+        remap_density_to_grid(rho, positions, labels, np.ones(2), grid)
+    assert excinfo.value.members.tolist() == [False, True]
+
+
 # -----------------------------------------------------------------------------
 # director
 # -----------------------------------------------------------------------------

@@ -554,18 +554,18 @@ def test_vacuum_patch_mollified_solve_both_schemes(recorder):
 # sweep
 # -----------------------------------------------------------------------------
 
-def test_sweep_requires_decreasing_deltas():
+def test_sweep_requires_decreasing_deltas(tmp_path):
     cfg = shear_config(initial_preset="rough_density", t_end=0.002)
     with pytest.raises(ValueError):
-        run_sweep(cfg, [0.05, 0.1])
+        run_sweep(cfg, [0.05, 0.1], outdir=tmp_path)
     with pytest.raises(ValueError):
-        run_sweep(cfg, [0.1, -0.05])
+        run_sweep(cfg, [0.1, -0.05], outdir=tmp_path)
 
 
-def test_sweep_constant_data_scales_with_delta():
+def test_sweep_constant_data_scales_with_delta(tmp_path):
     cfg = shear_config(initial_preset="static", t_end=0.002, grid_cells=128)
     deltas = [0.08, 0.04]
-    report = run_sweep(cfg, deltas, workers=1)
+    report = run_sweep(cfg, deltas, workers=1, outdir=tmp_path)
     # mollified constants differ from each other only through the delta
     # floor and the wall layers: O(delta) in every collected functional
     for key in ("entropy", "final_energy", "rho2gamma"):
@@ -588,18 +588,18 @@ def test_sweep_report_serializable(tmp_path):
     assert (tmp_path / "delta_0.05" / "energy.csv").exists()
 
 
-def test_sweep_worker_pool_matches_sequential():
+def test_sweep_worker_pool_matches_sequential(tmp_path):
     cfg = shear_config(initial_preset="rough_density", t_end=0.002,
                        grid_cells=128)
-    seq = run_sweep(cfg, [0.1, 0.05], workers=1)
-    par = run_sweep(cfg, [0.1, 0.05], workers=2)
+    seq = run_sweep(cfg, [0.1, 0.05], workers=1, outdir=tmp_path / "seq")
+    par = run_sweep(cfg, [0.1, 0.05], workers=2, outdir=tmp_path / "par")
     for a, b in zip(seq.members, par.members):
         assert a.final_energy == b.final_energy
         assert a.entropy_series == b.entropy_series
     assert seq.cauchy == par.cauchy
 
 
-def test_sweep_member_failure_carries_partial_report(monkeypatch):
+def test_sweep_member_failure_carries_partial_report(tmp_path, monkeypatch):
     # the smaller delta's member, the only one whose density dips below
     # 0.05, fails its second step, whether it steps with the other member
     # or alone
@@ -615,7 +615,7 @@ def test_sweep_member_failure_carries_partial_report(monkeypatch):
                        grid_cells=128)
     with pytest.raises(harness_module.SweepAborted,
                        match="delta=0.01 failed: member blew up") as excinfo:
-        run_sweep(cfg, [0.1, 0.01], workers=1)
+        run_sweep(cfg, [0.1, 0.01], workers=1, outdir=tmp_path)
     assert [m.delta for m in excinfo.value.partial.members] == [0.1]
 
 
@@ -698,7 +698,49 @@ def test_sweep_abort_keeps_members_before_the_failure(tmp_path, monkeypatch):
             == ["fields_0000.csv"]
 
 
-def test_sweep_workers_start_one_process_per_batch(monkeypatch):
+def test_sweep_goes_on_when_only_the_batch_fails(tmp_path, monkeypatch):
+    # a step that fails only for a batch of two or more (its stacked arrays
+    # do not fit, say) while each member alone succeeds: the members step
+    # alone from there, and each finishes as a run of its own would
+    real = galerkin_module.step
+
+    def batch_too_large(states, *args, **kwargs):
+        if len(states) > 1 and states[0].time > 0.0015:
+            raise MemoryError("batch too large")
+        return real(states, *args, **kwargs)
+
+    monkeypatch.setattr(galerkin_module, "step", batch_too_large)
+    cfg = shear_config(initial_preset="rough_density", grid_cells=32,
+                       t_end=0.004)
+    out = tmp_path / "sweep"
+    report = run_sweep(cfg, [0.2, 0.1], workers=1, outdir=out)
+    monkeypatch.setattr(galerkin_module, "step", real)
+    assert [m.delta for m in report.members] == [0.2, 0.1]
+    for delta in (0.2, 0.1):
+        assert_matches_solo(cfg, delta, out / f"delta_{delta!r}",
+                            tmp_path / "solo" / repr(delta))
+
+
+def test_batch_of_one_carries_no_member_axis(tmp_path, monkeypatch):
+    # a run steps its lone member on unstacked fields, at the cost of a
+    # run of its own; only a batch of two or more carries a member axis
+    real, ndims = galerkin_module.advance_director, []
+
+    def recording(state, *args, **kwargs):
+        ndims.append(state.n.ndim)
+        return real(state, *args, **kwargs)
+
+    monkeypatch.setattr(galerkin_module, "advance_director", recording)
+    cfg = shear_config(initial_preset="rough_density", grid_cells=32,
+                       t_end=0.002, mollify_delta=0.2)
+    run_simulation(cfg)
+    assert ndims and set(ndims) == {1}
+    ndims.clear()
+    run_sweep(cfg, [0.2, 0.1], workers=1, outdir=tmp_path)
+    assert ndims and set(ndims) == {2}
+
+
+def test_sweep_workers_start_one_process_per_batch(tmp_path, monkeypatch):
     # a pool forks every worker it may use at its first task, so the sweep
     # asks for one process per batch of contiguous members and no more;
     # the recorder runs the batches here and starts nothing
@@ -724,7 +766,8 @@ def test_sweep_workers_start_one_process_per_batch(monkeypatch):
     cfg = shear_config(initial_preset="rough_density", t_end=0.002,
                        grid_cells=32)
     deltas = [0.2, 0.1, 0.05, 0.025]
-    reports = {workers: run_sweep(cfg, deltas, workers=workers)
+    reports = {workers: run_sweep(cfg, deltas, workers=workers,
+                                  outdir=tmp_path / str(workers))
                for workers in (100000, 3, 1)}
     assert pools == [(4, [[0.2], [0.1], [0.05], [0.025]]),
                      (3, [[0.2], [0.1], [0.05, 0.025]])]
@@ -1391,6 +1434,39 @@ def test_cli_sweep_report_write_failure(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("output failed: ")
     assert str(tmp_path / "out" / "sweep.json") in err[0]
+
+
+@pytest.mark.parametrize("deltas,kept", [("0.3,0.1,0.05", [0.3]),
+                                         ("0.1,0.05", [])],
+                         ids=["later_member", "first_member"])
+def test_cli_sweep_abort_writes_the_partial_report(tmp_path, capsys,
+                                                   monkeypatch, deltas, kept):
+    # a dt floor above the halved dt: a member with delta <= 0.1 underflows
+    # at its first step; the sweep says so in one line and writes the
+    # report of the members before it, an empty one if there are none
+    monkeypatch.setattr(galerkin_module, "DT_MIN", 0.3)
+    out = tmp_path / "out"
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(TEXT_CONFIG
+                    .replace("grid.cells = 64", "grid.cells = 32")
+                    .replace("dt = 1e-3", "dt = 0.5")
+                    .replace("t_end = 0.01", "t_end = 2.0")
+                    .replace("initial.preset = shear",
+                             "initial.preset = rough_density\n"
+                             "initial.profile = vacuum_patch")
+                    + f"\noutput.dir = {out}\n")
+    assert cli_main(["sweep", "--config", str(conf),
+                     "--deltas", deltas]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("sweep abort (sweep member delta=0.1 failed: "
+                             "dt underflow ")
+    assert err[0].endswith(f"); partial report written to "
+                           f"{out / 'sweep.json'}")
+    report = strict_json((out / "sweep.json").read_text())
+    assert [m["delta"] for m in report["members"]] == kept
+    if not kept:
+        assert report["cauchy"] == {} and report["statuses"] == {}
 
 
 def test_outputs_are_strict_json(tmp_path, capsys):
