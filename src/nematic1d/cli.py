@@ -106,6 +106,9 @@ def _delta_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",")]
 
 
+_delta_list.__name__ = "delta list"   # argparse names a malformed value by it
+
+
 def _int_at_least(minimum: int, kind: str):
     def parse(text: str) -> int:
         value = int(text)

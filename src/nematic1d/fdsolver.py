@@ -11,7 +11,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import diagnostics, lapack
+from . import compiled, diagnostics
 from .coefficients import LeslieSet, matrix_entries, require_valid
 from .fields import (FlowState, Grid1D, check_state, director_rate_flux,
                      elastic_coupling, gradient, pressure)
@@ -51,9 +51,9 @@ def _viscous_tridiag_solve(rho_new: np.ndarray, coeff_face: np.ndarray,
     upper[0] = 0.0
     lower[-1] = 0.0
     rhs[0] = rhs[-1] = 0.0
-    *_, q, info = lapack.dgtsv(lower, diag, upper, rhs, overwrite_dl=True,
-                               overwrite_d=True, overwrite_du=True,
-                               overwrite_b=True)
+    *_, q, info = compiled.dgtsv(lower, diag, upper, rhs, overwrite_dl=True,
+                                 overwrite_d=True, overwrite_du=True,
+                                 overwrite_b=True)
     if info != 0:
         raise RuntimeError(f"viscous tridiagonal solve failed: info={info}")
     q[0] = q[-1] = 0.0   # pivoting can leave round-off in the Dirichlet rows

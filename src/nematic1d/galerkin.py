@@ -35,10 +35,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.fft import rfft
 from numpy.lib.stride_tricks import as_strided
 
-from . import diagnostics, lapack
+from . import compiled, diagnostics
 from .coefficients import (LeslieSet, director_source, matrix_entries,
                            require_valid)
 from .fields import (FlowState, Grid1D, check_state, each_row,
@@ -87,8 +86,9 @@ class SineBasis:
     No tables are held: on these nodes, sums against sin(j pi x_i) over the
     interior nodes are a DST-I of length N-1, and trapezoid sums against
     cos(m pi x_i) over all nodes are dx/2 times a DCT-I of length N+1 (the
-    trapezoid end weights are exactly the DCT-I end halving); numpy's real
-    FFT gives both.  Modes j >= N alias on the grid, so K < N.
+    trapezoid end weights are exactly the DCT-I end halving).  Each method
+    is one pocketfft transform along the last axis, scaled after it, over
+    any leading axes at once.  Modes j >= N alias on the grid, so K < N.
     """
 
     def __init__(self, num_modes: int, grid: Grid1D):
@@ -102,50 +102,36 @@ class SineBasis:
         self.grid = grid
         self.wavenumbers = np.pi * np.arange(1, num_modes + 1)   # j pi
 
-    def _spectrum(self, rows: np.ndarray, odd: int, norm: str) -> np.ndarray:
-        """rfft along the last axis of the length-2N odd extensions of the
-        first `odd` of `rows` (R, ..., N+1), whose end values must be zero,
-        and of the even extensions of the others: the extensions that
-        pocketfft's DST-I and DCT-I transform, so theirs bit for bit."""
+    def sine_moments(self, rows: np.ndarray) -> np.ndarray:
+        """Trapezoid sums along the last axis of `rows` times phi_j,
+        j = 1..K; the wall values of `rows` do not enter."""
         N = self.grid.num_cells
-        ext = np.concatenate((rows, rows[..., N - 1:0:-1]), axis=-1)
-        ext[:odd, ..., N + 1:] *= -1.0
-        return rfft(ext, norm=norm)
+        moments = compiled.dst(rows[..., 1:N], 1, [-1])[..., :self.num_modes]
+        return moments * (0.5 / N)
 
-    def moments(self, sine_rows: Sequence, cosine_rows: Sequence) -> tuple:
-        """Trapezoid sums along the last axis of each of the sine_rows times
-        phi_j, j = 1..K, and of each of the cosine_rows times cos(m pi x),
-        m = 0..N, from one transform, each list's on a leading axis."""
-        rows, p = np.array([*sine_rows, *cosine_rows]), len(sine_rows)
-        rows[:p, ..., ::self.grid.num_cells] = 0.0
-        spectrum = self._spectrum(rows, p, "forward")   # scaled by 1/(2N) = dx/2
-        return -spectrum.imag[:p, ..., 1:self.num_modes + 1], spectrum.real[p:]
-
-    def synthesize(self, values: Sequence, slopes: Sequence) -> tuple:
-        """sum_j c_j phi_j at the nodes for each coefficient row c of
-        `values`, exact zeros at both walls, and sum_j c_j phi_j' for each of
-        `slopes`, along the last axis, from one transform, as in `moments`."""
-        rows, p, K = [*values, *slopes], len(values), self.num_modes
-        padded = np.zeros((len(rows),) + rows[0].shape[:-1] + (self.grid.num_nodes,))
-        padded[..., 1:K + 1] = rows
-        padded[p:, ..., 1:K + 1] *= self.wavenumbers
-        spectrum = self._spectrum(padded, p, "backward")
-        nodal = spectrum.imag[:p] * -0.5
-        nodal[..., ::self.grid.num_cells] = 0.0
-        return nodal, 0.5 * spectrum.real[p:]
+    def cosine_moments(self, rows: np.ndarray) -> np.ndarray:
+        """Trapezoid sums along the last axis of `rows` times cos(m pi x),
+        m = 0..N."""
+        return compiled.dct(rows, 1, [-1]) * (0.5 / self.grid.num_cells)
 
     def project(self, f: np.ndarray) -> np.ndarray:
         """Mode coefficients 2 * integral of f * phi_j."""
-        return 2.0 * self.moments([f], ())[0][0]
+        return 2.0 * self.sine_moments(f)
 
     def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
         """sum_j c_j phi_j at the nodes, along the last axis; exact zeros at
         both walls."""
-        return self.synthesize([coeffs], ())[0][0]
+        N = self.grid.num_cells
+        nodal = np.zeros(coeffs.shape[:-1] + (N + 1,))
+        nodal[..., 1:self.num_modes + 1] = coeffs
+        nodal[..., 1:N] = 0.5 * compiled.dst(nodal[..., 1:N], 1, [-1])
+        return nodal
 
     def reconstruct_derivative(self, coeffs: np.ndarray) -> np.ndarray:
         """sum_j c_j phi_j' at the nodes, along the last axis."""
-        return self.synthesize((), [coeffs])[1][0]
+        padded = np.zeros(coeffs.shape[:-1] + (self.grid.num_nodes,))
+        padded[..., 1:self.num_modes + 1] = coeffs * self.wavenumbers
+        return 0.5 * compiled.dct(padded, 1, [-1])
 
 
 def project_initial_velocity(u0: np.ndarray, v0: np.ndarray, num_modes: int,
@@ -255,7 +241,7 @@ def remap_density_to_grid(rho_particles: np.ndarray, positions: np.ndarray,
     rho, empty = np.empty(labels.shape), []
     for (out, particles, x, y), mass in zip(
             each_row(rho, rho_particles, positions, labels),
-            np.ravel(total_mass)):
+            np.broadcast_to(total_mass, rho.shape[:-1]).ravel()):
         np.multiply(mass, _pchip_derivative(x, y, grid.x), out=out)
         # the wall particles are pinned to the wall nodes, so their
         # closed-form densities are exact there; the interpolant's
@@ -321,10 +307,10 @@ def advance_director(state: FlowState, c: LeslieSet, dt,
     lower[..., -1] = upper[..., -1] = 0.0
 
     rhs = g1 / dt * state.n + src
-    *_, n_new, info = lapack.dgtsv(lower.ravel()[:-1], diag.ravel(),
-                                   upper.ravel()[:-1], rhs.ravel(),
-                                   overwrite_dl=True, overwrite_d=True,
-                                   overwrite_du=True, overwrite_b=True)
+    *_, n_new, info = compiled.dgtsv(lower.ravel()[:-1], diag.ravel(),
+                                     upper.ravel()[:-1], rhs.ravel(),
+                                     overwrite_dl=True, overwrite_d=True,
+                                     overwrite_du=True, overwrite_b=True)
     if info != 0:   # pragma: no cover - misconfiguration
         raise RuntimeError(f"director tridiagonal solve failed: info={info}")
     return n_new.reshape(shape)
@@ -365,8 +351,8 @@ def galerkin_system(*, basis: SineBasis, rho_new: np.ndarray,
 
     exact on the grid, at O(N log N + K^2) for all of them together.
     """
-    _, cos_moments = basis.moments((), [rho_new, *entries])
-    toeplitz, hankel = _toeplitz_hankel(cos_moments, basis.num_modes)
+    toeplitz, hankel = _toeplitz_hankel(
+        basis.cosine_moments(np.array([rho_new, *entries])), basis.num_modes)
     mass = 0.5 * (toeplitz[0] - hankel[0])
     stiffness = np.add(toeplitz[1:], hankel[1:])
     stiffness *= np.outer(basis.wavenumbers, 0.5 * basis.wavenumbers)
@@ -380,9 +366,9 @@ def old_time_rhs(state: FlowState, c: LeslieSet, dt: float,
     the momenta (rho u, rho v) plus dt times the moments against phi_j' of
     the transport and pressure fluxes (rho u^2 + p(rho), rho u v)."""
     rho_u = state.rho * state.u
-    sin_moments, cos_moments = basis.moments(
-        [rho_u, state.rho * state.v],
-        [rho_u * state.u + pressure(state.rho, c.gamma_ad), rho_u * state.v])
+    sin_moments = basis.sine_moments(np.array([rho_u, state.rho * state.v]))
+    cos_moments = basis.cosine_moments(np.array(
+        [rho_u * state.u + pressure(state.rho, c.gamma_ad), rho_u * state.v]))
     # integrals against phi_j' are j pi times the cosine moments
     return (sin_moments
             + dt * basis.wavenumbers * cos_moments[..., 1:basis.num_modes + 1])
@@ -399,12 +385,12 @@ def momentum_residual(old_rhs: np.ndarray, dt: float, *, basis: SineBasis,
     director.  With the fields of c in hand, M c is the sine moments of
     rho_new (u, v), and the rows of S c are j pi times the cosine moments of
     A(n) (u_x, v_x), which the flux brackets add to the director-rate part:
-    one transform of four rows, exact against the assembled matrices.
+    two transforms of two rows each, exact against the assembled matrices.
     """
     new_terms = -rho_new * velocity
     new_terms[0] += dt * elastic
-    sin_moments, cos_moments = basis.moments(new_terms, flux)
-    return (old_rhs + sin_moments
+    cos_moments = basis.cosine_moments(np.array(flux))
+    return (old_rhs + basis.sine_moments(new_terms)
             - dt * basis.wavenumbers * cos_moments[..., 1:basis.num_modes + 1])
 
 
@@ -450,7 +436,7 @@ def advance_velocity_modes(c: LeslieSet, dt: np.ndarray, *, grid: Grid1D,
             np.multiply(step_dt, stiffness.reshape(2, 2, K, K), out=blocks)
             blocks[0, 0] += mass
             blocks[1, 1] += mass
-            lu, piv, info = lapack.dgetrf(system, overwrite_a=True)
+            lu, piv, info = compiled.dgetrf(system, overwrite_a=True)
             if info != 0:
                 raise RuntimeError(f"velocity mode solve failed: singular "
                                    f"system (info={info})")
@@ -462,7 +448,7 @@ def advance_velocity_modes(c: LeslieSet, dt: np.ndarray, *, grid: Grid1D,
     corrections = []
     for (_, lu, piv), rows in zip(factors,
                                   residual.reshape(2, -1, K).swapaxes(0, 1)):
-        solved, info = lapack.dgetrs(lu, piv, rows.ravel())
+        solved, info = compiled.dgetrs(lu, piv, rows.ravel())
         if info != 0:   # pragma: no cover - misconfiguration
             raise RuntimeError(
                 f"velocity mode back-substitution failed: info={info}")
@@ -532,7 +518,8 @@ def _attempt_step(states: Sequence[FlowState], modes: Sequence[np.ndarray],
     iteration = 1
     while live.size and iteration <= PICARD_MAX:
         ld, total_mass, occupied, rho_safe, step_dt, n_old, old_rhs = rows
-        velocity, gradients = basis.synthesize(modes_it, modes_it)
+        velocity = basis.reconstruct(modes_it)
+        gradients = basis.reconstruct_derivative(modes_it)
         u_field, v_field = velocity
         u_x, v_x = gradients
 

@@ -112,32 +112,27 @@ def assert_bitwise(got, want):
 @pytest.mark.parametrize("cells", [8, 9, 128])
 @pytest.mark.parametrize("members", [1, 2, 3])
 def test_transforms_of_stacked_rows_are_each_rows_own(cells, members):
-    # a member's transforms, fused with others or alone, on its row of a
-    # stack of (u, v) rows per member, are bit for bit those of its row
-    # transformed on its own, signed zeros included
+    # a member's transforms, on its row of a stack of (u, v) rows per
+    # member, are bit for bit those of its row transformed on its own,
+    # signed zeros included
     rng = np.random.default_rng(cells + members)
     basis = SineBasis(min(cells - 1, 16), Grid1D(cells))
     f = rng.normal(size=(2, members, cells + 1))
     coeffs = rng.normal(size=(2, members, basis.num_modes))
     f[1, 0], coeffs[1, 0] = -0.0, -0.0   # a member's v row of zeros
-    fused = (*basis.moments(f, f), *basis.synthesize(coeffs, coeffs))
-    alone = (basis.moments(f, ())[0], basis.moments((), f)[1],
-             basis.reconstruct(coeffs), basis.reconstruct_derivative(coeffs))
-    for r in range(2):
-        for m in range(members):
-            row, c = f[r, m], coeffs[r, m]
-            lone = (basis.moments([row], ())[0][0],
-                    basis.moments((), [row])[1][0],
-                    basis.reconstruct(c), basis.reconstruct_derivative(c))
-            for results in (fused, alone):
-                for got, want in zip(results, lone):
-                    assert_bitwise(got[r, m], want)
-            assert_bitwise(basis.project(f)[r, m], basis.project(row))
+    transforms = ((basis.sine_moments, f), (basis.cosine_moments, f),
+                  (basis.project, f), (basis.reconstruct, coeffs),
+                  (basis.reconstruct_derivative, coeffs))
+    for transform, rows in transforms:
+        stacked = transform(rows)
+        for r in range(2):
+            for m in range(members):
+                assert_bitwise(stacked[r, m], transform(rows[r, m]))
 
 
 @pytest.mark.parametrize("cells", [8, 9, 97, 128])
 def test_transforms_are_scipys_dst_and_dct(cells):
-    # the basis transforms the extensions that pocketfft's DST-I and DCT-I
+    # the basis calls pocketfft's DST-I and DCT-I and scales after the
     # transform, so each result is bit for bit scipy's, signed zeros included
     rng = np.random.default_rng(cells)
     basis = SineBasis(cells // 2, Grid1D(cells))
@@ -148,9 +143,9 @@ def test_transforms_are_scipys_dst_and_dct(cells):
     coeffs[3, 0] = -1.0
     padded = np.zeros((4, cells + 1))
     padded[:, 1:K + 1] = coeffs
-    sines, cosines = basis.moments(f, f)
-    assert_bitwise(sines, dst(f[:, 1:-1], type=1, norm="forward")[:, :K])
-    assert_bitwise(cosines, dct(f, type=1, norm="forward"))
+    assert_bitwise(basis.sine_moments(f),
+                   dst(f[:, 1:-1], type=1, norm="forward")[:, :K])
+    assert_bitwise(basis.cosine_moments(f), dct(f, type=1, norm="forward"))
     values = np.zeros((4, cells + 1))
     values[:, 1:-1] = 0.5 * dst(padded[:, 1:-1], type=1)
     assert_bitwise(basis.reconstruct(coeffs), values)
@@ -437,6 +432,18 @@ def test_remap_conserves_mass_exactly(rng):
     rho_new = remap_density_to_grid(rho_p, pos, ld.labels, total, grid)
     assert np.trapezoid(rho_new, dx=grid.dx) == pytest.approx(total, abs=1e-14)
     assert np.min(rho_new) > 0.0
+
+
+def test_remap_takes_a_float_mass_for_every_row():
+    # a float total_mass remaps every row, bit for bit as one mass per row
+    grid = Grid1D(16)
+    rng = np.random.default_rng(15)
+    ld = LagrangianDensity.at_step_start(1.0 + rng.random((3, grid.num_nodes)),
+                                         grid)
+    positions = grid.x + 0.01 * np.sin(np.pi * grid.x) * rng.random((3, 1))
+    rows = (ld.rho0, positions, ld.labels)
+    each = remap_density_to_grid(*rows, 0.7, grid)
+    assert_bitwise(each, remap_density_to_grid(*rows, np.full(3, 0.7), grid))
 
 
 @pytest.mark.parametrize("fault", ["lost monotonicity", "lost all mass"])

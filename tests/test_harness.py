@@ -1055,7 +1055,8 @@ def test_cli_sweep_rejects_malformed_deltas(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli_main(["sweep", "--config", str(conf), "--deltas", "0.1,abc"])
     assert excinfo.value.code == 2
-    assert "--deltas" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--deltas" in err and "_delta_list" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -1320,10 +1321,11 @@ def test_cli_import_leaves_out_scipy_interpolate():
 
 
 def test_cli_import_leaves_out_scipy_fft():
-    # the sine basis transforms with numpy's real FFT; scipy.fftpack
+    # the sine basis calls scipy's compiled pocketfft module, loaded by its
+    # file path, so neither numpy.fft nor scipy.fft loads; scipy.fftpack
     # pulled in scipy.fft and scipy.special, about 0.1 s and 5 MB per start
-    assert cli_import_loads("scipy.fft", "scipy.fftpack",
-                            "scipy.special") == []
+    assert cli_import_loads("scipy.fft", "scipy.fftpack", "scipy.special",
+                            "numpy.fft") == []
 
 
 def test_cli_import_leaves_out_scipy_linalg():
