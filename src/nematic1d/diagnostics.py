@@ -24,12 +24,6 @@ from .fields import (FlowState, Grid1D, gradient, pressure, second_derivative,
 TIME_ROUNDOFF = 1e-13
 
 
-def integrate(values, grid: Grid1D):
-    """Trapezoid integral along the last axis: a float, or for stacked rows
-    a list of floats, each equal to the row's own integral."""
-    return np.trapezoid(values, dx=grid.dx, axis=-1).tolist()
-
-
 @dataclass(frozen=True)
 class EnergyLedger:
     """One row of the run ledger; the field order is the energy.csv column
@@ -67,74 +61,68 @@ class EnergyLedger:
         return ",".join(f"{v:.17g}" for v in self.values())
 
 
-def make_ledger(state: FlowState, c: LeslieSet, grid: Grid1D):
-    """The ledger row of one state, every integral taken in one stacked
-    pass; for a state of stacked member rows (`fields.stack`), the list of
-    the members' rows from one pass over them all.
+def make_ledger(states: Sequence[FlowState], c: LeslieSet,
+                grid: Grid1D) -> list[tuple]:
+    """Each member's ledger row and the reductions of its state that a
+    run's summary reads, (min rho, max rho, integral of n_xx^2, integral
+    of n_t^2), from one stacked pass over the members (`fields.stack`)
+    that takes every integral in one trapezoid call; n_t is the solver's
+    ndot - u n_x, keeping a single definition of the director rate per
+    run.
 
     For an admissible coefficient set the dissipation is pointwise
     nonnegative even though the anisotropy remainder alone may go negative;
     a total below -1e-10 * scale signals an inadmissible set or a broken
-    formula and raises, as does a non-finite entry.
+    formula and raises, as does a non-finite ledger entry.
     """
+    state = stack(states)
     gamma_ad = c.gamma_ad
     n_x = gradient(state.n, grid.dx, neumann_ends=True)
+    n_xx = second_derivative(state.n, grid.dx)
     ndot = state.require_ndot()
+    n_t = ndot - state.u * n_x
     u_x = gradient(state.u, grid.dx)
     v_x = gradient(state.v, grid.dx)
     # rho log rho with the continuous extension 0 log 0 := 0
     rho = np.maximum(state.rho, 0.0)
     rho_log_rho = np.where(rho > 0.0,
                            rho * np.log(np.where(rho > 0.0, rho, 1.0)), 0.0)
-    integrals = np.trapezoid(np.array(
+    *sums, sq_xx, sq_t = np.trapezoid(np.array(
         (0.5 * state.rho * (state.u ** 2 + state.v ** 2),
          pressure(state.rho, gamma_ad) / (gamma_ad - 1.0),
          0.5 * n_x * n_x,
          *dissipation_parts(c, state.n, u_x, v_x, ndot), state.rho,
-         pressure(state.rho, 2.0 * gamma_ad), rho_log_rho)),
+         pressure(state.rho, 2.0 * gamma_ad), rho_log_rho,
+         n_xx * n_xx, n_t * n_t)),
         dx=grid.dx, axis=-1)
-    stacked = isinstance(state.time, list)
-    ledgers = []
-    rows = integrals.reshape(len(integrals), -1).T.tolist()   # per member
+    rows = np.reshape(sums, (len(sums), -1)).T.tolist()   # per member
+    reductions = zip(*(np.reshape(values, -1).tolist() for values in (
+        state.rho.min(axis=-1), state.rho.max(axis=-1), sq_xx, sq_t)))
+    records = []
     for time, (kin, internal, elastic, *parts, mass, rho2gamma,
-               entropy) in zip(state.time if stacked else [state.time], rows):
+               entropy), reduction in zip(state.time, rows, reductions):
         total_dissipation = float(sum(parts))
         scale = 1.0 + sum(abs(p) for p in parts)
         if total_dissipation < -1e-10 * scale:
             raise ValueError(f"negative dissipation {total_dissipation:.3e}; "
                              "coefficient set admissibility is suspect")
-        ledgers.append(EnergyLedger(
+        ledger = EnergyLedger(
             time=time,
             kinetic=kin, internal=internal, elastic=elastic,
             total=kin + internal + elastic,
             dissipation=total_dissipation, dissipation_parts=tuple(parts),
             mass=mass, rho2gamma=rho2gamma, entropy=entropy,
-        ))
-        if not np.all(np.isfinite(ledgers[-1].values())):
+        )
+        if not np.all(np.isfinite(ledger.values())):
             raise ValueError(f"non-finite ledger entry at t={time:g}")
-    return ledgers if stacked else ledgers[0]
-
-
-def snapshot_records(states: Sequence[FlowState], c: LeslieSet,
-                     grid: Grid1D) -> list[tuple]:
-    """Each member's ledger row and the reductions of its state that a
-    run's summary reads, (min rho, max rho, integral of n_xx^2, integral
-    of n_t^2), from one stacked pass; n_t is the solver's ndot - u n_x,
-    keeping a single definition of the director rate per run."""
-    state = stack(states)
-    n_xx = second_derivative(state.n, grid.dx)
-    n_x = gradient(state.n, grid.dx, neumann_ends=True)
-    n_t = state.require_ndot() - state.u * n_x
-    squares = integrate(np.array((n_xx * n_xx, n_t * n_t)), grid)
-    reductions = zip(*(np.reshape(values, -1).tolist() for values in (
-        state.rho.min(axis=-1), state.rho.max(axis=-1), *squares)))
-    return list(zip(make_ledger(state, c, grid), reductions))
+        records.append((ledger, reduction))
+    return records
 
 
 @dataclass
 class Trajectory:
     """The run record at each output time: the ledger, which carries the
-    time, and the reductions of the state (`snapshot_records`)."""
+    time, and the reductions of the state (`make_ledger`)."""
     ledgers: list[EnergyLedger]
     reductions: list[tuple[float, float, float, float]]
     metadata: dict = field(default_factory=dict)
@@ -219,7 +207,7 @@ def run_schedule(initials: Sequence[FlowState], advance: Callable,
                 drop(behind[len(advanced)], exc)
         if (k % snapshot_every == 0 or k == num_steps) and states:
             records, exc = _together(
-                lambda members: snapshot_records(members, c, grid), states)
+                lambda members: make_ledger(members, c, grid), states)
             if exc is not None:
                 drop(len(records), exc)
             for traj, (led, reduction) in zip(trajectories, records):

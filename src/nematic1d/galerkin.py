@@ -477,10 +477,6 @@ class StepStats:
     def halvings(self) -> int:
         return sum(self.halved)
 
-    @property
-    def factorizations(self) -> int:
-        return sum(self.factored)
-
 
 def _attempt_step(states: Sequence[FlowState], modes: Sequence[np.ndarray],
                   grid: Grid1D, c: LeslieSet, dt: Sequence[float],

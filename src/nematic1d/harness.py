@@ -595,8 +595,8 @@ def _sweep_member(args: tuple) -> tuple[list[SweepMember],
         batch = stack(snaps)
         h = diagnostics.effective_viscous_flux(batch, config.coefficients,
                                                grid)
-        pairs.append(np.reshape(diagnostics.integrate(
-            window * batch.rho * np.array(h), grid), (2, -1)).T.tolist())
+        pairs.append(np.trapezoid(window * batch.rho * np.array(h), dx=grid.dx,
+                                  axis=-1).reshape(2, -1).T.tolist())
         write(snaps)
 
     with field_writer(config, subdirs) as write:

@@ -7,7 +7,7 @@ import pytest
 
 from nematic1d import derivation
 from nematic1d.coefficients import example_set
-from nematic1d.diagnostics import Trajectory, snapshot_records
+from nematic1d.diagnostics import Trajectory, make_ledger
 from nematic1d.fields import flux_bracket
 
 # Hypothesis caches the constants it reads from the package source in its
@@ -71,7 +71,7 @@ def record_of():
     """The run record that run_schedule keeps of a sequence of states under
     a coefficient set: each state's ledger and reductions."""
     def record(states, c, grid):
-        ledgers, reductions = zip(*(snapshot_records([s], c, grid)[0]
+        ledgers, reductions = zip(*(make_ledger([s], c, grid)[0]
                                     for s in states))
         return Trajectory(list(ledgers), list(reductions))
     return record

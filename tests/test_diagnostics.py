@@ -9,7 +9,7 @@ from nematic1d.coefficients import LeslieSet, example_set, random_valid_set
 from nematic1d.derivation import check_energy_identity
 from nematic1d.diagnostics import (EnergyLedger, director_norms,
                                    effective_viscous_flux, energy_budget,
-                                   high_integrability, integrate, make_ledger,
+                                   high_integrability, make_ledger,
                                    run_schedule, snapshot_count)
 from nematic1d.fields import FlowState, Grid1D, gradient
 from nematic1d.harness import RunConfig, run_simulation
@@ -27,13 +27,13 @@ def make_state(grid, rho=None, u=None, v=None, n=None, ndot=None, time=0.0):
 
 def energy_parts(state, c, grid):
     """(kinetic, internal, elastic) as the ledger integrates them."""
-    led = make_ledger(state, c, grid)
+    led = make_ledger([state], c, grid)[0][0]
     return led.kinetic, led.internal, led.elastic
 
 
 def dissipation(state, c, grid):
     """(total, five parts) as the ledger integrates them."""
-    led = make_ledger(state, c, grid)
+    led = make_ledger([state], c, grid)[0][0]
     return led.dissipation, led.dissipation_parts
 
 
@@ -95,8 +95,8 @@ def test_dissipation_matches_direct_form(rng):
         total, _ = dissipation(state, c, grid)
         # check_energy_identity is the direct form minus the five parts
         u_x, v_x = gradient(state.u, grid.dx), gradient(state.v, grid.dx)
-        direct = total + integrate(
-            check_energy_identity(u_x, v_x, state.ndot, state.n, c), grid)
+        direct = total + np.trapezoid(check_energy_identity(
+            u_x, v_x, state.ndot, state.n, c), dx=grid.dx)
         assert total == pytest.approx(direct, rel=1e-10, abs=1e-12)
         assert total >= -1e-10 * (1 + abs(total))
 
@@ -107,13 +107,13 @@ def test_dissipation_negative_raises():
     grid = Grid1D(64)
     state = make_state(grid, u=np.sin(np.pi * grid.x))
     with pytest.raises(ValueError, match="dissipation"):
-        make_ledger(state, bad, grid)
+        make_ledger([state], bad, grid)
 
 
 def test_energy_budget_static(base_set):
     grid = Grid1D(32)
     state = make_state(grid, n=np.full(grid.num_nodes, 0.2))
-    led = make_ledger(state, base_set, grid)
+    led = make_ledger([state], base_set, grid)[0][0]
     ledgers = [replace(led, time=t) for t in np.linspace(0.0, 1.0, 11)]
     defect, max_defect = energy_budget(ledgers)
     assert max_defect < 1e-12
@@ -124,7 +124,7 @@ def test_energy_budget_weights_each_interval(base_set):
     # an off-cadence last output time weighs D by its shorter interval:
     # defect_m = E_m - E_0 + sum_{k<=m} D_k (t_k - t_{k-1})
     grid = Grid1D(32)
-    led = make_ledger(make_state(grid), base_set, grid)
+    led = make_ledger([make_state(grid)], base_set, grid)[0][0]
     ledgers = [replace(led, time=t, total=e, dissipation=dv)
                for t, e, dv in ((0.0, 1.0, 5.0), (0.1, 0.9, 2.0),
                                 (0.35, 0.7, 0.6))]
@@ -136,13 +136,13 @@ def test_energy_budget_weights_each_interval(base_set):
 def test_high_integrability_constants(base_set):
     grid = Grid1D(64)
     # rho = 1, gamma = 2, T = 1 -> 1
-    led = make_ledger(make_state(grid), base_set, grid)
+    led = make_ledger([make_state(grid)], base_set, grid)[0][0]
     ledgers = [replace(led, time=t) for t in np.linspace(0.0, 1.0, 21)]
     assert high_integrability(ledgers) == pytest.approx(1.0, abs=1e-12)
     # rho = 2, gamma = 1.5, T = 0.5 -> 0.5 * 2^3 = 4
     c15 = LeslieSet(alpha2=-1.0, alpha3=1.0, alpha4=1.0, gamma_ad=1.5)
-    led2 = make_ledger(make_state(grid, rho=np.full(grid.num_nodes, 2.0)),
-                       c15, grid)
+    led2 = make_ledger([make_state(grid, rho=np.full(grid.num_nodes, 2.0))],
+                       c15, grid)[0][0]
     ledgers2 = [replace(led2, time=t) for t in np.linspace(0.0, 0.5, 11)]
     assert high_integrability(ledgers2) == pytest.approx(4.0, abs=1e-12)
 
@@ -178,7 +178,7 @@ def test_entropy_values(base_set):
     grid = Grid1D(64)
 
     def entropy(state):
-        return make_ledger(state, base_set, grid).entropy
+        return make_ledger([state], base_set, grid)[0][0].entropy
     assert entropy(make_state(grid)) == pytest.approx(0.0, abs=1e-15)
     state_e = make_state(grid, rho=np.full(grid.num_nodes, np.e))
     assert entropy(state_e) == pytest.approx(np.e, rel=1e-13)
@@ -192,7 +192,7 @@ def test_entropy_jensen_bound(base_set, rng):
         rho = 0.5 + rng.uniform(0.0, 2.0) * rng.random(grid.num_nodes)
         state = make_state(grid, rho=rho)
         mass = np.trapezoid(rho, dx=grid.dx)
-        entropy = make_ledger(state, base_set, grid).entropy
+        entropy = make_ledger([state], base_set, grid)[0][0].entropy
         assert entropy >= mass * np.log(mass) - 1e-12
 
 
@@ -200,7 +200,7 @@ def test_ledger_total_is_sum(base_set):
     grid = Grid1D(64)
     state = make_state(grid, u=0.3 * np.sin(np.pi * grid.x),
                        n=0.2 * np.cos(np.pi * grid.x))
-    led = make_ledger(state, base_set, grid)
+    led = make_ledger([state], base_set, grid)[0][0]
     assert led.total == pytest.approx(led.kinetic + led.internal + led.elastic)
     row = led.csv_row()
     assert len(row.split(",")) == len(EnergyLedger.CSV_HEADER.split(","))
@@ -250,7 +250,7 @@ def test_failed_snapshot_record_drops_its_member_and_later_ones(base_set,
     # middle one's record fails at the second output time, in the batch and
     # alone: it and the last are dropped there, and the first runs on
     grid = Grid1D(16)
-    real, error = diagnostics_module.snapshot_records, ValueError("no record")
+    real, error = diagnostics_module.make_ledger, ValueError("no record")
 
     def failing(states, c, grid):
         if any(s.rho[0] == 2.0 and s.time > 0.0 for s in states):
@@ -260,7 +260,7 @@ def test_failed_snapshot_record_drops_its_member_and_later_ones(base_set,
     def advance(ids, states, dts):
         return [replace(s, time=s.time + d) for s, d in zip(states, dts)]
 
-    monkeypatch.setattr(diagnostics_module, "snapshot_records", failing)
+    monkeypatch.setattr(diagnostics_module, "make_ledger", failing)
     handed = []
     trajectories, failure = run_schedule(
         [make_state(grid, rho=np.full(grid.num_nodes, r))

@@ -2,13 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.fftpack import dct, dst
 from scipy.interpolate import PchipInterpolator
 
 from nematic1d.coefficients import (example_set, matrix_entries,
                                     random_valid_set)
 from nematic1d.diagnostics import (director_norms, energy_budget,
-                                   high_integrability)
+                                   high_integrability, make_ledger)
 from nematic1d.fields import (FlowState, Grid1D, director_rate_flux,
                               director_residual, elastic_coupling,
                               flux_bracket, gradient, initial_ndot,
@@ -128,6 +129,79 @@ def test_transforms_of_stacked_rows_are_each_rows_own(cells, members):
         for r in range(2):
             for m in range(members):
                 assert_bitwise(stacked[r, m], transform(rows[r, m]))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(size=st.integers(1, 4), cells=st.integers(8, 40),
+       seed=st.integers(0, 2**32 - 1), float_mass=st.booleans())
+def test_stacked_calls_are_each_members_own(size, cells, seed, float_mass):
+    # the batch contract: each routine a batch of members runs through
+    # gives a member, on its row of the stack, bit for bit what it gives
+    # that member alone; two steps cover the velocity update that factors
+    # and the one that corrects with the held LU
+    rng = np.random.default_rng(seed)
+    c, grid = random_valid_set(rng), Grid1D(cells)
+    x, basis = grid.x, SineBasis(min(cells - 1, 6), grid)
+    states, modes = [], []
+    for _ in range(size):
+        modes.append(0.3 * rng.standard_normal((2, basis.num_modes))
+                     / np.arange(1, basis.num_modes + 1) ** 2)
+        a, b = rng.uniform(-0.25, 0.25, 2)
+        states.append(FlowState(
+            0.0, 1.0 + a * np.cos(np.pi * x) + b * np.cos(2 * np.pi * x),
+            *basis.reconstruct(modes[-1]),
+            rng.uniform(-1, 1) + rng.uniform(-0.5, 0.5) * np.cos(np.pi * x),
+            ndot=rng.uniform(-1, 1) * np.cos(2 * np.pi * x)))
+    dts = 1e-3 * (1.0 + rng.random(size))
+    rho, u, v, n = (np.stack([getattr(s, name) for s in states])
+                    for name in ("rho", "u", "v", "n"))
+    ld = LagrangianDensity.at_step_start(rho, grid)
+    increments = dts[:, None] * gradient(u, grid.dx) / rho
+    particles = advance_density(ld, increments)
+    positions = x + dts[:, None] * u
+    positions[:, 0], positions[:, -1] = 0.0, 1.0
+    masses = np.trapezoid(rho, dx=grid.dx, axis=-1).tolist()
+    if float_mass:   # one mass for every row, passed as a float
+        masses = masses[:1] * size
+    remapped = remap_density_to_grid(particles, positions, ld.labels,
+                                     masses[0] if float_mass else masses, grid)
+    director = advance_director(FlowState(None, rho, u, v, n), c,
+                                dts[:, None], grid)
+    records = make_ledger(states, c, grid)
+    first = step(states, modes, grid, c, dt=dts.tolist(),
+                 picard_tol=PICARD_TOL, basis=basis, start=[None] * size,
+                 factor=[None] * size)
+    second = step(*first[:2], grid, c, dt=dts.tolist(), picard_tol=PICARD_TOL,
+                  basis=basis, start=[None] * size, factor=first[3])
+    for m, state in enumerate(states):
+        alone = LagrangianDensity.at_step_start(state.rho, grid)
+        assert_bitwise(particles[m], advance_density(alone, increments[m]))
+        assert_bitwise(remapped[m], remap_density_to_grid(
+            particles[m], positions[m], alone.labels, masses[m], grid))
+        assert_bitwise(director[m], advance_director(state, c, dts[m], grid))
+        (ledger, reduction), = make_ledger([state], c, grid)
+        assert_bitwise(np.array(records[m][0].values() + [*records[m][1]]),
+                       np.array(ledger.values() + [*reduction]))
+        first_alone = step_one(state, modes[m], grid, c, dt=dts[m],
+                               picard_tol=PICARD_TOL, basis=basis)
+        second_alone = step_one(*first_alone[:2], grid, c, dt=dts[m],
+                                picard_tol=PICARD_TOL, basis=basis,
+                                factor=first_alone[3])
+        # the first step factors, the second corrects with the held LU
+        assert first_alone[2].factored == [1]
+        assert second_alone[2].factored == [0]
+        for batch, (new_state, new_modes, stats, lu) in (
+                (first, first_alone), (second, second_alone)):
+            got = batch[0][m]
+            for name in ("rho", "u", "v", "n", "ndot"):
+                assert_bitwise(getattr(got, name), getattr(new_state, name))
+            assert got.time == new_state.time
+            assert_bitwise(batch[1][m], new_modes)
+            assert ({name: each[m] for name, each in vars(batch[2]).items()}
+                    == {name: each[0] for name, each in vars(stats).items()})
+            assert batch[3][m][0] == lu[0]
+            for got_factor, factor in zip(batch[3][m][1:], lu[1:]):
+                assert_bitwise(got_factor, factor)
 
 
 @pytest.mark.parametrize("cells", [8, 9, 97, 128])
@@ -631,10 +705,10 @@ def test_step_fixed_point_is_the_direct_solution(base_set, preset,
     assert [start is None for _, _, start, _, _ in steps] == [True] + [False] * 11
     # the first step factors, every later one gets that LU back
     first_lu = steps[0][4][3]
-    assert steps[0][3] is None and steps[0][4][2].factorizations == 1
+    assert steps[0][3] is None and sum(steps[0][4][2].factored) == 1
     for _, _, _, factor, (_, _, stats, lu) in steps[1:]:
         assert factor is first_lu and lu is first_lu
-        assert stats.factorizations == 0
+        assert sum(stats.factored) == 0
     assert traj.metadata["velocity_factorizations"] == 1
     for old, step_dt, _, _, (new_state, new_modes, stats, _) in steps:
         assert stats.halvings == 0 and stats.picard_iterations > 1
@@ -690,7 +764,7 @@ def test_failed_guess_is_retried_at_the_same_dt(base_set, monkeypatch,
     assert np.max(np.abs(new_modes - plain_modes)) <= 10.0 * PICARD_TOL
     discarded = 1 if picard_max is None else picard_max
     assert stats.picard_iterations == plain.picard_iterations + discarded
-    assert plain.factorizations == stats.factorizations == 1
+    assert sum(plain.factored) == sum(stats.factored) == 1
     assert lu is not held
 
 
