@@ -31,12 +31,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     if config is None:
         return 2
-    try:  # an inadmissible set or unusable initial data: no directory yet
+    try:  # an inadmissible set: no directory yet
         require_valid(config.coefficients)
-        state = harness.build_initial_state(config, Grid1D(config.grid_cells))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # every parsed config has initial data, vacuum (rho0 = 0) included
+    state = harness.build_initial_state(config, Grid1D(config.grid_cells))
     try:  # before the solve, so a missing directory wastes no work
         outdir = harness.resolve_output_dir(config, args.output)
     except (OSError, ValueError) as exc:

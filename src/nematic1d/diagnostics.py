@@ -142,24 +142,26 @@ def snapshot_count(dt: float, t_end: float, snapshot_every: int) -> int:
     return 1 - (-_scheduled_steps(dt, t_end) // snapshot_every)
 
 
-def _together(fn: Callable[[list], list], members: list) -> tuple:
-    """fn over the members at once, or, if that raises, over each alone in
-    turn, so that a failure falls on the first member that fails alone.
-    Returns the results of the members before it, and its failure or None;
-    a batch that fails while each member alone succeeds goes on with the
-    solo results."""
-    try:
-        return fn(members), None
-    except Exception as exc:
-        if len(members) == 1:
-            return [], exc
+def _together(fn: Callable[[list], list], members: list,
+              alone: bool = False) -> tuple:
+    """fn over the members at once unless alone, else (or if that raises)
+    over each alone in turn, so that a failure falls on the first member
+    that fails alone.  Returns the results of the members before it, its
+    failure or None, and whether they go on alone: a batch that fails while
+    each member alone succeeds goes on with the solo results."""
+    if not alone:
+        try:
+            return fn(members), None, False
+        except Exception as exc:
+            if len(members) == 1:
+                return [], exc, False
     results = []
     for member in members:
         try:
             results += fn([member])
         except Exception as exc:
-            return results, exc
-    return results, None
+            return results, exc, alone
+    return results, None, True
 
 
 def run_schedule(initials: Sequence[FlowState], advance: Callable,
@@ -178,15 +180,16 @@ def run_schedule(initials: Sequence[FlowState], advance: Callable,
     stay on the cadence.  At each output time the members' states are
     ledgered and reduced in one stacked pass and handed to on_snapshot, if
     given, as a list, the one way a state leaves the run.  A failure drops
-    the member it falls on and every later one, and the others go on.  The
-    caller validates c and fills the metadata.
+    the member it falls on and every later one, and the others go on; once
+    a step fails only for the batch, the members step alone to the end.
+    The caller validates c and fills the metadata.
 
     Returns the trajectories of the members before the first that failed,
     and that member's failure, or None when all got to t_end.
     """
     states = list(initials)
     trajectories = [Trajectory(ledgers=[], reductions=[]) for _ in states]
-    failure = None
+    failure, alone = None, False
 
     def drop(first: int, exc: Exception) -> None:   # the failed and later
         nonlocal failure
@@ -198,15 +201,16 @@ def run_schedule(initials: Sequence[FlowState], advance: Callable,
         target = min(k * dt, t_end)
         while behind := [i for i, s in enumerate(states)
                          if s.time < target - TIME_ROUNDOFF]:
-            advanced, exc = _together(lambda members: advance(
+            advanced, exc, alone = _together(lambda members: advance(
                 members, [states[i] for i in members],
-                [min(dt, target - states[i].time) for i in members]), behind)
+                [min(dt, target - states[i].time) for i in members]), behind,
+                alone)
             for i, state in zip(behind, advanced):
                 states[i] = state
             if exc is not None:
                 drop(behind[len(advanced)], exc)
         if (k % snapshot_every == 0 or k == num_steps) and states:
-            records, exc = _together(
+            records, exc, _ = _together(
                 lambda members: make_ledger(members, c, grid), states)
             if exc is not None:
                 drop(len(records), exc)

@@ -418,8 +418,8 @@ def advance_velocity_modes(c: LeslieSet, dt: np.ndarray, *, grid: Grid1D,
     residual vanishes, so the modes are the direct solution at the
     converged (rho, n, ndot), whichever system was factored.
     """
-    if rho_new.min() <= 0.0:
-        raise ValueError("mass matrix requires strictly positive density")
+    if rho_new.min() < 0.0:
+        raise ValueError("mass matrix requires nonnegative density")
     K = basis.num_modes
     trig = np.cos(n_new), np.sin(n_new)
     entries = matrix_entries(c, n_new, trig)

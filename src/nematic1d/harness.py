@@ -315,22 +315,24 @@ def _momentum_quotients(raw: RawInitialData) -> np.ndarray:
 
 def mollify_initial_data(raw: RawInitialData, delta: float,
                          grid: Grid1D) -> FlowState:
-    """Smooth rough initial data into a strictly positive-density state.
+    """Smooth raw initial data over the radius delta >= 0 into a state.
 
     Density gets a zero-extension convolution plus the additive floor delta,
     velocities are reconstructed from the convolved momentum-over-sqrt-density
-    quotient (zero where the raw density vanishes), and the director angle is
-    convolved after even reflection, which preserves the Neumann ends.  In
-    angle form the unit-norm constraint holds automatically, so no
-    renormalization step is needed (exact for angle oscillation below pi).
+    quotient (zero where the density vanishes, as only delta = 0 allows),
+    and the director angle is convolved after even reflection, which
+    preserves the Neumann ends.  In angle form the unit-norm constraint holds
+    automatically (exact for angle oscillation below pi).  At delta = 0 the
+    kernel is the identity: density and director are the raw arrays.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not delta >= 0.0:
+        raise ValueError("delta must be nonnegative")
     weights = _bump_weights(delta, grid.dx)
     rho = _convolve(raw.rho0, weights, "constant") + delta
-    w_u, w_v = _momentum_quotients(raw)
-    u = _convolve(w_u, weights, "constant") / np.sqrt(rho)
-    v = _convolve(w_v, weights, "constant") / np.sqrt(rho)
+    quotients = [_convolve(w, weights, "constant")
+                 for w in _momentum_quotients(raw)]
+    u, v = np.divide(quotients, np.sqrt(rho), out=np.zeros((2, rho.size)),
+                     where=rho > 0.0)
     u[0] = u[-1] = 0.0
     v[0] = v[-1] = 0.0
     n = _convolve(raw.n0, weights, "reflect")
@@ -338,16 +340,8 @@ def mollify_initial_data(raw: RawInitialData, delta: float,
 
 
 def build_initial_state(config: RunConfig, grid: Grid1D) -> FlowState:
-    raw = build_raw_initial_data(config, grid)
-    if config.mollify_delta > 0.0:
-        return mollify_initial_data(raw, config.mollify_delta, grid)
-    if np.min(raw.rho0) <= 0.0:
-        raise ValueError("raw density touches zero; set mollify_delta > 0")
-    u = raw.m0 / raw.rho0
-    v = raw.l0 / raw.rho0
-    u[0] = u[-1] = 0.0
-    v[0] = v[-1] = 0.0
-    return FlowState(time=0.0, rho=raw.rho0, u=u, v=v, n=raw.n0)
+    return mollify_initial_data(build_raw_initial_data(config, grid),
+                                config.mollify_delta, grid)
 
 
 # =============================================================================

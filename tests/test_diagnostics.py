@@ -12,7 +12,7 @@ from nematic1d.diagnostics import (EnergyLedger, director_norms,
                                    high_integrability, make_ledger,
                                    run_schedule, snapshot_count)
 from nematic1d.fields import FlowState, Grid1D, gradient
-from nematic1d.harness import RunConfig, run_simulation
+from nematic1d.harness import ROUGH_PROFILES, RunConfig, run_simulation
 
 
 def make_state(grid, rho=None, u=None, v=None, n=None, ndot=None, time=0.0):
@@ -208,16 +208,21 @@ def test_ledger_total_is_sum(base_set):
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(scheme=st.sampled_from(["galerkin", "fd"]),
-       every=st.integers(1, 4), steps=st.integers(0, 7))
-def test_record_times_follow_the_schedule(recorder, scheme, every, steps):
+       every=st.integers(1, 4), steps=st.integers(0, 7),
+       profile=st.sampled_from([None, *ROUGH_PROFILES]))
+def test_record_times_follow_the_schedule(recorder, scheme, every, steps,
+                                          profile):
     # the snapshots and ledgers are the record's one time series: equal,
-    # increasing, from 0 to t_end, at the cadence plus the final state
+    # increasing, from 0 to t_end, at the cadence plus the final state;
+    # vacuum data, a rough profile at mollify_delta = 0, keeps it too
     dt = 1e-3
     t_end = steps * dt
     snapshots = recorder()
+    data = {} if profile is None else dict(
+        initial_preset="rough_density", initial_params={"profile": profile})
     traj = run_simulation(RunConfig(
         coefficients=example_set(), grid_cells=16, modes=4, dt=dt,
-        t_end=t_end, scheme=scheme, snapshot_every=every),
+        t_end=t_end, scheme=scheme, snapshot_every=every, **data),
         on_snapshot=snapshots)
     times = [s.time for s in snapshots]
     assert times == [led.time for led in traj.ledgers]
