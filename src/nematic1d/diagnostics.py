@@ -10,7 +10,7 @@ second-order stencils used elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -18,10 +18,6 @@ import numpy as np
 from .coefficients import LeslieSet, dissipation_parts, inverse_matrix_entries
 from .fields import (FlowState, Grid1D, gradient, pressure, second_derivative,
                      stack)
-
-
-# Round-off allowed in comparing a run's time with a scheduled output time.
-TIME_ROUNDOFF = 1e-13
 
 
 @dataclass(frozen=True)
@@ -174,15 +170,14 @@ def run_schedule(initials: Sequence[FlowState], advance: Callable,
     the last one.
 
     Scheduled step k ends at min(k dt, t_end); `advance(members, states,
-    dts)` is called with the members short of it, their states and each
-    one's dt_k = min(dt, time left to the target) until all get there, so
-    a step a member shortened by a dt halving is refilled and output times
-    stay on the cadence.  At each output time the members' states are
-    ledgered and reduced in one stacked pass and handed to on_snapshot, if
-    given, as a list, the one way a state leaves the run.  A failure drops
-    the member it falls on and every later one, and the others go on; once
-    a step fails only for the batch, the members step alone to the end.
-    The caller validates c and fills the metadata.
+    dts)` is called once per step with the members, their states and each
+    one's dt_k = min(dt, time left to that end), and returns their states
+    at that end, which take the schedule's time.  At each output time the
+    members' states are ledgered and reduced in one stacked pass and handed
+    to on_snapshot, if given, as a list, the one way a state leaves the
+    run.  A failure drops the member it falls on and every later one, and
+    the others go on; once a step fails only for the batch, the members
+    step alone to the end.  The caller validates c and fills the metadata.
 
     Returns the trajectories of the members before the first that failed,
     and that member's failure, or None when all got to t_end.
@@ -198,17 +193,15 @@ def run_schedule(initials: Sequence[FlowState], advance: Callable,
 
     num_steps = _scheduled_steps(dt, t_end)
     for k in range(num_steps + 1):   # step 0 ends where it starts, at t = 0
-        target = min(k * dt, t_end)
-        while behind := [i for i, s in enumerate(states)
-                         if s.time < target - TIME_ROUNDOFF]:
+        if k and states:
+            target = min(k * dt, t_end)
             advanced, exc, alone = _together(lambda members: advance(
                 members, [states[i] for i in members],
-                [min(dt, target - states[i].time) for i in members]), behind,
-                alone)
-            for i, state in zip(behind, advanced):
-                states[i] = state
+                [min(dt, target - states[i].time) for i in members]),
+                list(range(len(states))), alone)
+            states[:len(advanced)] = [replace(s, time=target) for s in advanced]
             if exc is not None:
-                drop(behind[len(advanced)], exc)
+                drop(len(advanced), exc)
         if (k % snapshot_every == 0 or k == num_steps) and states:
             records, exc, _ = _together(
                 lambda members: make_ledger(members, c, grid), states)

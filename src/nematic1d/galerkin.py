@@ -394,6 +394,10 @@ def momentum_residual(old_rhs: np.ndarray, dt: float, *, basis: SineBasis,
             - dt * basis.wavenumbers * cos_moments[..., 1:basis.num_modes + 1])
 
 
+# How far a held LU's dt may be from an attempt's for the attempt to use it.
+TIME_ROUNDOFF = 1e-13
+
+
 def advance_velocity_modes(c: LeslieSet, dt: np.ndarray, *, grid: Grid1D,
                            basis: SineBasis, old_rhs: np.ndarray,
                            modes: np.ndarray, velocity: np.ndarray,
@@ -408,11 +412,11 @@ def advance_velocity_modes(c: LeslieSet, dt: np.ndarray, *, grid: Grid1D,
 
     The second-order coefficient matrix A(n) is treated implicitly.  A
     member's held factor, `factors[j]` = (dt, lu, piv), is used if its dt
-    is the member's within the schedule's time round-off; otherwise
-    M(rho) + dt S(n) is assembled at this iterate's (rho, n) and
-    LU-factored (LAPACK getrf).  The (dt, lu, piv) each member used is
-    returned for later iterates and steps to pass back, so a call costs the
-    transform residual and one back-substitution (getrs) per member.
+    is the member's within TIME_ROUNDOFF; otherwise M(rho) + dt S(n) is
+    assembled at this iterate's (rho, n) and LU-factored (LAPACK getrf).
+    The (dt, lu, piv) each member used is returned for later iterates and
+    steps to pass back, so a call costs the transform residual and one
+    back-substitution (getrs) per member.
     cos n and sin n are evaluated once per call, and A(n)'s entries serve
     both the assembly and the flux brackets.  At the fixed point the
     residual vanishes, so the modes are the direct solution at the
@@ -426,7 +430,7 @@ def advance_velocity_modes(c: LeslieSet, dt: np.ndarray, *, grid: Grid1D,
     factors = list(factors)
     for j, (factor, step_dt) in enumerate(zip(factors, np.ravel(dt))):
         if (factor is None
-                or abs(factor[0] - step_dt) > diagnostics.TIME_ROUNDOFF):
+                or abs(factor[0] - step_dt) > TIME_ROUNDOFF):
             rho, *row_entries = (a.reshape(-1, a.shape[-1])[j]
                                  for a in (rho_new, *entries))
             mass, stiffness = galerkin_system(basis=basis, rho_new=rho,
@@ -599,22 +603,24 @@ def step(states: Sequence[FlowState], modes: Sequence[np.ndarray],
     causes a halving.  A member's `factor` is a held (dt, lu, piv) from an
     earlier step's return, which its first attempt corrects with if it was
     factored at this dt; a failed attempt drops it, so the retry and every
-    halved attempt factor afresh.
+    halved attempt factor afresh.  A member whose accepted attempt was
+    halved goes on: each sub-step tries the whole rest of its dt, unguessed
+    from the state just accepted, with the LU that state's attempt used.
 
-    Returns each member's state advanced by its dt / 2^k after k halvings
-    (its time shows how far) and its new modes, the StepStats, and the
-    (dt / 2^k, lu, piv) each member's accepted attempt used.  Raises
-    TimeStepUnderflow below the dt floor.
+    Returns each member's state at the end of its dt, its new modes, the
+    StepStats and the (dt', lu, piv) it last used; raises TimeStepUnderflow
+    below the dt floor.
     """
-    dt, start, factor = list(dt), list(start), list(factor)
+    states, modes, dt, rest = list(states), list(modes), list(dt), list(dt)
+    start, factor = list(start), list(factor)
     stats = StepStats(*([0] * len(states) for _ in range(3)))
-    new_states, new_modes = [None] * len(states), [None] * len(states)
     pending = range(len(states))
     while pending:
         for i in pending:
             if dt[i] < DT_MIN:
                 raise TimeStepUnderflow(
                     f"dt underflow at t={states[i].time:.6g}: "
+                    f"dt {rest[i]:.6g} asked for, halved to {dt[i]:.3e}, "
                     f"min rho={np.min(states[i].rho):.3e}, "
                     f"max |u|={np.max(np.abs(states[i].u)):.3e}, "
                     f"max |modes|={np.max(np.abs(modes[i])):.3e}")
@@ -628,15 +634,17 @@ def step(states: Sequence[FlowState], modes: Sequence[np.ndarray],
             stats.factored[i] += lu is not factor[i]
             factor[i] = lu if result is not None else None
             if result is not None:
-                new_states[i], new_modes[i] = result
-                continue
-            if start[i] is None:
+                states[i], modes[i] = result
+                if dt[i] == rest[i]:
+                    continue
+                dt[i] = rest[i] = rest[i] - dt[i]   # on through the rest
+            elif start[i] is None:
                 dt[i] *= 0.5
                 stats.halved[i] += 1
             start[i] = None
             retry.append(i)
         pending = retry
-    return new_states, new_modes, stats, factor
+    return states, modes, stats, factor
 
 
 def _extrapolate(history: Sequence[tuple],
@@ -668,15 +676,14 @@ def run(initials: Sequence[FlowState], num_modes: int, grid: Grid1D,
     list of states to on_snapshot if given.
 
     Deterministic, and each member's record is the one it has in a batch
-    of its own; `diagnostics.run_schedule` refills each scheduled window
-    after internal halvings so output times stay on the uniform cadence.
-    Each step starts a member's Picard iteration from the extrapolation of
-    its (modes, n, rho) through its start and up to four accepted states
-    before it, except the first step and the refill after a halving.  Each
-    member's velocity-system LU is held across steps, so a member whose dt
-    never changes and whose attempts never fail factors once.  Returns
-    what `run_schedule` does: the trajectories of the members before the
-    first that failed, and that failure (None if none).
+    of its own.  Each step starts a member's Picard iteration from the
+    extrapolation of its (modes, n, rho) through its start and up to four
+    accepted states before it, except the first step and the one after a
+    halved step, whose history the halving cleared.  Each member's
+    velocity-system LU is held across steps, so a member whose dt never
+    changes and whose attempts never fail factors once; its
+    picard_iterations holds one count per scheduled step.  Returns what
+    `run_schedule` does.
     """
     require_valid(c)
     if not (dt > 0.0 and picard_tol > 0.0):

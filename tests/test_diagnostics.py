@@ -12,6 +12,7 @@ from nematic1d.diagnostics import (EnergyLedger, director_norms,
                                    high_integrability, make_ledger,
                                    run_schedule, snapshot_count)
 from nematic1d.fields import FlowState, Grid1D, gradient
+from nematic1d.galerkin import DT_MIN
 from nematic1d.harness import ROUGH_PROFILES, RunConfig, run_simulation
 
 
@@ -213,7 +214,7 @@ def test_ledger_total_is_sum(base_set):
 def test_record_times_follow_the_schedule(recorder, scheme, every, steps,
                                           profile):
     # the snapshots and ledgers are the record's one time series: equal,
-    # increasing, from 0 to t_end, at the cadence plus the final state;
+    # the schedule's times exactly, at the cadence plus the final state;
     # vacuum data, a rough profile at mollify_delta = 0, keeps it too
     dt = 1e-3
     t_end = steps * dt
@@ -226,9 +227,8 @@ def test_record_times_follow_the_schedule(recorder, scheme, every, steps,
         on_snapshot=snapshots)
     times = [s.time for s in snapshots]
     assert times == [led.time for led in traj.ledgers]
-    assert all(b > a for a, b in zip(times, times[1:]))
-    assert times[0] == 0.0
-    assert abs(times[-1] - t_end) <= 1e-12
+    assert times == [min(k * dt, t_end) for k in [*range(0, steps, every),
+                                                  steps]]
     off_cadence_final = steps % every != 0
     assert len(times) == 1 + steps // every + off_cadence_final
     # the count a caller can know before the run, from its input alone
@@ -236,9 +236,9 @@ def test_record_times_follow_the_schedule(recorder, scheme, every, steps,
 
 
 def test_last_scheduled_step_is_recorded_off_cadence(recorder):
-    # t_end is within the schedule's 1e-9 rounding of ten steps but above
-    # the time round-off, so the run ends at step 10, off the cadence of 3:
-    # that last state is recorded like any final one
+    # t_end is within the schedule's 1e-9 rounding of ten steps, so the run
+    # ends at step 10, at 10 dt, off the cadence of 3: that last state is
+    # recorded like any final one
     dt, t_end = 0.01, 0.1000000005
     snapshots = recorder()
     run_simulation(RunConfig(
@@ -246,7 +246,7 @@ def test_last_scheduled_step_is_recorded_off_cadence(recorder):
         t_end=t_end, snapshot_every=3), on_snapshot=snapshots)
     times = [s.time for s in snapshots]
     assert len(times) == snapshot_count(dt, t_end, 3) == 5
-    assert times[-1] == pytest.approx(0.1, abs=1e-12)
+    assert times == [k * dt for k in (0, 3, 6, 9, 10)]
 
 
 def test_failed_snapshot_record_drops_its_member_and_later_ones(base_set,
@@ -278,3 +278,27 @@ def test_failed_snapshot_record_drops_its_member_and_later_ones(base_set,
         [0.0, 2e-3, 4e-3], abs=1e-15)
     assert len(traj.reductions) == 3
     assert traj.ledgers[-1].mass == pytest.approx(1.0)
+
+
+def test_schedule_calls_advance_once_per_step(base_set):
+    # an advance whose states' times are running sums of its dts: every
+    # state the run keeps has the schedule's time and no step is split,
+    # though at dt = 1e-3 the sum falls 1e-13 short of the schedule at step
+    # 1908, less than any step the dt floor allows
+    grid = Grid1D(8)
+    dt, steps = 1e-3, 10_000
+    t_end = steps * dt
+    asked, times = [], []
+
+    def advance(ids, states, dts):
+        asked.extend(dts)
+        times.extend(s.time for s in states)
+        return [replace(s, time=s.time + d) for s, d in zip(states, dts)]
+
+    (traj,), failure = run_schedule([make_state(grid)], advance, base_set,
+                                    grid, dt, t_end, 100, None)
+    assert failure is None
+    assert len(asked) == steps and min(asked) >= DT_MIN
+    assert times == [min(k * dt, t_end) for k in range(steps)]
+    assert [led.time for led in traj.ledgers] == [
+        min(k * dt, t_end) for k in range(0, steps + 1, 100)]

@@ -371,7 +371,7 @@ def test_velocity_update_guards(base_set, monkeypatch):
 
 def test_held_lu_is_reused_only_at_its_dt(base_set):
     # the held LU carries the dt it was factored at: a dt equal to it within
-    # the schedule's time round-off reuses it, any other dt factors afresh
+    # TIME_ROUNDOFF reuses it, any other dt factors afresh
     grid = Grid1D(32)
     basis = SineBasis(4, grid)
     state = make_state(grid, v=np.sin(np.pi * grid.x),
@@ -732,7 +732,7 @@ def test_step_fixed_point_is_the_direct_solution(base_set, preset,
 
 
 def test_extrapolation_is_exact_on_quartics():
-    # five unequal times, the last interval short as after a refill: a
+    # five unequal times, the last interval short as at an off-cadence end: a
     # degree-4 polynomial in time is reproduced to round-off, and a single
     # state gives no guess
     times = [0.0, 1e-3, 2e-3, 3e-3, 3.4e-3]
@@ -978,7 +978,7 @@ def test_rough_run_iterate_count():
 
 def halving_config(**overrides):
     # at dt = 1 step rejects its first attempts on this data and halves dt,
-    # so the schedule must refill each window
+    # so it must finish the first scheduled step in sub-steps
     return RunConfig(coefficients=example_set(), grid_cells=64, modes=8,
                      dt=1.0, t_end=2.0, initial_preset="smooth_random",
                      **overrides)
@@ -989,47 +989,56 @@ def test_halved_steps_keep_the_cadence(every):
     traj = run_simulation(halving_config(snapshot_every=every))
     # a guess never adds a halving: the same two as without the predictor
     assert traj.metadata["dt_halvings"] == 2
+    assert traj.metadata["velocity_factorizations"] == 3
+    assert len(traj.metadata["picard_iterations"]) == 2
     times = [led.time for led in traj.ledgers]
-    assert times == pytest.approx(np.arange(0.0, 2.0 + 1e-9, every),
-                                  abs=1e-13)
+    assert times == [min(k * 1.0, 2.0) for k in range(0, 3, every)]
     mass0 = traj.ledgers[0].mass
     for led in traj.ledgers:
         assert abs(led.mass - mass0) <= 1e-13 * mass0
 
 
+def test_long_run_lands_on_the_schedule():
+    # each step ends at the schedule's time, not at a running sum of dts:
+    # at dt = 1e-3 that sum falls 1e-13 short of the schedule at step 1908,
+    # less than any step the dt floor allows
+    traj = run_simulation(RunConfig(
+        coefficients=example_set(), grid_cells=16, modes=4, dt=1e-3,
+        t_end=2.5, snapshot_every=500))
+    assert [led.time for led in traj.ledgers] == [0.0, 0.5, 1.0, 1.5, 2.0,
+                                                  2.5]
+    assert len(traj.metadata["picard_iterations"]) == 2500
+
+
 def test_predictor_restarts_after_a_halving(monkeypatch):
-    # the refill after a halved step starts from the old state, a later
-    # step from a guess again, and no guessed attempt is discarded
+    # the sub-steps that finish a halved step start from the old state,
+    # as does the next step, whose history the halving cleared; a later
+    # step starts from a guess again, and no guessed attempt is discarded
     steps, attempts = [], []
 
     def recording_step(*args, **kwargs):
-        result = step(*args, **kwargs)
-        steps.append((kwargs["start"][0], result[2]))
-        return result
+        steps.append(kwargs["start"][0] is not None)
+        return step(*args, **kwargs)
 
     def recording_attempt(*args):
         result = _attempt_step(*args)
-        attempts.append((args[-1][0] is not None, result[0][0] is not None,
-                         args[-2][0] is not None))
+        attempts.append((args[4][0], args[-1][0] is not None,
+                         args[-2][0] is not None, result[0][0] is not None))
         return result
 
     monkeypatch.setattr("nematic1d.galerkin.step", recording_step)
     monkeypatch.setattr("nematic1d.galerkin._attempt_step", recording_attempt)
-    traj = run_simulation(halving_config())
+    traj = run_simulation(replace(halving_config(), t_end=3.0))
     assert traj.metadata["dt_halvings"] == 2
-    halved = [i for i, (_, stats) in enumerate(steps) if stats.halvings]
-    assert halved and halved[-1] + 1 < len(steps)
-    for i in halved:
-        assert steps[i + 1][0] is None
-    assert any(start is not None for start, _ in steps)
-    assert all(accepted for guessed, accepted, _ in attempts if guessed)
-    # no attempt after a failed one is handed an LU: the halved attempt
-    # factors afresh.  The run factors at the accepted quarter step, at its
-    # three-quarter refill and at the next full step, the dt changing each
-    # time
-    assert not any(handed for (_, accepted, _), (_, _, handed)
-                   in zip(attempts, attempts[1:]) if not accepted)
-    assert not attempts[0][2] and not attempts[0][1]
+    assert steps == [False, False, True]
+    # (dt, guessed, handed an LU, accepted): the first step is rejected at
+    # dt 1 and 1/2, accepted at 1/4, and finished by a 3/4 sub-step that
+    # keeps the quarter step's LU.  No attempt after a failed one is handed
+    # an LU, so the run factors at the quarter step, at its three-quarter
+    # rest and at the next full step, the dt changing each time
+    assert attempts == [(1.0, False, False, False), (0.5, False, False, False),
+                        (0.25, False, False, True), (0.75, False, True, True),
+                        (1.0, False, True, True), (1.0, True, True, True)]
     assert traj.metadata["velocity_factorizations"] == 3
 
 
@@ -1039,5 +1048,6 @@ def test_dt_floor_raises_underflow(monkeypatch):
     with pytest.raises(TimeStepUnderflow) as excinfo:
         run_simulation(halving_config())
     message = str(excinfo.value)
-    assert message.startswith("dt underflow at t=0:")
+    assert message.startswith(
+        "dt underflow at t=0: dt 1 asked for, halved to 5.000e-01, ")
     assert "\n" not in message

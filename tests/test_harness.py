@@ -502,7 +502,8 @@ def test_summary_reductions_are_the_retained_state_formulas(
     # the record keeps per-snapshot reductions, not states; the summary's
     # values from them are bit for bit those of the states it was handed
     # (the halving case, test_galerkin's halving_config, halves dt twice,
-    # so steps are refilled; a narrow density envelope flags snapshots)
+    # so a step is finished in sub-steps; a narrow density envelope flags
+    # snapshots)
     if envelope is not None:
         monkeypatch.setattr(harness_module, "DENSITY_ENVELOPE_FACTOR",
                             envelope)
@@ -677,27 +678,36 @@ def assert_matches_solo(cfg, delta, member_dir, solo_dir):
 def test_sweep_members_match_solo_runs(tmp_path, monkeypatch, profile, deltas,
                                        halvings):
     # the members of a batch advance together, yet each writes the files of
-    # its own run: a member that halves dt runs its refill without the
-    # others, from its old state as its predictor history was cleared, and
-    # rejoins them with a shorter history than theirs
-    real, calls = galerkin_module.step, []
+    # its own run: a member that halves dt finishes the step in the same
+    # call, its halved and finishing sub-steps from its old state, and
+    # takes the next step with the others, unguessed as its predictor
+    # history was cleared
+    real_step = galerkin_module.step
+    real_attempt = galerkin_module._attempt_step
+    calls, attempts = [], []
 
     def recording(states, *args, **kwargs):
         calls.append([start is None for start in kwargs["start"]])
-        return real(states, *args, **kwargs)
+        return real_step(states, *args, **kwargs)
+
+    def recording_attempt(*args):
+        attempts.extend(zip(args[4], args[-1]))   # each member's dt, start
+        return real_attempt(*args)
 
     monkeypatch.setattr(galerkin_module, "step", recording)
+    monkeypatch.setattr(galerkin_module, "_attempt_step", recording_attempt)
     cfg = near_vacuum_config(profile)
     run_sweep(cfg, deltas, workers=1, outdir=tmp_path / "sweep")
-    monkeypatch.setattr(galerkin_module, "step", real)
+    monkeypatch.undo()
     for delta, halved in zip(deltas, halvings):
         summary = assert_matches_solo(cfg, delta,
                                       tmp_path / "sweep" / f"delta_{delta!r}",
                                       tmp_path / "solo" / repr(delta))
         assert summary["metadata"]["dt_halvings"] == halved
-    # a refill without the others, unguessed; the last step all guessed
-    assert any(len(call) < len(deltas) and all(call) for call in calls)
+    # one call per scheduled step with every member; the last all guessed
+    assert [len(call) for call in calls] == [len(deltas)] * 4
     assert calls[-1] == [False] * len(deltas)
+    assert all(start is None for dt, start in attempts if dt != cfg.dt)
 
 
 def test_sweep_abort_keeps_members_before_the_failure(tmp_path, monkeypatch):
