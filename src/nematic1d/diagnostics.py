@@ -124,18 +124,21 @@ class Trajectory:
     metadata: dict = field(default_factory=dict)
 
 
-def _scheduled_steps(dt: float, t_end: float) -> int:
-    """t_end/dt, rounded if within 1e-9 relative of a whole number, else up."""
+def _scheduled_steps(dt: float, t_end: float) -> tuple[int, float]:
+    """Step count and last dt: t_end/dt steps of dt if within 1e-9 relative
+    of a whole number (they integrate t_end within that rounding), else
+    ceil(t_end/dt) steps, the last of t_end - (n - 1) dt."""
     num_steps = int(round(t_end / dt)) if t_end > 0 else 0
     if t_end > 0 and abs(num_steps * dt - t_end) > 1e-9 * max(t_end, 1.0):
         num_steps = int(np.ceil(t_end / dt))
-    return num_steps
+        return num_steps, t_end - (num_steps - 1) * dt
+    return num_steps, dt
 
 
 def snapshot_count(dt: float, t_end: float, snapshot_every: int) -> int:
     """How many snapshots run_schedule records: the initial state, every
     snapshot_every-th scheduled step, and the last one."""
-    return 1 - (-_scheduled_steps(dt, t_end) // snapshot_every)
+    return 1 - (-_scheduled_steps(dt, t_end)[0] // snapshot_every)
 
 
 def _together(fn: Callable[[list], list], members: list,
@@ -170,9 +173,9 @@ def run_schedule(initials: Sequence[FlowState], advance: Callable,
     the last one.
 
     Scheduled step k ends at min(k dt, t_end); `advance(members, states,
-    dts)` is called once per step with the members, their states and each
-    one's dt_k = min(dt, time left to that end), and returns their states
-    at that end, which take the schedule's time.  At each output time the
+    step_dt)`, called once per step with the members, their states and
+    their one dt (`_scheduled_steps`), returns their states at that end,
+    which take the schedule's time.  At each output time the
     members' states are ledgered and reduced in one stacked pass and handed
     to on_snapshot, if given, as a list, the one way a state leaves the
     run.  A failure drops the member it falls on and every later one, and
@@ -191,13 +194,13 @@ def run_schedule(initials: Sequence[FlowState], advance: Callable,
         del states[first:], trajectories[first:]
         failure = exc
 
-    num_steps = _scheduled_steps(dt, t_end)
+    num_steps, last_dt = _scheduled_steps(dt, t_end)
     for k in range(num_steps + 1):   # step 0 ends where it starts, at t = 0
         if k and states:
             target = min(k * dt, t_end)
+            step_dt = last_dt if k == num_steps else dt
             advanced, exc, alone = _together(lambda members: advance(
-                members, [states[i] for i in members],
-                [min(dt, target - states[i].time) for i in members]),
+                members, [states[i] for i in members], step_dt),
                 list(range(len(states))), alone)
             states[:len(advanced)] = [replace(s, time=target) for s in advanced]
             if exc is not None:

@@ -158,8 +158,8 @@ def run_fd(initials: Sequence[FlowState], grid: Grid1D, c: LeslieSet,
         states.append(initial)
 
     trajectories, failure = diagnostics.run_schedule(
-        states, lambda _, batch, step_dts: [
-            step_fd(s, grid, c, d) for s, d in zip(batch, step_dts)],
+        states, lambda _, batch, step_dt: [
+            step_fd(s, grid, c, step_dt) for s in batch],
         c, grid, dt, t_end, snapshot_every, on_snapshot)
     for traj in trajectories:
         traj.metadata = {"scheme": "fd", "dt": dt}

@@ -394,10 +394,6 @@ def momentum_residual(old_rhs: np.ndarray, dt: float, *, basis: SineBasis,
             - dt * basis.wavenumbers * cos_moments[..., 1:basis.num_modes + 1])
 
 
-# How far a held LU's dt may be from an attempt's for the attempt to use it.
-TIME_ROUNDOFF = 1e-13
-
-
 def advance_velocity_modes(c: LeslieSet, dt: np.ndarray, *, grid: Grid1D,
                            basis: SineBasis, old_rhs: np.ndarray,
                            modes: np.ndarray, velocity: np.ndarray,
@@ -412,7 +408,7 @@ def advance_velocity_modes(c: LeslieSet, dt: np.ndarray, *, grid: Grid1D,
 
     The second-order coefficient matrix A(n) is treated implicitly.  A
     member's held factor, `factors[j]` = (dt, lu, piv), is used if its dt
-    is the member's within TIME_ROUNDOFF; otherwise M(rho) + dt S(n) is
+    is the member's exactly; otherwise M(rho) + dt S(n) is
     assembled at this iterate's (rho, n) and LU-factored (LAPACK getrf).
     The (dt, lu, piv) each member used is returned for later iterates and
     steps to pass back, so a call costs the transform residual and one
@@ -429,8 +425,7 @@ def advance_velocity_modes(c: LeslieSet, dt: np.ndarray, *, grid: Grid1D,
     entries = matrix_entries(c, n_new, trig)
     factors = list(factors)
     for j, (factor, step_dt) in enumerate(zip(factors, np.ravel(dt))):
-        if (factor is None
-                or abs(factor[0] - step_dt) > TIME_ROUNDOFF):
+        if factor is None or factor[0] != step_dt:
             rho, *row_entries = (a.reshape(-1, a.shape[-1])[j]
                                  for a in (rho_new, *entries))
             mass, stiffness = galerkin_system(basis=basis, rho_new=rho,
@@ -704,20 +699,20 @@ def run(initials: Sequence[FlowState], num_modes: int, grid: Grid1D,
         states.append(state)
 
     # each member's accepted (time, modes, n, rho), its current state last;
-    # the weights come from the stored times, so schedule rounding and a
-    # short last step need no special case
+    # the weights come from the stored times, so a short last step needs no
+    # special case
     history = [deque([(s.time, m, s.n, s.rho)], maxlen=PREDICTOR_POINTS)
                for s, m in zip(states, modes)]
     factor = [None] * len(states)   # each member's (dt, lu, piv)
     stats = [[] for _ in states]    # each member's (iterates, halvings, LUs)
 
     def advance(ids: list[int], batch: list[FlowState],
-                step_dts: list[float]) -> list[FlowState]:
+                step_dt: float) -> list[FlowState]:
         new_states, new_modes, step_stats, used = step(
-            batch, [modes[i] for i in ids], grid, c, dt=step_dts,
+            batch, [modes[i] for i in ids], grid, c, dt=[step_dt] * len(ids),
             picard_tol=picard_tol, basis=basis,
-            start=[_extrapolate(history[i], s.time + d)
-                   for i, s, d in zip(ids, batch, step_dts)],
+            start=[_extrapolate(history[i], s.time + step_dt)
+                   for i, s in zip(ids, batch)],
             factor=[factor[i] for i in ids])
         for j, (i, new) in enumerate(zip(ids, new_states)):
             modes[i], factor[i] = new_modes[j], used[j]

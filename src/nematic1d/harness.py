@@ -387,11 +387,10 @@ def density_bound_flags(traj: diagnostics.Trajectory) -> Optional[int]:
     rho0_min, rho0_max, *_ = traj.reductions[0]
     if rho0_min <= 0.0:
         return None
-    c1 = max(rho0_max, 1.0 / rho0_min)
-    highs = [DENSITY_ENVELOPE_FACTOR * c1 * np.exp(led.time)
-             for led in traj.ledgers]
-    return sum(int(rho_max > hi or rho_min < 1.0 / hi)
-               for hi, (rho_min, rho_max, *_) in zip(highs, traj.reductions))
+    bound = DENSITY_ENVELOPE_FACTOR * max(rho0_max, 1.0 / rho0_min)
+    decays = [np.exp(-led.time) for led in traj.ledgers]   # never overflows
+    return sum(int(rho_max * e > bound or rho_min * bound < e)
+               for e, (rho_min, rho_max, *_) in zip(decays, traj.reductions))
 
 
 def resolve_output_dir(config: RunConfig, override: Optional[str] = None,

@@ -12,7 +12,6 @@ from nematic1d.diagnostics import (EnergyLedger, director_norms,
                                    high_integrability, make_ledger,
                                    run_schedule, snapshot_count)
 from nematic1d.fields import FlowState, Grid1D, gradient
-from nematic1d.galerkin import DT_MIN
 from nematic1d.harness import ROUGH_PROFILES, RunConfig, run_simulation
 
 
@@ -262,8 +261,8 @@ def test_failed_snapshot_record_drops_its_member_and_later_ones(base_set,
             raise error
         return real(states, c, grid)
 
-    def advance(ids, states, dts):
-        return [replace(s, time=s.time + d) for s, d in zip(states, dts)]
+    def advance(ids, states, step_dt):
+        return [replace(s, time=s.time + step_dt) for s in states]
 
     monkeypatch.setattr(diagnostics_module, "make_ledger", failing)
     handed = []
@@ -282,23 +281,31 @@ def test_failed_snapshot_record_drops_its_member_and_later_ones(base_set,
 
 def test_schedule_calls_advance_once_per_step(base_set):
     # an advance whose states' times are running sums of its dts: every
-    # state the run keeps has the schedule's time and no step is split,
-    # though at dt = 1e-3 the sum falls 1e-13 short of the schedule at step
-    # 1908, less than any step the dt floor allows
+    # step is handed one exact dt, the config's but for the rest of t_end
+    # on a rounded-up last step, and no step is split; every state the run
+    # keeps has the schedule's time min(k dt, t_end), though at dt = 1e-3
+    # the sum falls 1e-13 short of the schedule at step 1908
     grid = Grid1D(8)
-    dt, steps = 1e-3, 10_000
-    t_end = steps * dt
-    asked, times = [], []
+    for dt, t_end, dts in [
+            (1e-3, 10.0, [1e-3] * 10_000),
+            (1e-3, 0.5, [1e-3] * 500),
+            (1e-3, 5.0, [1e-3] * 5_000),
+            (0.1, 0.3, [0.1] * 3),
+            (0.01, 0.0999999995, [0.01] * 10),   # rounded: 10 dt = 0.1
+            (1e-3, 0.0105, [1e-3] * 10 + [0.0105 - 10 * 1e-3])]:
+        asked, times = [], []
 
-    def advance(ids, states, dts):
-        asked.extend(dts)
-        times.extend(s.time for s in states)
-        return [replace(s, time=s.time + d) for s, d in zip(states, dts)]
+        def advance(ids, states, step_dt):
+            asked.append(step_dt)
+            times.extend(s.time for s in states)
+            return [replace(s, time=s.time + step_dt) for s in states]
 
-    (traj,), failure = run_schedule([make_state(grid)], advance, base_set,
-                                    grid, dt, t_end, 100, None)
-    assert failure is None
-    assert len(asked) == steps and min(asked) >= DT_MIN
-    assert times == [min(k * dt, t_end) for k in range(steps)]
-    assert [led.time for led in traj.ledgers] == [
-        min(k * dt, t_end) for k in range(0, steps + 1, 100)]
+        (traj,), failure = run_schedule([make_state(grid)], advance,
+                                        base_set, grid, dt, t_end, 100, None)
+        steps = len(dts)
+        assert failure is None
+        assert asked == dts and min(asked) >= 1e-9
+        assert times == [min(k * dt, t_end) for k in range(steps)]
+        assert [led.time for led in traj.ledgers] == [
+            min(k * dt, t_end) for k in range(steps + 1)
+            if k % 100 == 0 or k == steps]

@@ -370,8 +370,8 @@ def test_velocity_update_guards(base_set, monkeypatch):
 
 
 def test_held_lu_is_reused_only_at_its_dt(base_set):
-    # the held LU carries the dt it was factored at: a dt equal to it within
-    # TIME_ROUNDOFF reuses it, any other dt factors afresh
+    # the held LU carries the dt it was factored at: that dt reuses it, any
+    # other dt factors afresh, even one a round-off away
     grid = Grid1D(32)
     basis = SineBasis(4, grid)
     state = make_state(grid, v=np.sin(np.pi * grid.x),
@@ -379,9 +379,11 @@ def test_held_lu_is_reused_only_at_its_dt(base_set):
     modes = project_initial_velocity(state.u, state.v, 4, grid)
     _, held = _velocity_update(state, base_set, basis, modes, dt=1e-3)
     assert held[0] == 1e-3
-    _, same = _velocity_update(state, base_set, basis, modes, held,
-                               dt=1e-3 + 5e-14)
+    _, same = _velocity_update(state, base_set, basis, modes, held, dt=1e-3)
     assert same is held
+    _, near = _velocity_update(state, base_set, basis, modes, held,
+                               dt=1e-3 + 5e-14)
+    assert near is not held and near[0] == 1e-3 + 5e-14
     new_modes, fresh = _velocity_update(state, base_set, basis, modes, held,
                                         dt=2e-3)
     assert fresh is not held and fresh[0] == 2e-3

@@ -535,6 +535,16 @@ def test_density_bound_monitor_not_applicable_at_vacuum(record_of):
     assert density_bound_flags(record_of([snap], example_set(), grid)) is None
 
 
+def test_density_bound_monitor_past_exp_overflow(record_of):
+    # the envelope e^t overflows past t = 709; the monitor compares in the
+    # decaying form, whose e^-t underflows to 0 without a warning
+    grid = Grid1D(8)
+    ones, zero = np.ones(grid.num_nodes), np.zeros(grid.num_nodes)
+    snaps = [FlowState(time=t, rho=ones, u=zero, v=zero, n=zero, ndot=zero)
+             for t in (0.0, 1e4)]
+    assert density_bound_flags(record_of(snaps, example_set(), grid)) == 0
+
+
 def test_static_run_summary_defect(tmp_path):
     cfg = shear_config(initial_preset="static", t_end=0.01,
                        output_dir=str(tmp_path))
@@ -1291,12 +1301,14 @@ def test_unread_imports_are_tracer_bindings():
 def test_every_top_level_name_has_a_caller_besides_the_tests():
     # no public API that only tests call: each function and class a module
     # defines is read somewhere in the package outside its own definition,
-    # exported by a module's __all__, or wrapped by perfbench/tracer.py
+    # exported by a module's __all__, or wrapped by perfbench/tracer.py; and
+    # each module-level UPPER_CASE constant is read in the package besides
+    # its assignment
     root = Path(__file__).resolve().parents[1]
     tracer_text = (root / "perfbench" / "tracer.py").read_text()
     exported = {attr.split(".")[0] for attr in re.findall(
         r'\("\w+", "([\w.]+)", "', tracer_text)}   # the SPANS and COUNTS
-    defined, read = [], set()
+    defined, constants, read = [], [], set()
     for path in sorted((root / "src" / "nematic1d").glob("*.py")):
         exported.update(getattr(importlib.import_module(
             f"nematic1d.{path.stem}"), "__all__", ()))
@@ -1305,14 +1317,22 @@ def test_every_top_level_name_has_a_caller_besides_the_tests():
                 statement, (ast.FunctionDef, ast.ClassDef)) else None)
             if own is not None:
                 defined.append(f"{path.stem}.{own}")
+            if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                constants += [f"{path.stem}.{node.id}"
+                              for node in ast.walk(statement)
+                              if isinstance(node, ast.Name)
+                              and isinstance(node.ctx, ast.Store)
+                              and node.id.isupper()]
             read |= {node.id if isinstance(node, ast.Name) else node.attr
                      for node in ast.walk(statement)
                      if isinstance(node, (ast.Name, ast.Attribute))
                      and isinstance(node.ctx, ast.Load)} - {own}
-    assert defined   # the scan sees the package's definitions
+    assert defined and constants   # the scan sees the package's definitions
     uncalled = [name for name in defined
                 if name.split(".")[1] not in read | exported]
     assert not uncalled, f"only tests call {uncalled}"
+    unread = [name for name in constants if name.split(".")[1] not in read]
+    assert not unread, f"constants never read in the package: {unread}"
 
 
 @pytest.mark.parametrize("scheme", ["galerkin", "fd"])
