@@ -103,7 +103,7 @@ def step_fd(state: FlowState, grid: Grid1D, c: LeslieSet,
     nd_face = 0.5 * (ndot_prov[:-1] + ndot_prov[1:])
     trig = np.cos(n_face), np.sin(n_face)
     a11_f, a12_f, a21_f, a22_f = matrix_entries(c, n_face, trig)
-    b1_f, b2_f = director_rate_flux(c, n_face, nd_face, trig)
+    b1_f, b2_f = director_rate_flux(c, nd_face, trig)
 
     p_old = pressure(state.rho, c.gamma_ad)
     elastic = elastic_coupling(n_new, grid, n_x_new)

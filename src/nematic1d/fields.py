@@ -160,11 +160,11 @@ def pressure(rho: np.ndarray, gamma_ad: float) -> np.ndarray:
     return np.power(np.maximum(rho, 0.0), gamma_ad)
 
 
-def director_rate_flux(c: LeslieSet, n, ndot, trig=None):
+def director_rate_flux(c: LeslieSet, ndot, trig):
     """The director-rate part of the flux brackets: what remains of (f1, f2)
-    after subtracting A(n) (u_x, v_x)^T.  Depends only on (n, ndot); `trig`
-    may carry (cos n, sin n) when the caller already holds them."""
-    cs_, sn_ = (np.cos(n), np.sin(n)) if trig is None else trig
+    after subtracting A(n) (u_x, v_x)^T.  Depends only on ndot and
+    `trig` = (cos n, sin n)."""
+    cs_, sn_ = trig
     csn = cs_ * sn_
     cs2 = cs_ * cs_
     b1 = -(c.alpha2 + c.alpha3) * ndot * csn
@@ -182,7 +182,7 @@ def flux_bracket(c: LeslieSet, u_x, v_x, n, ndot, trig=None, entries=None):
     if entries is None:
         entries = matrix_entries(c, n, trig)
     a11, a12, a21, a22 = entries
-    b1, b2 = director_rate_flux(c, n, ndot, trig)
+    b1, b2 = director_rate_flux(c, ndot, trig)
     return a11 * u_x + a12 * v_x + b1, a21 * u_x + a22 * v_x + b2
 
 

@@ -5,14 +5,13 @@ from nematic1d.coefficients import (LeslieSet, dissipation_parts,
                                     example_set, inverse_matrix_entries,
                                     matrix_entries, quadratic_form,
                                     random_valid_set)
-from nematic1d.derivation import (KinematicSample, TrigProfile, _richardson_dx,
-                                  assemble_stress, check_director_identity,
+from nematic1d.derivation import (KinematicSample, assemble_stress,
+                                  check_director_identity,
                                   check_divergence_identity,
                                   check_energy_identity,
                                   director_normal_component,
-                                  run_identity_suite, stack_profiles,
-                                  standard_profiles)
-from nematic1d.fields import Grid1D, flux_bracket
+                                  run_identity_suite)
+from nematic1d.fields import flux_bracket
 
 
 def test_stress_vanishes_without_rates(base_set):
@@ -71,51 +70,58 @@ def test_assemble_stress_broadcasts(rng):
 # -----------------------------------------------------------------------------
 
 def test_divergence_identity_constant_fields(base_set):
-    profile = TrigProfile(au=0.0, av=0.0, an=0.0, n0=0.6, ad=0.0)
-    err = check_divergence_identity(base_set, profile, Grid1D(16))
-    assert err < 1e-12
+    # without rates both the stress column and the brackets vanish
+    s = KinematicSample(n=np.linspace(-np.pi, np.pi, 9), n_x=1.3, n_xx=-2.0)
+    gap = check_divergence_identity(s, base_set)
+    assert np.max(np.abs(gap)) < 1e-12
 
 
 def test_divergence_identity_named_profile(base_set):
-    profile = TrigProfile(au=1.0, ku=1, av=1.0, kv=2, an=1.0, kn=1, ad=0.5)
-    err = check_divergence_identity(base_set, profile, Grid1D(32))
-    assert err < 1e-8
+    # the profile u = sin(pi x), v = sin(2 pi x), n = cos(pi x),
+    # ndot = cos(pi x) / 2 at x = 0.3
+    x = 0.3
+    s = KinematicSample(n=np.cos(np.pi * x), u_x=np.pi * np.cos(np.pi * x),
+                        v_x=2 * np.pi * np.cos(2 * np.pi * x),
+                        ndot=0.5 * np.cos(np.pi * x))
+    gap = check_divergence_identity(s, base_set)
+    assert all(isinstance(g, float) for g in gap)
+    assert max(abs(g) for g in gap) < 1e-12
 
 
-def random_profile(rng):
-    return TrigProfile(
-        au=rng.uniform(-1.5, 1.5), ku=int(rng.integers(1, 4)),
-        av=rng.uniform(-1.5, 1.5), kv=int(rng.integers(1, 4)),
-        an=rng.uniform(-1.2, 1.2), kn=int(rng.integers(1, 4)),
-        n0=rng.uniform(-np.pi, np.pi), ad=rng.uniform(-1.0, 1.0),
-        kd=int(rng.integers(1, 4)),
-    )
+def random_samples(rng, shape):
+    return KinematicSample(n=rng.uniform(-np.pi, np.pi, shape),
+                           u_x=rng.uniform(-3, 3, shape),
+                           v_x=rng.uniform(-3, 3, shape),
+                           ndot=rng.uniform(-3, 3, shape))
 
 
 def test_divergence_identity_random_sets(rng):
     for _ in range(5):
         c = random_valid_set(rng)
-        p = random_profile(rng)
-        assert check_divergence_identity(c, p, Grid1D(24)) < 1e-8
+        s = random_samples(rng, 200)
+        scale = max(1.0, np.max(np.abs(flux_bracket(c, s.u_x, s.v_x, s.n, s.ndot))))
+        assert np.max(np.abs(check_divergence_identity(s, c))) / scale < 1e-12
 
 
-@pytest.mark.parametrize("cells", [16, 64])
+@pytest.mark.parametrize("shape", [(16,), (4, 16)], ids=["16", "64"])
 @pytest.mark.parametrize("which", ["example", "random"])
-def test_stacked_profiles_give_the_single_profile_answer(rng, which, cells):
-    # the suite checks the five profiles as (5, 1) columns in one call:
-    # that must be the worst single-profile gap, bit for bit
+def test_array_samples_give_the_point_sample_gaps(rng, which, shape):
+    # the suite checks each set's samples as arrays in one call: every
+    # entry must be that point's own gap, bit for bit
     c = example_set() if which == "example" else random_valid_set(rng)
-    grid = Grid1D(cells)
-    profiles = standard_profiles()
-    stacked = check_divergence_identity(c, stack_profiles(profiles), grid)
-    assert stacked == max(check_divergence_identity(c, p, grid) for p in profiles)
+    s = random_samples(rng, shape)
+    f1, f2 = check_divergence_identity(s, c)
+    assert f1.shape == f2.shape == shape
+    for idx in np.ndindex(shape):
+        point = KinematicSample(n=s.n[idx], u_x=s.u_x[idx], v_x=s.v_x[idx],
+                                ndot=s.ndot[idx])
+        assert check_divergence_identity(point, c) == (f1[idx], f2[idx])
 
 
 def test_divergence_canary_detects_corruption(base_set, corrupt_flux_bracket):
     corrupt_flux_bracket()
-    profile = standard_profiles()[0]
-    err = check_divergence_identity(base_set, profile, Grid1D(24))
-    assert err > 1e-4
+    s = KinematicSample(n=0.4, u_x=1.0, v_x=-0.5, ndot=0.5)
+    assert max(abs(g) for g in check_divergence_identity(s, base_set)) > 1e-4
 
 
 # -----------------------------------------------------------------------------
@@ -214,42 +220,21 @@ def test_reduced_form_lower_bound(rng):
 # -----------------------------------------------------------------------------
 
 def test_identity_suite_passes():
-    rows = run_identity_suite(seed=3, samples=1500, num_sets=5, grid_cells=24)
+    rows = run_identity_suite(seed=3, samples=1500, num_sets=5)
     assert all(r.passed for r in rows)
 
 
-def _point_by_point_suite(seed, samples, num_sets, grid_cells):
-    """run_identity_suite written one point at a time: one assemble_stress
-    call per node and one KinematicSample per drawn sample, with the draws
-    in the order the suite consumes them."""
+def _point_by_point_suite(seed, samples, num_sets):
+    """run_identity_suite written one point at a time: one KinematicSample
+    per drawn sample, with the draws in the order the suite consumes
+    them."""
     rng = np.random.default_rng(seed)
-    grid = Grid1D(grid_cells)
     sets = [example_set()] + [random_valid_set(rng) for _ in range(num_sets - 1)]
-    rows = []
 
-    worst = 0.0
-    for c in sets:
-        for p in standard_profiles():
-            def stress_col(xx):
-                col = np.empty((2, xx.size))
-                for i, xi in enumerate(xx):
-                    sigma = assemble_stress(p.sample(xi), c).sigma
-                    col[0, i], col[1, i] = sigma[0, 0], sigma[1, 0]
-                return col
-
-            def bracket(xx):
-                s = p.sample(xx)
-                return np.stack(flux_bracket(c, s.u_x, s.v_x, s.n, s.ndot))
-
-            lhs = _richardson_dx(stress_col, grid.x)
-            rhs = _richardson_dx(bracket, grid.x)
-            scale = max(np.max(np.abs(rhs)), 1.0)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs)) / scale))
-    rows.append(("divergence: stress column vs flux bracket", worst, 1e-8))
-
-    worst = 0.0
+    div_worst = dir_worst = 0.0
     per_set = max(1, samples // len(sets))
     for c in sets:
+        gaps, brackets = [], []
         for _ in range(per_set):
             s = KinematicSample(n=rng.uniform(-np.pi, np.pi),
                                 n_x=rng.uniform(-2, 2),
@@ -257,9 +242,14 @@ def _point_by_point_suite(seed, samples, num_sets, grid_cells):
                                 u_x=rng.uniform(-3, 3),
                                 v_x=rng.uniform(-3, 3),
                                 ndot=rng.uniform(-3, 3))
-            worst = max(worst, abs(check_director_identity(s, c)),
-                        abs(director_normal_component(s, c)))
-    rows.append(("director: vector projection vs scalar form", worst, 1e-12))
+            gaps.extend(check_divergence_identity(s, c))
+            brackets.extend(flux_bracket(c, s.u_x, s.v_x, s.n, s.ndot))
+            dir_worst = max(dir_worst, abs(check_director_identity(s, c)),
+                            abs(director_normal_component(s, c)))
+        scale = max(1.0, max(abs(f) for f in brackets))
+        div_worst = max(div_worst, max(abs(g) for g in gaps) / scale)
+    rows = [("divergence: stress column vs flux bracket", div_worst, 1e-8),
+            ("director: vector projection vs scalar form", dir_worst, 1e-12)]
 
     worst = 0.0
     for c in sets:
@@ -300,7 +290,7 @@ def _point_by_point_suite(seed, samples, num_sets, grid_cells):
 
 @pytest.mark.parametrize("seed", [0, 11])
 def test_identity_suite_matches_point_by_point_reference(seed):
-    args = dict(samples=300, num_sets=4, grid_cells=16)
+    args = dict(samples=300, num_sets=4)
     rows = run_identity_suite(seed=seed, **args)
     ref = _point_by_point_suite(seed, **args)
     assert len(rows) == len(ref) == 6
@@ -313,5 +303,5 @@ def test_identity_suite_matches_point_by_point_reference(seed):
 
 def test_identity_suite_canary_fails(corrupt_flux_bracket):
     corrupt_flux_bracket()
-    rows = run_identity_suite(seed=3, samples=500, num_sets=3, grid_cells=16)
+    rows = run_identity_suite(seed=3, samples=500, num_sets=3)
     assert not rows[0].passed

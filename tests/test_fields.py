@@ -216,7 +216,7 @@ def test_flux_decomposition_rate_part(rng):
         expect2 = c.alpha2 * nd * cs**2 - c.alpha3 * nd * sn**2
         assert np.max(np.abs(r1 - expect1)) < 1e-12 * (1 + np.max(np.abs(nd)))
         assert np.max(np.abs(r2 - expect2)) < 1e-12 * (1 + np.max(np.abs(nd)))
-        b1, b2 = director_rate_flux(c, n, nd)
+        b1, b2 = director_rate_flux(c, nd, (np.cos(n), np.sin(n)))
         assert np.max(np.abs(b1 - expect1)) < 1e-14
         assert np.max(np.abs(b2 - expect2)) < 1e-14
 

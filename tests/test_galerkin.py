@@ -255,7 +255,7 @@ def _dense_reference(state, c, dt, grid, K, rho_new, n_new, ndot_new):
 
     mass = phi_w * rho_new @ phi.T
     stiffness = [dphi_w * a @ dphi.T for a in matrix_entries(c, n_new)]
-    b1, b2 = director_rate_flux(c, n_new, ndot_new)
+    b1, b2 = director_rate_flux(c, ndot_new, (np.cos(n_new), np.sin(n_new)))
     elastic = elastic_coupling(n_new, grid,
                                gradient(n_new, grid.dx, neumann_ends=True))
     p_old = pressure(state.rho, c.gamma_ad)
