@@ -241,20 +241,20 @@ class DerivedViscosities:
     and a dense eigenvalue sweep with a Lipschitz safety margin, floored at
     the provable bound.  The closed form alone can exceed the true minimum
     eigenvalue for general admissible sets: only its second branch divided
-    by 4 is provable from the sum-of-squares expansion.
+    by 4 is provable from the sum-of-squares expansion.  lambda_hi is the
+    same sweep's maximum plus its margin.
     """
 
     lambda_lo: float
     lambda_hi: float
 
 
-def _sym_eig_range(c: LeslieSet) -> tuple[float, float, float]:
-    """(certified min, certified max, coefficient cap) of sym A(n) over n.
+def _sym_eig_range(c: LeslieSet) -> tuple[float, float]:
+    """(certified min, certified max) of the eigenvalues of sym A(n) over n.
 
     Entries are pi-periodic trig polynomials, so sampling one period with a
     slack of one full observed Lipschitz increment per grid interval brackets
-    the continuous extrema.  The cap sum(|entry coefficient budgets|) bounds
-    the spectral radius from above regardless of sampling.
+    the continuous extrema.
     """
     ns = np.linspace(0.0, np.pi, _N_SAMPLES)
     a11, a12, a21, a22 = matrix_entries(c, ns)
@@ -265,13 +265,7 @@ def _sym_eig_range(c: LeslieSet) -> tuple[float, float, float]:
     emax = half_tr + disc
     slack_lo = float(np.max(np.abs(np.diff(emin))))
     slack_hi = float(np.max(np.abs(np.diff(emax))))
-
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = c.alphas()
-    cap = (abs(a0 + a5 + a6 + a8) + abs(a1) + abs(a4 + a7)
-           + abs(a0) + abs(a1) + 0.5 * abs(a2 + a3 + a5 + a6)
-           + abs(a1) + abs(a6 + a8)
-           + abs(a1) + 0.5 * abs(-a2 + a5) + 0.5 * abs(a3 + a6) + 0.5 * abs(a4))
-    return float(emin.min() - slack_lo), float(emax.max() + slack_hi), float(cap)
+    return float(emin.min() - slack_lo), float(emax.max() + slack_hi)
 
 
 def derive_viscosities(c: LeslieSet) -> DerivedViscosities:
@@ -288,10 +282,9 @@ def derive_viscosities(c: LeslieSet) -> DerivedViscosities:
     closed_form = min(branch1, branch2)
     provable = min(branch1, 0.25 * branch2)
 
-    emin_cert, emax_cert, cap = _sym_eig_range(c)
+    emin_cert, emax_cert = _sym_eig_range(c)
     lam_lo = min(closed_form, max(emin_cert, provable))
-    lam_hi = min(emax_cert, cap)
-    return DerivedViscosities(lambda_lo=float(lam_lo), lambda_hi=float(lam_hi))
+    return DerivedViscosities(lambda_lo=float(lam_lo), lambda_hi=emax_cert)
 
 
 # =============================================================================

@@ -93,9 +93,9 @@ def step_fd(state: FlowState, grid: Grid1D, c: LeslieSet,
     rho_new = np.maximum(rho_new, 0.0)
 
     # --- director (shared implicit step) ------------------------------------
-    n_new = advance_director(state, c, dt, grid)
-    n_x_new = gradient(n_new, dx, neumann_ends=True)
-    n_rate = (n_new - state.n) / dt
+    n_new, n_x_new, n_rate = advance_director(
+        state.n, state.u, c, dt, grid, u_x=gradient(state.u, dx),
+        v_x=gradient(state.v, dx), n_lag=state.n)
     ndot_prov = n_rate + state.u * n_x_new
 
     # --- momentum ------------------------------------------------------------
@@ -154,7 +154,9 @@ def run_fd(initials: Sequence[FlowState], grid: Grid1D, c: LeslieSet,
     for initial in initials:
         check_state(initial, grid)
         if initial.ndot is None:
-            initial = replace(initial, ndot=_initial_ndot(initial, c, grid))
+            initial = replace(initial, ndot=_initial_ndot(
+                initial.n, gradient(initial.u, grid.dx),
+                gradient(initial.v, grid.dx), c, grid))
         states.append(initial)
 
     trajectories, failure = diagnostics.run_schedule(

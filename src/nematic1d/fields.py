@@ -193,23 +193,19 @@ def elastic_coupling(n: np.ndarray, grid: Grid1D,
     return -second_derivative(n, grid.dx) * n_x
 
 
-def initial_ndot(state: FlowState, c: LeslieSet, grid: Grid1D,
-                 u_x: Optional[np.ndarray] = None,
-                 v_x: Optional[np.ndarray] = None) -> np.ndarray:
+def initial_ndot(n: np.ndarray, u_x: np.ndarray, v_x: np.ndarray,
+                 c: LeslieSet, grid: Grid1D) -> np.ndarray:
     """Material director rate (n_xx + director_source) / gamma1 that solves
-    the scalar director equation; seeds the ledger at t = 0.  A caller that
-    already holds the velocity gradients passes them as `u_x` and `v_x`."""
-    if u_x is None:
-        u_x = gradient(state.u, grid.dx)
-    if v_x is None:
-        v_x = gradient(state.v, grid.dx)
-    n_xx = second_derivative(state.n, grid.dx)
-    src = director_source(c.gamma1, c.gamma2, state.n, u_x, v_x)
-    return (n_xx + src) / c.gamma1
+    the scalar director equation at angle `n` and velocity gradients `u_x`,
+    `v_x`; seeds the ledger at t = 0."""
+    src = director_source(c.gamma1, c.gamma2, n, u_x, v_x)
+    return (second_derivative(n, grid.dx) + src) / c.gamma1
 
 
 def director_residual(state: FlowState, c: LeslieSet,
                       grid: Grid1D) -> np.ndarray:
     """Residual gamma1 (ndot - initial_ndot) of the scalar director
     equation, which a consistent state satisfies to scheme accuracy."""
-    return c.gamma1 * (state.require_ndot() - initial_ndot(state, c, grid))
+    rate = initial_ndot(state.n, gradient(state.u, grid.dx),
+                        gradient(state.v, grid.dx), c, grid)
+    return c.gamma1 * (state.require_ndot() - rate)

@@ -238,24 +238,21 @@ def remap_density_to_grid(rho_particles: np.ndarray, positions: np.ndarray,
     if lost.any():
         raise DenominatorTooSmall("particle map lost monotonicity",
                                   lost.any(axis=-1))
-    rho, empty = np.empty(labels.shape), []
-    for (out, particles, x, y), mass in zip(
-            each_row(rho, rho_particles, positions, labels),
-            np.broadcast_to(total_mass, rho.shape[:-1]).ravel()):
-        np.multiply(mass, _pchip_derivative(x, y, grid.x), out=out)
-        # the wall particles are pinned to the wall nodes, so their
-        # closed-form densities are exact there; the interpolant's
-        # one-sided endpoint rule can clamp to zero spuriously when the
-        # wall density is small
-        out[0], out[-1] = particles[0], particles[-1]
-        np.maximum(out, 0.0, out=out)
-        current = grid.dx * (out.sum() - 0.5 * (out[0] + out[-1]))  # trapezoid
-        empty.append(current <= 0.0)
-        if not empty[-1]:
-            out *= mass / current
-    if any(empty):
-        raise DenominatorTooSmall("remapped density lost all mass",
-                                  np.reshape(empty, rho.shape[:-1]))
+    mass = np.asarray(total_mass)[..., None]
+    rho = np.empty(labels.shape)
+    for out, x, y in each_row(rho, positions, labels):
+        out[:] = _pchip_derivative(x, y, grid.x)
+    rho *= mass
+    # the wall particles are pinned to the wall nodes, so their closed-form
+    # densities are exact there; the interpolant's one-sided endpoint rule
+    # can clamp to zero spuriously when the wall density is small
+    rho[..., 0], rho[..., -1] = rho_particles[..., 0], rho_particles[..., -1]
+    np.maximum(rho, 0.0, out=rho)
+    current = grid.dx * (rho.sum(axis=-1) - 0.5 * (rho[..., 0] + rho[..., -1]))
+    empty = current <= 0.0
+    if empty.any():
+        raise DenominatorTooSmall("remapped density lost all mass", empty)
+    rho *= mass / current[..., None]
     return rho
 
 
@@ -263,37 +260,32 @@ def remap_density_to_grid(rho_particles: np.ndarray, positions: np.ndarray,
 # Implicit director step
 # =============================================================================
 
-def advance_director(state: FlowState, c: LeslieSet, dt,
-                     grid: Grid1D, u_x: Optional[np.ndarray] = None,
-                     v_x: Optional[np.ndarray] = None,
-                     n_lag: Optional[np.ndarray] = None) -> np.ndarray:
+def advance_director(n: np.ndarray, u: np.ndarray, c: LeslieSet, dt,
+                     grid: Grid1D, *, u_x: np.ndarray, v_x: np.ndarray,
+                     n_lag: np.ndarray,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One backward-Euler step of the director equation
 
         gamma1 n_t = n_xx - gamma1 u n_x + (gamma2/2) u_x sin 2n
                      + ((gamma1 - gamma2 cos 2n)/2) v_x
 
-    with Neumann ends, along the last axis of the fields: stacked members
-    (with dt a float or a column of one per member) are solved as one
-    tridiagonal system whose bands carry a zero between members.  Diffusion
-    and transport are implicit; the trigonometric sources are evaluated at
-    n_lag, the previous iterate.  Velocity gradients may be supplied
-    (spectral path) or are taken by finite differences.
+    from the angle `n` with Neumann ends, along the last axis of the fields:
+    stacked members (with dt a float or a column of one per member) are
+    solved as one tridiagonal system whose bands carry a zero between
+    members.  Diffusion and transport are implicit; the trigonometric
+    sources are evaluated at n_lag, the previous iterate, and the velocity
+    gradients u_x, v_x.  Returns the new angle, its Neumann gradient and
+    the rate (n_new - n) / dt.
     """
     g1, g2 = c.gamma1, c.gamma2
     if g1 <= 0.0:
         raise ValueError("gamma1 must be positive")
     dx = grid.dx
-    shape = state.n.shape
-    if u_x is None:
-        u_x = gradient(state.u, dx)
-    if v_x is None:
-        v_x = gradient(state.v, dx)
-    if n_lag is None:
-        n_lag = state.n
+    shape = n.shape
     src = director_source(g1, g2, n_lag, u_x, v_x)
 
     idx2 = 1.0 / (dx * dx)
-    adv = g1 * state.u / (2.0 * dx)
+    adv = g1 * u / (2.0 * dx)
     diag = np.full(shape, g1 / dt + 2.0 * idx2)
     # each member's bands hold its m - 1 entries and then the zero that
     # uncouples it from the next member
@@ -306,14 +298,15 @@ def advance_director(state: FlowState, c: LeslieSet, dt,
     lower[..., -2] = -2.0 * idx2
     lower[..., -1] = upper[..., -1] = 0.0
 
-    rhs = g1 / dt * state.n + src
+    rhs = g1 / dt * n + src
     *_, n_new, info = compiled.dgtsv(lower.ravel()[:-1], diag.ravel(),
                                      upper.ravel()[:-1], rhs.ravel(),
                                      overwrite_dl=True, overwrite_d=True,
                                      overwrite_du=True, overwrite_b=True)
     if info != 0:   # pragma: no cover - misconfiguration
         raise RuntimeError(f"director tridiagonal solve failed: info={info}")
-    return n_new.reshape(shape)
+    n_new = n_new.reshape(shape)
+    return n_new, gradient(n_new, dx, neumann_ends=True), (n_new - n) / dt
 
 
 # =============================================================================
@@ -515,7 +508,7 @@ def _attempt_step(states: Sequence[FlowState], modes: Sequence[np.ndarray],
         ld, total_mass, occupied, rho_safe, step_dt, n_old, old_rhs = rows
         velocity = basis.reconstruct(modes_it)
         gradients = basis.reconstruct_derivative(modes_it)
-        u_field, v_field = velocity
+        u_field = velocity[0]
         u_x, v_x = gradients
 
         # (i) density along particle paths, then conservative remap; every
@@ -532,11 +525,10 @@ def _attempt_step(states: Sequence[FlowState], modes: Sequence[np.ndarray],
             ended, redo = exc.members, True
         else:
             # (ii) implicit director with lagged trig coefficients
-            working = FlowState(None, rho_it, u_field, v_field, n_old)
-            n_new = advance_director(working, c, step_dt, grid, u_x=u_x,
-                                     v_x=v_x, n_lag=n_it)
-            n_x_new = gradient(n_new, grid.dx, neumann_ends=True)
-            ndot_new = (n_new - n_old) / step_dt + u_field * n_x_new
+            n_new, n_x_new, rate = advance_director(
+                n_old, u_field, c, step_dt, grid, u_x=u_x, v_x=v_x,
+                n_lag=n_it)
+            ndot_new = rate + u_field * n_x_new
 
             # (iii) velocity modes, implicit in the A(n) part
             modes_new, used = advance_velocity_modes(
@@ -560,8 +552,7 @@ def _attempt_step(states: Sequence[FlowState], modes: Sequence[np.ndarray],
             if not redo:
                 modes_fin = modes_it[:, out]
                 u_fin, v_fin = basis.reconstruct(modes_fin)
-                ndot_fin = ((n_it[out] - n_old[out]) / step_dt[out]
-                            + u_fin * n_x_new[out])
+                ndot_fin = rate[out] + u_fin * n_x_new[out]
                 for i, (j, fin) in enumerate(zip(live[out], each_row(
                         rho_it[out], u_fin, v_fin, n_it[out], ndot_fin))):
                     results[j] = (
@@ -693,9 +684,8 @@ def run(initials: Sequence[FlowState], num_modes: int, grid: Grid1D,
         u, v = basis.reconstruct(modes[-1])
         state = replace(initial, u=u, v=v)
         if state.ndot is None:
-            u_x, v_x = basis.reconstruct_derivative(modes[-1])
-            state = replace(state, ndot=_initial_ndot(state, c, grid,
-                                                      u_x=u_x, v_x=v_x))
+            state = replace(state, ndot=_initial_ndot(
+                state.n, *basis.reconstruct_derivative(modes[-1]), c, grid))
         states.append(state)
 
     # each member's accepted (time, modes, n, rho), its current state last;

@@ -103,8 +103,9 @@ class RunConfig:
             raise ValueError("dt must be positive and finite")
         if not 0.0 <= self.t_end < np.inf:
             raise ValueError("t_end must be nonnegative and finite")
-        if not 0.0 <= self.mollify_delta < np.inf:
-            raise ValueError("mollify_delta must be nonnegative and finite")
+        # a radius beyond the unit domain's length only builds a huge kernel
+        if not 0.0 <= self.mollify_delta <= 1.0:
+            raise ValueError("mollify_delta must be in [0, 1]")
         if self.scheme not in ("galerkin", "fd"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.initial_preset not in PRESETS:
@@ -315,7 +316,7 @@ def _momentum_quotients(raw: RawInitialData) -> np.ndarray:
 
 def mollify_initial_data(raw: RawInitialData, delta: float,
                          grid: Grid1D) -> FlowState:
-    """Smooth raw initial data over the radius delta >= 0 into a state.
+    """Smooth raw initial data over the radius 0 <= delta <= 1 into a state.
 
     Density gets a zero-extension convolution plus the additive floor delta,
     velocities are reconstructed from the convolved momentum-over-sqrt-density
@@ -325,8 +326,8 @@ def mollify_initial_data(raw: RawInitialData, delta: float,
     automatically (exact for angle oscillation below pi).  At delta = 0 the
     kernel is the identity: density and director are the raw arrays.
     """
-    if not delta >= 0.0:
-        raise ValueError("delta must be nonnegative")
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError("delta must be nonnegative and at most 1")
     weights = _bump_weights(delta, grid.dx)
     rho = _convolve(raw.rho0, weights, "constant") + delta
     quotients = [_convolve(w, weights, "constant")
@@ -630,12 +631,12 @@ def _observed_order(deltas: Sequence[float], errors: Sequence[float]) -> float:
 
 
 def check_deltas(deltas: Sequence[float]) -> list[float]:
-    """The smoothing radii as floats; raises ValueError unless they are
-    positive, finite and strictly decreasing."""
+    """The smoothing radii as floats; raises ValueError unless they are in
+    (0, 1] and strictly decreasing."""
     deltas = [float(d) for d in deltas]
     # negated comparisons, so NaN fails them too
-    if not all(0.0 < d < np.inf for d in deltas):
-        raise ValueError("all deltas must be positive and finite")
+    if not all(0.0 < d <= 1.0 for d in deltas):
+        raise ValueError("all deltas must be in (0, 1]")
     if not all(b < a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
     return deltas

@@ -322,7 +322,7 @@ def test_initial_snapshot_carries_the_director_equation_rate(rng, scheme,
         first = snapshots[0]
         modes = project_initial_velocity(state.u, state.v, 8, grid)
         u_x, v_x = SineBasis(8, grid).reconstruct_derivative(modes)
-        want = initial_ndot(first, c, grid, u_x=u_x, v_x=v_x)
+        want = initial_ndot(first.n, u_x, v_x, c, grid)
         np.testing.assert_array_equal(first.ndot, want)
     assert first.time == 0.0
 

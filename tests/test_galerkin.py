@@ -37,6 +37,14 @@ def make_state(grid, rho=None, u=None, v=None, n=None, ndot=None):
                      ndot=ndot)
 
 
+def director_step(state, c, dt, grid):
+    """advance_director from a state, at its finite-difference velocity
+    gradients and with the sources at its own angle."""
+    return advance_director(state.n, state.u, c, dt, grid,
+                            u_x=gradient(state.u, grid.dx),
+                            v_x=gradient(state.v, grid.dx), n_lag=state.n)
+
+
 def run_one(state, *args, **kwargs):
     """galerkin.run on a batch of one member, which must not fail."""
     (traj,), failure = run([state], *args, **kwargs)
@@ -173,8 +181,9 @@ def test_stacked_calls_are_each_members_own(size, cells, seed, float_mass,
         masses = masses[:1] * size
     remapped = remap_density_to_grid(particles, positions, ld.labels,
                                      masses[0] if float_mass else masses, grid)
-    director = advance_director(FlowState(None, rho, u, v, n), c,
-                                dts[:, None], grid)
+    director = advance_director(n, u, c, dts[:, None], grid,
+                                u_x=gradient(u, grid.dx),
+                                v_x=gradient(v, grid.dx), n_lag=n)
     records = make_ledger(states, c, grid)
     first = step(states, modes, grid, c, dt=dts.tolist(),
                  picard_tol=PICARD_TOL, basis=basis, start=[None] * size,
@@ -186,7 +195,9 @@ def test_stacked_calls_are_each_members_own(size, cells, seed, float_mass,
         assert_bitwise(particles[m], advance_density(alone, increments[m]))
         assert_bitwise(remapped[m], remap_density_to_grid(
             particles[m], positions[m], alone.labels, masses[m], grid))
-        assert_bitwise(director[m], advance_director(state, c, dts[m], grid))
+        # the new angle, its gradient and its rate
+        for got, want in zip(director, director_step(state, c, dts[m], grid)):
+            assert_bitwise(got[m], want)
         (ledger, reduction), = make_ledger([state], c, grid)
         assert_bitwise(np.array(records[m][0].values() + [*records[m][1]]),
                        np.array(ledger.values() + [*reduction]))
@@ -566,7 +577,7 @@ def test_director_heat_decay_exact_amplification(base_set):
     dt = 2e-3
     n0 = np.cos(np.pi * grid.x)
     state = make_state(grid, n=n0)
-    n1 = advance_director(state, base_set, dt, grid)
+    n1, _, _ = director_step(state, base_set, dt, grid)
     mu = 4.0 * np.sin(np.pi * grid.dx / 2.0) ** 2 / grid.dx ** 2
     amp = 1.0 / (1.0 + mu * dt / base_set.gamma1)
     assert np.max(np.abs(n1 - amp * n0)) < 1e-12
@@ -577,7 +588,7 @@ def test_director_constant_is_fixed_point(base_set):
     grid = Grid1D(64)
     state = make_state(grid, u=np.sin(np.pi * grid.x),
                        n=np.full(grid.num_nodes, 0.77))
-    n1 = advance_director(state, base_set, 1e-2, grid)
+    n1, _, _ = director_step(state, base_set, 1e-2, grid)
     assert np.max(np.abs(n1 - 0.77)) < 1e-13
 
 
@@ -585,8 +596,7 @@ def test_director_neumann_ends_after_step(base_set):
     grid = Grid1D(64)
     state = make_state(grid, v=np.sin(np.pi * grid.x),
                        n=0.5 + 0.3 * np.cos(2 * np.pi * grid.x))
-    n1 = advance_director(state, base_set, 1e-2, grid)
-    nx = gradient(n1, grid.dx, neumann_ends=True)
+    n1, nx, _ = director_step(state, base_set, 1e-2, grid)
     assert nx[0] == 0.0 and nx[-1] == 0.0
     # mirrored-ghost row: the boundary value satisfies its implicit equation
     g1 = base_set.gamma1
@@ -628,7 +638,9 @@ def test_step_never_writes_into_its_input(base_set, read_only, members):
                                u=(0.3 + 0.1 * k) * np.sin(np.pi * x),
                                v=0.2 * np.sin(2 * np.pi * x),
                                n=0.5 + 0.3 * np.cos(np.pi * x))
-            states.append(replace(state, ndot=initial_ndot(state, base_set, grid)))
+            states.append(replace(state, ndot=initial_ndot(
+                state.n, gradient(state.u, grid.dx),
+                gradient(state.v, grid.dx), base_set, grid)))
         return states, [project_initial_velocity(s.u, s.v, 8, grid) for s in states]
 
     def advance(states, modes):
@@ -818,7 +830,7 @@ def test_director_first_order_in_time(base_set):
         state = make_state(grid)
         for _ in range(int(round(t_end / dt))):
             state = make_state(grid, n=n)
-            n = advance_director(state, base_set, dt, grid)
+            n, _, _ = director_step(state, base_set, dt, grid)
         exact = np.exp(-mu * t_end / base_set.gamma1) * n0
         errs.append(np.max(np.abs(n - exact)))
     ratio = errs[0] / errs[1]

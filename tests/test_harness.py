@@ -362,7 +362,7 @@ def test_mollified_even_extension_preserves_symmetry():
 def test_mollify_rejects_negative_or_nan_delta():
     grid = Grid1D(64)
     raw = build_raw_initial_data(shear_config(), grid)
-    for delta in (-1e-3, np.nan):
+    for delta in (-1e-3, np.nan, 1.5):
         with pytest.raises(ValueError, match="delta must be nonnegative"):
             mollify_initial_data(raw, delta, grid)
 
@@ -771,9 +771,9 @@ def test_batch_of_one_carries_no_member_axis(tmp_path, monkeypatch):
     # run of its own; only a batch of two or more carries a member axis
     real, ndims = galerkin_module.advance_director, []
 
-    def recording(state, *args, **kwargs):
-        ndims.append(state.n.ndim)
-        return real(state, *args, **kwargs)
+    def recording(n, *args, **kwargs):
+        ndims.append(n.ndim)
+        return real(n, *args, **kwargs)
 
     monkeypatch.setattr(galerkin_module, "advance_director", recording)
     cfg = shear_config(initial_preset="rough_density", grid_cells=32,
@@ -1091,7 +1091,8 @@ def test_cli_run_builds_initial_state_once(tmp_path, monkeypatch):
     "initial.seed = 3",
     "initial.preset = smooth_random\ninitial.seed = abc",
     "initial.preset = rough_density\ninitial.profile = bogus",
-    "mollify_delta = inf", "initial.preset = smooth_random\ninitial.seed = -1",
+    "mollify_delta = inf", "mollify_delta = 2",
+    "initial.preset = smooth_random\ninitial.seed = -1",
     "initial.preset = static\ninitial.n0 = nan", "initial.amplitude = inf",
     "tolerances.picard = inf", "tolerances.energy = inf"],
     ids=["aliased_modes", "non_numeric", "no_equals", "missing_value",
@@ -1099,7 +1100,7 @@ def test_cli_run_builds_initial_state_once(tmp_path, monkeypatch):
          "negative_energy_tol", "boolean_float", "boolean_int",
          "fractional_int", "misspelt_param", "undeclared_param",
          "non_numeric_param", "unknown_profile", "infinite_mollify_delta",
-         "negative_seed", "nan_param", "infinite_param",
+         "oversized_mollify_delta", "negative_seed", "nan_param", "infinite_param",
          "infinite_picard_tol", "infinite_energy_tol"])
 def test_cli_rejected_config_exits_2(tmp_path, capsys, command, bad_line):
     conf = tmp_path / "bad.conf"
@@ -1144,9 +1145,9 @@ def test_cli_sweep_rejects_malformed_deltas(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("deltas", ["0.05,0.1", "0.1,-0.05", "nan", "0.1,nan",
-                                    "inf,0.1"],
+                                    "inf,0.1", "2,0.1"],
                          ids=["increasing", "non_positive", "nan", "trailing_nan",
-                              "infinite"])
+                              "infinite", "oversized"])
 def test_cli_sweep_rejects_bad_delta_order(tmp_path, capsys, deltas):
     conf = tmp_path / "sweep.conf"
     conf.write_text(TEXT_CONFIG + f"\noutput.dir = {tmp_path / 'out'}\n")
